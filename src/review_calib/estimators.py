@@ -18,7 +18,7 @@ from typing import Sequence
 import numpy as np
 
 from .conference import Conference
-from .isotonic import NON_INCREASING, IsotonicProblem, isotonic_fit, isotonic_project_indexed
+from .isotonic import _pava_non_decreasing, isotonic_project_indexed
 from .ranking import full_ranking, hierarchical_tiers
 from .scoring import ReviewerRanking, ScoreTable
 
@@ -115,8 +115,11 @@ def calibrate_author(
     if not 0.0 <= blend <= 1.0:
         raise ValueError(f"blend must lie in [0, 1], got {blend}")
     out = np.asarray(scores, dtype=float).copy()
+    if not np.isfinite(out).all():
+        raise ValueError("scores must be finite")
     for papers in owners.owners.values():
-        fitted = isotonic_fit(IsotonicProblem(out[papers], direction=NON_INCREASING))
+        # isotonic_fit's unit-weight non-increasing fit; the check above covers every owner
+        fitted = -_pava_non_decreasing(-out[papers], None)
         out[papers] = blend * fitted + (1.0 - blend) * out[papers]
     return out
 

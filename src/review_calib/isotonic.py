@@ -78,9 +78,52 @@ def _pava_non_decreasing(y: np.ndarray, w: np.ndarray | None) -> np.ndarray:
     return out
 
 
-def _project_non_increasing(y: np.ndarray) -> np.ndarray:
-    # unit-weight fast path shared by the per-reviewer score adjustment
-    return -_pava_non_decreasing(-y, None)
+def project_rows_non_increasing(y: np.ndarray) -> np.ndarray:
+    """Unit-weight projection of every row of ``y`` onto non-increasing vectors.
+
+    A row-batched copy of ``_pava_non_decreasing(-row, None)``: the same
+    stack, merge test and running sums, advanced one column at a time for
+    all rows, so each row matches the scalar kernel bit for bit. A pooled
+    block of two is its running sum halved (what fsum of two values gives);
+    longer blocks keep ``math.fsum``.
+    """
+    z = -np.asarray(y, dtype=float)
+    m, s = z.shape
+    starts = np.zeros((m, s), dtype=np.int64)
+    wsum = np.zeros((m, s))
+    wysum = np.zeros((m, s))
+    depth = np.zeros(m, dtype=np.int64)
+    rows = np.arange(m)
+    for i in range(s):
+        starts[rows, depth] = i
+        wsum[rows, depth] = 1.0
+        wysum[rows, depth] = z[:, i]
+        depth += 1
+        while True:
+            r = np.flatnonzero(depth > 1)
+            t = depth[r] - 1
+            merge = wysum[r, t - 1] * wsum[r, t] > wysum[r, t] * wsum[r, t - 1]
+            if not merge.any():
+                break
+            r, t = r[merge], t[merge]
+            wsum[r, t - 1] += wsum[r, t]
+            wysum[r, t - 1] += wysum[r, t]
+            depth[r] -= 1
+    # unit weights: a live block's wsum is its length, exactly
+    live = np.arange(s) < depth[:, None]
+    opens = np.zeros((m, s), dtype=bool)
+    opens[np.nonzero(live)[0], starts[live]] = True
+    block = np.cumsum(opens, axis=1) - 1
+    out = np.take_along_axis(wysum, block, axis=1) / np.take_along_axis(wsum, block, axis=1)
+    r, b = np.nonzero(live & (wsum >= 3.0))
+    lengths = wsum[r, b].astype(np.int64)
+    for length in np.flatnonzero(np.bincount(lengths)).tolist():
+        sel = lengths == length
+        block_rows = r[sel][:, None]
+        cols = starts[r[sel], b[sel]][:, None] + np.arange(length)
+        sums = np.fromiter(map(math.fsum, z[block_rows, cols].tolist()), dtype=float)
+        out[block_rows, cols] = (sums / length)[:, None]
+    return -out
 
 
 def isotonic_fit(problem: IsotonicProblem) -> np.ndarray:
@@ -92,12 +135,16 @@ def isotonic_fit(problem: IsotonicProblem) -> np.ndarray:
     y = np.asarray(problem.values, dtype=float)
     if y.ndim != 1:
         raise ValueError(f"values must be 1-d, got shape {y.shape}")
+    if not np.isfinite(y).all():
+        raise ValueError("values must be finite")
     if problem.weights is None:
         w = None
     else:
         w = np.asarray(problem.weights, dtype=float)
         if w.shape != y.shape:
             raise ValueError(f"weights shape {w.shape} != values shape {y.shape}")
+        if not np.isfinite(w).all():
+            raise ValueError("weights must be finite")
         if np.any(w <= 0):
             raise ValueError("weights must be strictly positive")
     if problem.direction not in _DIRECTIONS:

@@ -190,16 +190,27 @@ class TierDecomposition:
     tiers: list[np.ndarray]
 
     def validate(self, all_papers: Iterable[int]) -> None:
-        seen: set[int] = set()
-        for tier in self.tiers:
-            ids = set(int(p) for p in tier)
-            if not ids:
-                raise ValueError("empty tier")
-            if ids & seen:
-                raise ValueError("tiers overlap")
-            seen |= ids
-        expected = set(int(p) for p in all_papers)
-        if seen != expected:
+        """Raise ValueError unless the tiers partition ``all_papers``.
+
+        Tiers are checked best first, so the message names the first
+        problem: an empty tier or one that shares a paper with an earlier
+        tier. A paper repeated inside one tier is not an overlap.
+        """
+        sizes = np.fromiter(map(len, self.tiers), dtype=np.int64, count=len(self.tiers))
+        ids = _concat_ids(self.tiers)
+        tier_of = np.repeat(np.arange(len(sizes)), sizes)
+        order = np.lexsort((tier_of, ids))
+        ids_sorted, tier_sorted = ids[order], tier_of[order]
+        again = (ids_sorted[1:] == ids_sorted[:-1]) & (tier_sorted[1:] != tier_sorted[:-1])
+        first_overlap = int(tier_sorted[1:][again].min(initial=len(sizes)))
+        empty = np.flatnonzero(sizes == 0)
+        first_empty = int(empty[0]) if len(empty) else len(sizes)
+        if first_empty < first_overlap:
+            raise ValueError("empty tier")
+        if first_overlap < len(sizes):
+            raise ValueError("tiers overlap")
+        expected = _sorted_unique(np.fromiter(all_papers, dtype=np.int64))
+        if not np.array_equal(_sorted_unique(ids), expected):
             raise ValueError("tiers do not partition the paper set")
 
     def tier_index(self, n_papers: int) -> np.ndarray:
@@ -212,6 +223,20 @@ class TierDecomposition:
         return [tier.tolist() for tier in self.tiers]
 
 
+def _concat_ids(arrays: Sequence) -> np.ndarray:
+    if len(arrays) == 0:
+        return np.empty(0, dtype=np.int64)
+    return np.concatenate(arrays).astype(np.int64, copy=False)
+
+
+def _sorted_unique(ids: np.ndarray) -> np.ndarray:
+    # np.unique's hashing pass is slow on the near-sorted id arrays seen here
+    ids = np.sort(ids)
+    first = np.ones(len(ids), dtype=bool)
+    first[1:] = ids[1:] != ids[:-1]
+    return ids[first]
+
+
 def hierarchical_tiers(
     rankings: Sequence[np.ndarray], all_papers: Iterable[int]
 ) -> TierDecomposition:
@@ -222,44 +247,48 @@ def hierarchical_tiers(
     the same result by decrementing loss counters as winners leave, since
     dropping a removed paper's comparisons only affects counts it won.
     The final tier is whatever remains when no paper is loss-free.
+    Papers outside ``all_papers`` are dropped from the rankings; a paper
+    repeated within a ranking raises ValueError.
     """
-    papers = np.asarray(sorted(set(int(p) for p in all_papers)), dtype=np.int64)
-    if len(papers) == 0:
-        return TierDecomposition(tiers=[])
-    compact = {int(p): k for k, p in enumerate(papers)}
+    papers = _sorted_unique(np.fromiter(all_papers, dtype=np.int64))
     n = len(papers)
-    winners: list[int] = []
-    losers: list[int] = []
-    for ranking in rankings:
-        kept = [compact[int(p)] for p in ranking if int(p) in compact]
-        for a in range(len(kept)):
-            for b in range(a + 1, len(kept)):
-                winners.append(kept[a])
-                losers.append(kept[b])
-    loss_count = np.bincount(np.asarray(losers, dtype=np.int64), minlength=n)
-    w_arr = np.asarray(winners, dtype=np.int64)
-    l_arr = np.asarray(losers, dtype=np.int64)
-    order = np.argsort(w_arr, kind="stable")
-    w_sorted = w_arr[order]
-    l_sorted = l_arr[order]
-    starts = np.searchsorted(w_sorted, np.arange(n))
-    ends = np.searchsorted(w_sorted, np.arange(n) + 1)
+    if n == 0:
+        return TierDecomposition(tiers=[])
+    lengths = np.fromiter(map(len, rankings), dtype=np.int64, count=len(rankings))
+    flat = _concat_ids(rankings)
+    owner = np.repeat(np.arange(len(rankings)), lengths)
+    pos = np.searchsorted(papers, flat)
+    kept = pos < n
+    kept[kept] = papers[pos[kept]] == flat[kept]
+    ids, owner = pos[kept], owner[kept]
+
+    kept_len = np.bincount(owner, minlength=len(rankings))
+    kept_start = np.cumsum(kept_len) - kept_len
+    winner_parts, loser_parts = [], []
+    for size in np.flatnonzero(np.bincount(kept_len)).tolist():
+        if size < 2:
+            continue
+        first = kept_start[kept_len == size][:, None]
+        a, b = np.triu_indices(size, k=1)
+        winner_parts.append(ids[first + a].ravel())
+        loser_parts.append(ids[first + b].ravel())
+    winners = _concat_ids(winner_parts)
+    losers = _concat_ids(loser_parts)
+    # every pair of positions is expanded, so a repeat shows up as a self-pair
+    if np.any(winners == losers):
+        raise ValueError("ranking contains a repeated paper")
+    loss_count = np.bincount(losers, minlength=n)
 
     active = np.ones(n, dtype=bool)
     tiers: list[np.ndarray] = []
-    remaining = n
-    while remaining > 0:
-        zero = np.flatnonzero(active & (loss_count == 0))
-        if len(zero) == 0:
-            tiers.append(papers[np.flatnonzero(active)])
+    while active.any():
+        zero = active & (loss_count == 0)
+        if not zero.any():
+            tiers.append(papers[active])
             break
         tiers.append(papers[zero])
-        active[zero] = False
-        remaining -= len(zero)
-        for w in zero:
-            beaten = l_sorted[starts[w] : ends[w]]
-            if len(beaten):
-                np.subtract.at(loss_count, beaten, 1)
+        active &= ~zero
+        loss_count -= np.bincount(losers[zero[winners]], minlength=n)
     decomposition = TierDecomposition(tiers=tiers)
     decomposition.validate(papers)
     return decomposition

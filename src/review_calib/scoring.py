@@ -6,6 +6,13 @@ Gaussian raw scores around true quality plus a reviewer-specific bias,
 qualities, and (3) a least-squares isotonic adjustment of the raw scores
 so the final scores respect the sampled ranking.
 
+Steps 2 and 3 run batched: reviewers are grouped by bundle size and each
+group is ranked and adjusted with whole-array operations. The batch
+consumes the same uniforms in the same order, and performs the same
+floating-point operations, as running ``sample_pl_ranking`` and the
+scalar isotonic projection reviewer by reviewer, so its output is
+bit-identical to that sequential-choice sampler.
+
 A reviewer's bias shifts every score they give by the same amount, so it
 never changes their internal ranking; the per-reviewer noise variance is a
 Gamma draw (``noise_sd`` is its square root).
@@ -21,7 +28,7 @@ import numpy as np
 
 from .conference import Conference
 from .errors import ConfigurationError
-from .isotonic import _project_non_increasing
+from .isotonic import project_rows_non_increasing
 
 ReviewerRanking = np.ndarray
 """Paper ids of one reviewer's bundle, most preferred first."""
@@ -140,18 +147,32 @@ def rankings_from_json(obj: list[list[int]]) -> list[ReviewerRanking]:
     return [np.asarray(r, dtype=np.int64) for r in obj]
 
 
-def gen_reviewer_params(
+def _draw_reviewer_params(
     case: NoiseCase, n_reviewers: int, rng: np.random.Generator
-) -> list[ReviewerParams]:
-    """Draw per-reviewer bias and noise level for one scenario."""
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per-reviewer (bias, noise_sd) arrays: all biases first, then all variances."""
     h = case.bias_halfwidth
     biases = rng.uniform(-h, h, size=n_reviewers) if h > 0 else np.zeros(n_reviewers)
     if case.gamma_scale > 0:
         variances = rng.gamma(case.gamma_shape, case.gamma_scale, size=n_reviewers)
     else:
         variances = np.zeros(n_reviewers)
-    sds = np.sqrt(variances)
+    return biases, np.sqrt(variances)
+
+
+def gen_reviewer_params(
+    case: NoiseCase, n_reviewers: int, rng: np.random.Generator
+) -> list[ReviewerParams]:
+    """Draw per-reviewer bias and noise level for one scenario."""
+    biases, sds = _draw_reviewer_params(case, n_reviewers, rng)
     return [ReviewerParams(float(b), float(s)) for b, s in zip(biases, sds)]
+
+
+def _raw_values(
+    conf: Conference, bias: np.ndarray, noise_sd: np.ndarray, rng: np.random.Generator
+) -> np.ndarray:
+    loc = conf.true_scores[conf.slot_papers] + bias[conf.slot_reviewers]
+    return rng.normal(loc, noise_sd[conf.slot_reviewers])
 
 
 def raw_scores(
@@ -166,9 +187,7 @@ def raw_scores(
         raise ValueError(f"expected {conf.n_reviewers} reviewer params, got {len(params)}")
     bias = np.fromiter((p.bias for p in params), dtype=float, count=len(params))
     noise_sd = np.fromiter((p.noise_sd for p in params), dtype=float, count=len(params))
-    loc = conf.true_scores[conf.slot_papers] + bias[conf.slot_reviewers]
-    scale = noise_sd[conf.slot_reviewers]
-    return ScoreTable.for_conference(conf, rng.normal(loc, scale))
+    return ScoreTable.for_conference(conf, _raw_values(conf, bias, noise_sd, rng))
 
 
 def pl_ranking_prob(theta: np.ndarray, perm: np.ndarray) -> float:
@@ -219,6 +238,45 @@ def sample_pl_ranking(theta: np.ndarray, rng: np.random.Generator) -> np.ndarray
     return out
 
 
+def _sample_pl_rows(theta: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
+    """``sample_pl_ranking`` on every row of ``theta`` at once.
+
+    ``uniforms[:, k]`` is the k-th ``rng.random()`` that the scalar sampler
+    would draw for the row. Weights use ``math.exp`` (as the scalar sampler
+    does; ``np.exp`` may differ in the last bit), the running total is the
+    same left-to-right sum less each pick, and the cumulative scan visits
+    only the papers still unranked, so the returned permutations are the
+    scalar sampler's.
+    """
+    theta = np.asarray(theta, dtype=float)
+    m, s = theta.shape
+    shifted = theta - theta.max(axis=1, keepdims=True)
+    weights = np.fromiter(map(math.exp, memoryview(shifted.ravel())), dtype=float, count=m * s)
+    weights = weights.reshape(m, s)
+    total = weights[:, 0].copy()
+    for q in range(1, s):
+        total += weights[:, q]
+    rows = np.arange(m)
+    remaining = np.ones((m, s), dtype=bool)
+    perm = np.empty((m, s), dtype=np.int64)
+    for k in range(s - 1):
+        u = uniforms[:, k] * total
+        acc = np.zeros(m)
+        pick = np.full(m, -1, dtype=np.int64)
+        for q in range(s):
+            acc = np.where(remaining[:, q], acc + weights[:, q], acc)
+            pick[(pick < 0) & remaining[:, q] & (u <= acc)] = q
+        unpicked = np.flatnonzero(pick < 0)
+        if len(unpicked):
+            # no cumulative weight reached u: take the last paper still unranked
+            pick[unpicked] = s - 1 - np.argmax(remaining[unpicked, ::-1], axis=1)
+        perm[:, k] = pick
+        remaining[rows, pick] = False
+        total -= weights[rows, pick]
+    perm[:, s - 1] = np.argmax(remaining, axis=1)
+    return perm
+
+
 def project_scores_to_ranking(raw: np.ndarray, perm: np.ndarray) -> np.ndarray:
     """Step-3 adjustment: least-squares fit of raw scores to the ranking.
 
@@ -230,7 +288,7 @@ def project_scores_to_ranking(raw: np.ndarray, perm: np.ndarray) -> np.ndarray:
     if sorted(perm.tolist()) != list(range(raw.size)):
         raise ValueError("perm is not a permutation of the raw-score indices")
     out = np.empty_like(raw)
-    out[perm] = _project_non_increasing(raw[perm])
+    out[perm] = project_rows_non_increasing(raw[perm][None, :])[0]
     return out
 
 
@@ -246,24 +304,28 @@ def generate_final_scores(
     order, so the output is independent of any outer parallelism.
     """
     params_rng, scores_rng, ranking_rng = rng.spawn(3)
-    params = gen_reviewer_params(case, conf.n_reviewers, params_rng)
-    raw = raw_scores(conf, params, scores_rng)
-    theta = conf.true_scores
-    final_values = np.empty(conf.n_slots)
-    rankings: list[ReviewerRanking] = []
+    bias, noise_sd = _draw_reviewer_params(case, conf.n_reviewers, params_rng)
+    raw = ScoreTable.for_conference(conf, _raw_values(conf, bias, noise_sd, scores_rng))
     ptr = conf.reviewer_ptr
-    empty = np.empty(0, dtype=np.int64)
-    for r in range(conf.n_reviewers):
-        lo, hi = int(ptr[r]), int(ptr[r + 1])
-        if hi == lo:
-            rankings.append(empty)
+    sizes = np.diff(ptr)
+    # a bundle of s papers takes s - 1 uniforms, reviewer after reviewer
+    draw_ptr = np.concatenate(([0], np.cumsum(np.maximum(sizes - 1, 0))))
+    uniforms = ranking_rng.random(int(draw_ptr[-1]))
+    ranked = np.empty(conf.n_slots, dtype=np.int64)
+    final_values = np.empty(conf.n_slots)
+    for s in np.flatnonzero(np.bincount(sizes)).tolist():
+        if s == 0:
             continue
-        bundle = conf.slot_papers[lo:hi]
-        perm = sample_pl_ranking(theta[bundle], ranking_rng)
-        rankings.append(bundle[perm])
-        # same projection as project_scores_to_ranking, skipping re-validation
-        adjusted = np.empty(hi - lo)
-        adjusted[perm] = _project_non_increasing(raw.values[lo:hi][perm])
-        final_values[lo:hi] = adjusted
+        group = np.flatnonzero(sizes == s)
+        slots = ptr[group][:, None] + np.arange(s)
+        perm = _sample_pl_rows(
+            conf.true_scores[conf.slot_papers[slots]],
+            uniforms[draw_ptr[group][:, None] + np.arange(s - 1)],
+        )
+        ranked_slots = np.take_along_axis(slots, perm, axis=1)
+        ranked[slots] = conf.slot_papers[ranked_slots]
+        final_values[ranked_slots] = project_rows_non_increasing(raw.values[ranked_slots])
+    bounds = ptr.tolist()
+    rankings = [ranked[lo:hi] for lo, hi in zip(bounds[:-1], bounds[1:])]
     final = ScoreTable.for_conference(conf, final_values)
     return final, raw, rankings

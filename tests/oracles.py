@@ -3,8 +3,10 @@
 These deliberately avoid the package's algorithms: the isotonic oracle
 enumerates candidate block partitions of the quadratic program, the
 ranking-probability oracle evaluates the sequential-choice product with
-unshifted exponentials, and the tier oracle rebuilds the comparison graph
-from scratch every round.
+unshifted exponentials, the tier oracle rebuilds the comparison graph
+from scratch every round, and the score-simulation reference runs the
+sequential-choice sampler and the scalar isotonic projection reviewer by
+reviewer.
 """
 
 from __future__ import annotations
@@ -13,7 +15,17 @@ import math
 
 import numpy as np
 
-from review_calib import extract_pairwise, find_never_losers
+from review_calib import (
+    IsotonicProblem,
+    ScoreTable,
+    extract_pairwise,
+    find_never_losers,
+    gen_reviewer_params,
+    isotonic_fit,
+    raw_scores,
+    sample_pl_ranking,
+)
+from review_calib.isotonic import NON_INCREASING
 
 
 def isotonic_qp_oracle(values, weights=None, direction="non-increasing"):
@@ -85,6 +97,37 @@ def naive_hierarchical_tiers(rankings, papers):
         tiers.append(sorted(never_lose))
         remaining -= never_lose
     return tiers
+
+
+def generate_final_scores_reference(conf, case, rng):
+    """Per-reviewer loop: scalar sampler, scalar projection, same streams.
+
+    ``isotonic_fit`` with unit weights runs the scalar stack PAVA on the
+    negated values, the projection the loop used.
+    """
+    params_rng, scores_rng, ranking_rng = rng.spawn(3)
+    params = gen_reviewer_params(case, conf.n_reviewers, params_rng)
+    raw = raw_scores(conf, params, scores_rng)
+    theta = conf.true_scores
+    final_values = np.empty(conf.n_slots)
+    rankings = []
+    ptr = conf.reviewer_ptr
+    empty = np.empty(0, dtype=np.int64)
+    for r in range(conf.n_reviewers):
+        lo, hi = int(ptr[r]), int(ptr[r + 1])
+        if hi == lo:
+            rankings.append(empty)
+            continue
+        bundle = conf.slot_papers[lo:hi]
+        perm = sample_pl_ranking(theta[bundle], ranking_rng)
+        rankings.append(bundle[perm])
+        adjusted = np.empty(hi - lo)
+        adjusted[perm] = isotonic_fit(
+            IsotonicProblem(raw.values[lo:hi][perm], direction=NON_INCREASING)
+        )
+        final_values[lo:hi] = adjusted
+    final = ScoreTable.for_conference(conf, final_values)
+    return final, raw, rankings
 
 
 def two_state_stationary(a, b):

@@ -13,6 +13,7 @@ import json
 import math
 import os
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -43,6 +44,8 @@ from review_calib.isotonic import NON_DECREASING, NON_INCREASING
 from review_calib.seeding import PURPOSE_CONFERENCE, PURPOSE_SCORES, stream
 
 SEEDS = tuple(DEFAULT_MASTER_SEED + k for k in range(5))
+GOLDEN_CSV = Path(__file__).parent / "data" / "default_seed42.csv"
+README = Path(__file__).parents[1] / "README.md"
 RUNTIME_BUDGET_SECONDS = 300.0
 _WORKERS = min(4, os.cpu_count() or 1)
 
@@ -255,6 +258,21 @@ def test_full_scale_stability_and_assignment_degrees(default_run, default_confer
     )
     assert float(table.sd_rmse.max()) <= 0.03
     assert per_paper.min() == 3 and per_paper.max() == 4
+
+
+def _readme_results_table() -> str:
+    """The fenced block of README.md that holds the results grid."""
+    blocks = README.read_text(encoding="utf-8").split("```")
+    grid = next(b for b in blocks[1::2] if "1. average scores" in b)
+    return grid.lstrip("\n")
+
+
+def test_default_run_reproduces_golden_csv_and_readme_table(default_run):
+    # the CSV was captured from the per-reviewer implementation; any change
+    # to what a default run computes shows up here byte for byte
+    table, _ = default_run
+    assert table.to_csv().encode("utf-8") == GOLDEN_CSV.read_bytes()
+    assert table.to_text() == _readme_results_table()
 
 
 def test_criterion_9_determinism_across_workers(tmp_path):

@@ -209,6 +209,18 @@ def test_translation_equivariance_of_all_methods(tiny_conf):
 # --- rmse
 
 
+def test_calibrations_reject_non_finite_scores():
+    avg = np.array([3.0, np.nan, 1.0])
+    rankings = [np.array([0, 1]), np.array([1, 2])]
+    owners = OwnerPartition({0: np.array([0, 2])})
+    with pytest.raises(ValueError, match="finite"):
+        calibrate_reviewer(avg, rankings)
+    with pytest.raises(ValueError, match="finite"):
+        calibrate_author(avg, owners)
+    with pytest.raises(ValueError, match="finite"):
+        calibrate_combined(avg, rankings, owners)
+
+
 def test_rmse_exact_values():
     truth = np.array([1.0, 2.0, 3.0, 4.0])
     assert rmse(truth, truth) == 0.0

@@ -5,7 +5,7 @@ import pytest
 
 from oracles import isotonic_qp_oracle
 from review_calib import IsotonicProblem, isotonic_fit, isotonic_project_indexed
-from review_calib.isotonic import NON_DECREASING, NON_INCREASING
+from review_calib.isotonic import NON_DECREASING, NON_INCREASING, project_rows_non_increasing
 
 
 def test_feasible_input_unchanged():
@@ -31,6 +31,14 @@ def test_empty_input_gives_empty_output():
 def test_non_positive_weight_rejected():
     with pytest.raises(ValueError, match="weights"):
         isotonic_fit(IsotonicProblem(np.array([1.0, 2.0]), np.array([1.0, 0.0])))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_values_and_weights_rejected(bad):
+    with pytest.raises(ValueError, match="values must be finite"):
+        isotonic_fit(IsotonicProblem(np.array([1.0, bad, 3.0, 0.0])))
+    with pytest.raises(ValueError, match="weights must be finite"):
+        isotonic_fit(IsotonicProblem(np.array([1.0, 2.0]), np.array([1.0, bad])))
 
 
 def test_bad_direction_rejected():
@@ -123,3 +131,14 @@ def test_project_indexed_rejects_bad_blend_and_order():
         isotonic_project_indexed(scores, np.array([0, 1]), blend=1.5)
     with pytest.raises(ValueError, match="permutation"):
         isotonic_project_indexed(scores, np.array([0, 0]), blend=0.5)
+
+
+def test_row_kernel_matches_scalar_fit_bitwise():
+    # integer-valued rows produce ties and long pooled blocks
+    rng = np.random.default_rng(29)
+    for s in range(9):
+        rows = np.vstack([rng.integers(0, 4, (40, s)), rng.normal(5, 2, (40, s))])
+        got = project_rows_non_increasing(rows)
+        for row, fitted in zip(rows, got):
+            want = isotonic_fit(IsotonicProblem(row, direction=NON_INCREASING))
+            assert fitted.tobytes() == want.tobytes()

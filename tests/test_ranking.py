@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.stats import kendalltau
 
 from oracles import naive_hierarchical_tiers, two_state_stationary
@@ -203,6 +205,42 @@ def test_peel_matches_rebuild_oracle():
         assert [t.tolist() for t in fast.tiers] == slow
 
 
+@st.composite
+def _peel_inputs(draw):
+    all_papers = draw(
+        st.one_of(
+            st.sets(st.integers(0, 30), max_size=15),
+            st.builds(range, st.integers(0, 12)),
+        )
+    )
+    # ids run past both ends of all_papers, so some get dropped
+    paper_ids = st.integers(-2, 33)
+    rankings = draw(st.lists(st.lists(paper_ids, unique=True, max_size=6), max_size=12))
+    as_arrays = draw(st.booleans())
+    if as_arrays:
+        rankings = [np.asarray(r, dtype=np.int64) for r in rankings]
+    return rankings, all_papers
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(_peel_inputs())
+def test_peel_matches_rebuild_oracle_property(inputs):
+    rankings, all_papers = inputs
+    fast = hierarchical_tiers(rankings, all_papers)
+    assert fast.to_json() == naive_hierarchical_tiers(rankings, all_papers)
+    assert all(t.dtype == np.int64 for t in fast.tiers)
+
+
+def test_tiers_reject_repeated_paper():
+    with pytest.raises(ValueError, match="repeated"):
+        hierarchical_tiers(_rankings([0, 1], [1, 1]), range(3))
+    with pytest.raises(ValueError, match="repeated"):
+        hierarchical_tiers(_rankings([2, 0, 1, 0]), range(3))
+    # as in extract_pairwise, only papers kept in the comparison set count
+    tiers = hierarchical_tiers(_rankings([0, 7, 1, 7]), range(3))
+    assert tiers.to_json() == [[0, 2], [1]]
+
+
 def test_tiers_partition_and_cross_tier_dominance():
     rng = np.random.default_rng(17)
     rankings = _random_rankings(rng, 25, 60)
@@ -221,6 +259,19 @@ def test_tier_decomposition_validation_errors():
         TierDecomposition([np.array([0])]).validate({0, 1})
     with pytest.raises(ValueError, match="overlap"):
         TierDecomposition([np.array([0]), np.array([0, 1])]).validate({0, 1})
+
+
+def test_tier_validation_reports_the_first_problem():
+    empty = np.empty(0, dtype=np.int64)
+    with pytest.raises(ValueError, match="empty tier"):
+        TierDecomposition([np.array([0]), empty, np.array([0, 1])]).validate({0, 1})
+    with pytest.raises(ValueError, match="overlap"):
+        TierDecomposition([np.array([0]), np.array([0, 1]), empty]).validate({0, 1})
+    with pytest.raises(ValueError, match="partition"):
+        TierDecomposition([np.array([0, 2])]).validate({0, 1})
+    # a paper listed twice inside one tier is not an overlap
+    TierDecomposition([np.array([1, 1]), np.array([0])]).validate({0, 1})
+    TierDecomposition([]).validate([])
 
 
 # --- full ranking

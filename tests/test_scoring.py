@@ -6,21 +6,25 @@ import math
 import numpy as np
 import pytest
 
-from oracles import pl_prob_direct
+from oracles import generate_final_scores_reference, pl_prob_direct
 from review_calib import (
     Conference,
     ConfigurationError,
+    DiscreteDistribution,
+    GenConfig,
     NOISE_CASES,
     NoiseCase,
     ReviewerParams,
     ScoreTable,
     gen_reviewer_params,
     generate_final_scores,
+    gen_conference,
     get_noise_case,
     pl_ranking_prob,
     project_scores_to_ranking,
     raw_scores,
     sample_pl_ranking,
+    scaled_config,
 )
 
 
@@ -263,6 +267,82 @@ def test_generation_deterministic(tiny_conf):
     assert np.array_equal(a[0].values, b[0].values)
     assert np.array_equal(a[1].values, b[1].values)
     assert all(np.array_equal(x, y) for x, y in zip(a[2], b[2]))
+
+
+def _mixed_bundle_conference(theta, seed=3):
+    """Six reviewers per bundle size 0..8, bundles drawn from all papers."""
+    rng = _rng(seed)
+    n = len(theta)
+    assignment = [np.sort(rng.choice(n, size=size, replace=False)) for size in range(9) for _ in range(6)]
+    reverse = [
+        np.asarray([r for r, bundle in enumerate(assignment) if p in bundle], dtype=np.int64)
+        for p in range(n)
+    ]
+    return Conference(
+        true_scores=np.asarray(theta, dtype=float),
+        authorship=[np.arange(n)],
+        assignment=assignment,
+        reverse_assignment=reverse,
+    )
+
+
+def _assert_matches_reference(conf, case, seed):
+    fast = generate_final_scores(conf, case, _rng(seed))
+    slow = generate_final_scores_reference(conf, case, _rng(seed))
+    assert fast[0].values.tobytes() == slow[0].values.tobytes()
+    assert fast[1].values.tobytes() == slow[1].values.tobytes()
+    assert len(fast[2]) == len(slow[2]) == conf.n_reviewers
+    for got, want in zip(fast[2], slow[2]):
+        assert got.dtype == want.dtype == np.int64
+        assert np.array_equal(got, want)
+    return fast
+
+
+_THETAS = {
+    "spread": np.linspace(3.0, 7.0, 12),
+    # three quality levels: equal Plackett-Luce weights inside a bundle
+    "tied": np.repeat([4.0, 5.0, 6.5], 4),
+}
+
+
+@pytest.mark.parametrize("theta", sorted(_THETAS))
+@pytest.mark.parametrize("case", list(NOISE_CASES))
+def test_batched_simulation_matches_reference_bitwise(case, theta):
+    conf = _mixed_bundle_conference(_THETAS[theta])
+    for seed in range(5):
+        _assert_matches_reference(conf, NOISE_CASES[case], seed)
+
+
+def test_reference_check_covers_long_pooled_blocks():
+    # zero noise keeps raw scores in quality order, so any sampled ranking
+    # that reverses a run of three or more papers pools them into one block
+    conf = _mixed_bundle_conference(_THETAS["tied"])
+    final, raw, _ = _assert_matches_reference(conf, NOISE_CASES["NoVariance"], 11)
+    ptr = conf.reviewer_ptr
+    longest = 0
+    for lo, hi in zip(ptr[:-1], ptr[1:]):
+        f, r = final.values[lo:hi], raw.values[lo:hi]
+        for pooled_value in set(f[f != r].tolist()):
+            longest = max(longest, int(np.sum(f == pooled_value)))
+    assert longest >= 3
+
+
+@pytest.mark.parametrize("capacity", [2, 6])
+def test_batched_simulation_matches_reference_on_generated_conference(capacity):
+    gen = scaled_config(
+        GenConfig(reviewer_capacity_dist=DiscreteDistribution.point_mass(capacity)), 150
+    )
+    conf = gen_conference(gen)
+    for case in NOISE_CASES.values():
+        _assert_matches_reference(conf, case, 73)
+
+
+def test_reviewers_without_papers_get_empty_rankings():
+    conf = _mixed_bundle_conference(_THETAS["spread"])
+    _, _, rankings = generate_final_scores(conf, NOISE_CASES["Base"], _rng(79))
+    sizes = np.diff(conf.reviewer_ptr)
+    assert [len(r) for r in rankings] == sizes.tolist()
+    assert all(r.dtype == np.int64 for r in rankings)
 
 
 # --- score table access
