@@ -254,38 +254,78 @@ class Conference:
         return len(self.slot_papers)
 
     def validate(self) -> None:
-        """Check the structural invariants; raises GenerationError on failure."""
+        """Check the structural invariants; raises GenerationError on failure.
+
+        - every author holds a non-empty list of distinct, known paper ids;
+        - every paper has at least one author;
+        - no reviewer holds a paper twice or an unknown paper id;
+        - every paper has at least one reviewer;
+        - ``reverse_assignment`` has one list per paper, and paper p's list
+          names exactly the reviewers holding p, each once.
+
+        Each check runs over authors, reviewers or papers in id order. The
+        error names the first one that fails, with the first of its failing
+        checks in the order above.
+        """
         n = self.n_papers
-        author_cover = np.zeros(n, dtype=bool)
-        for papers in self.authorship:
-            if len(papers) == 0:
-                raise GenerationError("author with an empty paper list")
-            if np.any(papers < 0) or np.any(papers >= n):
-                raise GenerationError("authorship references an unknown paper id")
-            if len(np.unique(papers)) != len(papers):
-                raise GenerationError("author holds a duplicated paper")
-            author_cover[papers] = True
-        if not author_cover.all():
-            missing = int(np.flatnonzero(~author_cover)[0])
-            raise GenerationError(f"paper {missing} has no author")
-        review_counts = np.zeros(n, dtype=np.int64)
-        for r, papers in enumerate(self.assignment):
-            if len(np.unique(papers)) != len(papers):
-                raise GenerationError(f"reviewer {r} holds the same paper twice")
-            if len(papers) and (papers.min() < 0 or papers.max() >= n):
-                raise GenerationError(f"reviewer {r} references an unknown paper id")
-            review_counts[papers] += 1
-        if np.any(review_counts == 0):
-            missing = int(np.flatnonzero(review_counts == 0)[0])
-            raise GenerationError(f"paper {missing} has no reviewer")
+        papers, author_of, author_sizes = _flatten(self.authorship)
+        unknown = (papers < 0) | (papers >= n)
+        _raise_first(
+            (author_sizes == 0, lambda a: "author with an empty paper list"),
+            (
+                _mask(author_of[unknown], self.n_authors),
+                lambda a: "authorship references an unknown paper id",
+            ),
+            (
+                _mask(author_of[_repeats(author_of, papers)], self.n_authors),
+                lambda a: "author holds a duplicated paper",
+            ),
+        )
+        _raise_first((np.bincount(papers, minlength=n) == 0, lambda p: f"paper {p} has no author"))
+
+        slot_reviewers, slot_papers = self.slot_reviewers, self.slot_papers
+        unknown = (slot_papers < 0) | (slot_papers >= n)
+        _raise_first(
+            (
+                _mask(slot_reviewers[_repeats(slot_reviewers, slot_papers)], self.n_reviewers),
+                lambda r: f"reviewer {r} holds the same paper twice",
+            ),
+            (
+                _mask(slot_reviewers[unknown], self.n_reviewers),
+                lambda r: f"reviewer {r} references an unknown paper id",
+            ),
+        )
+        review_counts = np.bincount(slot_papers, minlength=n)
+        _raise_first((review_counts == 0, lambda p: f"paper {p} has no reviewer"))
+
         if len(self.reverse_assignment) != n:
             raise GenerationError("reverse_assignment length != n_papers")
-        for p, reviewers in enumerate(self.reverse_assignment):
-            if len(reviewers) != review_counts[p]:
-                raise GenerationError(f"reverse_assignment inconsistent for paper {p}")
-            for r in reviewers:
-                if p not in self.assignment[r]:
-                    raise GenerationError(f"reverse_assignment lists reviewer {r} not holding {p}")
+        listed, paper_of, list_sizes = _flatten(self.reverse_assignment)
+        # (paper, reviewer) keys; the reviewer checks above made the slot keys unique, and
+        # the range test keeps an unknown reviewer id from aliasing another paper's key
+        n_reviewers = self.n_reviewers
+        slot_keys = np.sort(slot_papers * n_reviewers + slot_reviewers)
+        keys = paper_of * n_reviewers + listed
+        at = np.minimum(np.searchsorted(slot_keys, keys), len(slot_keys) - 1)
+        held = (listed >= 0) & (listed < n_reviewers) & (slot_keys[at] == keys)
+        strays = np.flatnonzero(~held)
+        repeats = np.sort(_repeats(paper_of, listed))
+
+        def first_listed(at_indices, p):
+            # at_indices is sorted, so the first entry of paper p comes first in p's list
+            return listed[at_indices[np.searchsorted(paper_of[at_indices], p)]]
+
+        _raise_first(
+            (list_sizes != review_counts, lambda p: f"reverse_assignment inconsistent for paper {p}"),
+            (
+                _mask(paper_of[strays], n),
+                lambda p: f"reverse_assignment lists reviewer {first_listed(strays, p)} not holding {p}",
+            ),
+            (
+                _mask(paper_of[repeats], n),
+                lambda p: f"reverse_assignment lists reviewer {first_listed(repeats, p)} twice for paper {p}",
+            ),
+        )
 
     def to_json(self) -> dict:
         return {
@@ -306,6 +346,45 @@ class Conference:
             assignment=[np.asarray(a, dtype=np.int64) for a in obj["assignment"]],
             reverse_assignment=[np.asarray(a, dtype=np.int64) for a in obj["reverse_assignment"]],
         )
+
+
+def _flatten(lists: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The lists concatenated, the list index of each element, and the list sizes."""
+    sizes = np.fromiter((len(a) for a in lists), dtype=np.int64, count=len(lists))
+    flat = np.concatenate(lists).astype(np.int64, copy=False) if lists else np.empty(0, dtype=np.int64)
+    return flat, np.repeat(np.arange(len(lists), dtype=np.int64), sizes), sizes
+
+
+def _repeats(owner: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Indices of elements whose (owner, value) pair occurs more than once, bar one per pair.
+
+    ``owner`` must be non-decreasing.
+    """
+    if not np.any((owner[1:] == owner[:-1]) & (values[1:] <= values[:-1])):
+        # every owner's values strictly increase, as in a generated conference
+        return np.empty(0, dtype=np.int64)
+    order = np.lexsort((values, owner))
+    o, v = owner[order], values[order]
+    return order[1:][(o[1:] == o[:-1]) & (v[1:] == v[:-1])]
+
+
+def _mask(indices: np.ndarray, n: int) -> np.ndarray:
+    mask = np.zeros(n, dtype=bool)
+    mask[indices] = True
+    return mask
+
+
+def _raise_first(*checks) -> None:
+    """Raise for the lowest index failing any (mask, message) check.
+
+    Checks come in precedence order; the first one failing at that index
+    builds the message from the index.
+    """
+    failing = np.logical_or.reduce([mask for mask, _ in checks])
+    if failing.any():
+        i = int(np.argmax(failing))
+        message = next(message for mask, message in checks if mask[i])
+        raise GenerationError(message(i))
 
 
 def _reconciled_author_loads(
@@ -483,16 +562,18 @@ def gen_conference(config: GenConfig, rng: np.random.Generator | None = None) ->
     authorship = _deal_authorship(config.n_papers, multiplicities, config.authors_per_paper_dist, rng)
     per_paper = config.reviewers_per_paper_dist.sample(rng, config.n_papers)
     assignment = _assign_reviewers(per_paper, config, rng)
-    reverse: list[list[int]] = [[] for _ in range(config.n_papers)]
-    for r, papers in enumerate(assignment):
-        for p in papers:
-            reverse[int(p)].append(r)
     conference = Conference(
         true_scores=true_scores,
         authorship=authorship,
         assignment=assignment,
-        reverse_assignment=[np.asarray(v, dtype=np.int64) for v in reverse],
+        reverse_assignment=[],
     )
+    # slots run reviewer by reviewer, so a stable sort by paper keeps each
+    # paper's reviewers in increasing order
+    order = np.argsort(conference.slot_papers, kind="stable")
+    reviewers = conference.slot_reviewers[order]
+    bounds = np.cumsum(np.bincount(conference.slot_papers, minlength=config.n_papers)).tolist()
+    conference.reverse_assignment = [reviewers[lo:hi] for lo, hi in zip([0, *bounds], bounds)]
     conference.validate()
     return conference
 

@@ -27,12 +27,23 @@ EstimateVector = np.ndarray
 
 
 def avg_scores(final: ScoreTable, conf: Conference) -> EstimateVector:
-    """Mean final score per paper; every paper must have at least one review."""
-    counts = np.bincount(final.papers, minlength=conf.n_papers)
+    """Mean final score per paper; every paper must have at least one review.
+
+    Raises ValueError for an empty table, a paper id outside the conference
+    or a non-finite score.
+    """
+    papers = final.papers
+    if len(papers) == 0:
+        raise ValueError("score table is empty")
+    if papers.min() < 0 or papers.max() >= conf.n_papers:
+        raise ValueError(f"score table references a paper id outside [0, {conf.n_papers})")
+    if not np.isfinite(final.values).all():
+        raise ValueError("review scores must be finite")
+    counts = np.bincount(papers, minlength=conf.n_papers)
     if np.any(counts == 0):
         missing = int(np.flatnonzero(counts == 0)[0])
         raise ValueError(f"paper {missing} has no review score")
-    sums = np.bincount(final.papers, weights=final.values, minlength=conf.n_papers)
+    sums = np.bincount(papers, weights=final.values, minlength=conf.n_papers)
     return sums / counts
 
 
@@ -135,11 +146,18 @@ def calibrate_combined(
 
 
 def rmse(est: EstimateVector, truth: np.ndarray) -> float:
-    """Root mean square error between estimates and true scores."""
+    """Root mean square error between estimates and true scores.
+
+    Raises ValueError for mismatched shapes, empty input or non-finite values.
+    """
     est = np.asarray(est, dtype=float)
     truth = np.asarray(truth, dtype=float)
     if est.shape != truth.shape:
         raise ValueError(f"shape mismatch: {est.shape} vs {truth.shape}")
+    if est.size == 0:
+        raise ValueError("rmse of empty input")
+    if not (np.isfinite(est).all() and np.isfinite(truth).all()):
+        raise ValueError("rmse input must be finite")
     return float(np.sqrt(np.mean((est - truth) ** 2)))
 
 

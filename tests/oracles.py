@@ -4,9 +4,10 @@ These deliberately avoid the package's algorithms: the isotonic oracle
 enumerates candidate block partitions of the quadratic program, the
 ranking-probability oracle evaluates the sequential-choice product with
 unshifted exponentials, the tier oracle rebuilds the comparison graph
-from scratch every round, and the score-simulation reference runs the
+from scratch every round, the score-simulation reference runs the
 sequential-choice sampler and the scalar isotonic projection reviewer by
-reviewer.
+reviewer, and the conference references check and invert the assignment
+list by list.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ import math
 import numpy as np
 
 from review_calib import (
+    GenerationError,
     IsotonicProblem,
     ScoreTable,
     extract_pairwise,
@@ -133,3 +135,53 @@ def generate_final_scores_reference(conf, case, rng):
 def two_state_stationary(a, b):
     """Stationary law of the chain [[1-a, a], [b, 1-b]]."""
     return np.array([b, a]) / (a + b)
+
+
+def reverse_assignment_reference(assignment, n_papers):
+    """Paper -> reviewers lists built by walking every reviewer's papers."""
+    reverse = [[] for _ in range(n_papers)]
+    for r, papers in enumerate(assignment):
+        for p in papers:
+            reverse[int(p)].append(r)
+    return [np.asarray(v, dtype=np.int64) for v in reverse]
+
+
+def validate_conference_reference(conf):
+    """Author-, reviewer- and paper-wise loop over the conference invariants.
+
+    Raises the same GenerationError messages as ``Conference.validate``,
+    except that it accepts a reverse list naming one of the paper's
+    reviewers twice, wraps a negative reviewer id and lets an id past the
+    last reviewer escape as IndexError.
+    """
+    n = conf.n_papers
+    author_cover = np.zeros(n, dtype=bool)
+    for papers in conf.authorship:
+        if len(papers) == 0:
+            raise GenerationError("author with an empty paper list")
+        if np.any(papers < 0) or np.any(papers >= n):
+            raise GenerationError("authorship references an unknown paper id")
+        if len(np.unique(papers)) != len(papers):
+            raise GenerationError("author holds a duplicated paper")
+        author_cover[papers] = True
+    if not author_cover.all():
+        missing = int(np.flatnonzero(~author_cover)[0])
+        raise GenerationError(f"paper {missing} has no author")
+    review_counts = np.zeros(n, dtype=np.int64)
+    for r, papers in enumerate(conf.assignment):
+        if len(np.unique(papers)) != len(papers):
+            raise GenerationError(f"reviewer {r} holds the same paper twice")
+        if len(papers) and (papers.min() < 0 or papers.max() >= n):
+            raise GenerationError(f"reviewer {r} references an unknown paper id")
+        review_counts[papers] += 1
+    if np.any(review_counts == 0):
+        missing = int(np.flatnonzero(review_counts == 0)[0])
+        raise GenerationError(f"paper {missing} has no reviewer")
+    if len(conf.reverse_assignment) != n:
+        raise GenerationError("reverse_assignment length != n_papers")
+    for p, reviewers in enumerate(conf.reverse_assignment):
+        if len(reviewers) != review_counts[p]:
+            raise GenerationError(f"reverse_assignment inconsistent for paper {p}")
+        for r in reviewers:
+            if p not in conf.assignment[r]:
+                raise GenerationError(f"reverse_assignment lists reviewer {r} not holding {p}")

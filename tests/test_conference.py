@@ -1,8 +1,14 @@
 from __future__ import annotations
 
+import hashlib
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from oracles import reverse_assignment_reference, validate_conference_reference
 from review_calib import (
     Conference,
     ConfigurationError,
@@ -188,3 +194,265 @@ def test_genconfig_validation():
         GenConfig(true_score_sd=0.0)
     with pytest.raises(ConfigurationError):
         GenConfig(capacity_slack=0.9)
+
+
+# --- golden conferences
+
+# sha256 of gen_conference(config, stream(42, PURPOSE_CONFERENCE)).to_json_str(),
+# recorded before the set-up was vectorised
+GOLDEN_CONFERENCE_SHA256 = {
+    "default": "d7603d5c0e3776fdba71fca3f5ec442a5262efafed44f4db434671c9ebbcee9e",
+    "capacity-6": "bc0e0fae1e0a63c0ef6eade02fcd71d9459a7d5600bf7b3417d289a2f1416219",
+}
+GOLDEN_CONFIGS = {
+    "default": GenConfig(),
+    "capacity-6": replace(GenConfig(), reviewer_capacity_dist=DiscreteDistribution.point_mass(6)),
+}
+
+
+@pytest.fixture(scope="module", params=sorted(GOLDEN_CONFIGS))
+def golden_conference(request):
+    conf = gen_conference(GOLDEN_CONFIGS[request.param], stream(42, PURPOSE_CONFERENCE))
+    return request.param, conf
+
+
+def test_golden_conference_hash(golden_conference):
+    name, conf = golden_conference
+    digest = hashlib.sha256(conf.to_json_str().encode()).hexdigest()
+    assert digest == GOLDEN_CONFERENCE_SHA256[name]
+
+
+def test_reverse_assignment_matches_double_loop(golden_conference, tiny_conf):
+    for conf in (golden_conference[1], tiny_conf):
+        expected = reverse_assignment_reference(conf.assignment, conf.n_papers)
+        assert len(conf.reverse_assignment) == len(expected)
+        for got, want in zip(conf.reverse_assignment, expected):
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+# --- Conference.validate, one case per message
+
+# three papers; authors {0, 1} and {2}; reviewers {0, 1}, {1, 2}, {0, 2}
+_AUTHORSHIP = [[0, 1], [2]]
+_ASSIGNMENT = [[0, 1], [1, 2], [0, 2]]
+_REVERSE = [[0, 2], [0, 1], [1, 2]]
+
+
+def _small_conf(authorship=_AUTHORSHIP, assignment=_ASSIGNMENT, reverse=_REVERSE):
+    return Conference(
+        true_scores=np.zeros(3),
+        authorship=[np.asarray(a, dtype=np.int64) for a in authorship],
+        assignment=[np.asarray(a, dtype=np.int64) for a in assignment],
+        reverse_assignment=[np.asarray(v, dtype=np.int64) for v in reverse],
+    )
+
+
+def test_small_conference_is_valid():
+    _small_conf().validate()
+    validate_conference_reference(_small_conf())
+
+
+_INVALID = {
+    "empty-author": (dict(authorship=[[0, 1], [2], []]), "author with an empty paper list"),
+    "unknown-authored-paper": (
+        dict(authorship=[[0, 1], [2, 3]]),
+        "authorship references an unknown paper id",
+    ),
+    "negative-authored-paper": (
+        dict(authorship=[[0, 1, -1], [2]]),
+        "authorship references an unknown paper id",
+    ),
+    "duplicated-authored-paper": (dict(authorship=[[0, 1, 1], [2]]), "author holds a duplicated paper"),
+    "first-failing-author-wins": (
+        dict(authorship=[[0, 1, 1], [], [2, 9]]),
+        "author holds a duplicated paper",
+    ),
+    "unknown-before-duplicate-in-one-author": (
+        dict(authorship=[[0, 0, 7], [1, 2]]),
+        "authorship references an unknown paper id",
+    ),
+    "paper-without-author": (dict(authorship=[[0, 1]]), "paper 2 has no author"),
+    "reviewer-holds-paper-twice": (
+        dict(assignment=[[0, 1], [1, 2, 2], [0, 2]]),
+        "reviewer 1 holds the same paper twice",
+    ),
+    "unknown-reviewed-paper": (
+        dict(assignment=[[0, 1], [1, 2], [0, 3]]),
+        "reviewer 2 references an unknown paper id",
+    ),
+    "negative-reviewed-paper": (
+        dict(assignment=[[0, 1], [-1, 1, 2], [0, 2]]),
+        "reviewer 1 references an unknown paper id",
+    ),
+    "duplicate-before-unknown-in-one-reviewer": (
+        dict(assignment=[[0, 1], [1, 2], [0, 2, 5, 5]]),
+        "reviewer 2 holds the same paper twice",
+    ),
+    "first-failing-reviewer-wins": (
+        dict(assignment=[[0, 1], [1, 2, 4], [0, 2, 2]]),
+        "reviewer 1 references an unknown paper id",
+    ),
+    "paper-without-reviewer": (
+        dict(assignment=[[0, 1], [1], [0]], reverse=[[0, 2], [0, 1], []]),
+        "paper 2 has no reviewer",
+    ),
+    "reverse-length": (dict(reverse=[[0, 2], [0, 1]]), "reverse_assignment length != n_papers"),
+    "reverse-count": (
+        dict(reverse=[[0, 2], [0], [1, 2]]),
+        "reverse_assignment inconsistent for paper 1",
+    ),
+    "reverse-membership": (
+        dict(reverse=[[0, 2], [0, 2], [1, 2]]),
+        "reverse_assignment lists reviewer 2 not holding 1",
+    ),
+    "first-non-member-in-list-order": (
+        dict(reverse=[[0, 2], [2, 5], [1, 2]]),
+        "reverse_assignment lists reviewer 2 not holding 1",
+    ),
+    # paper 1's key with reviewer -1 would alias paper 0's key with reviewer 2
+    "negative-reviewer-aliasing-a-held-key": (
+        dict(reverse=[[0, 2], [0, -1], [1, 2]]),
+        "reverse_assignment lists reviewer -1 not holding 1",
+    ),
+    "first-failing-paper-wins": (
+        dict(reverse=[[0, 1], [0, 1], [1]]),
+        "reverse_assignment lists reviewer 1 not holding 0",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_INVALID))
+def test_validate_rejects(case):
+    kwargs, message = _INVALID[case]
+    conf = _small_conf(**kwargs)
+    with pytest.raises(GenerationError) as excinfo:
+        conf.validate()
+    assert str(excinfo.value) == message
+    with pytest.raises(GenerationError) as excinfo:
+        validate_conference_reference(conf)
+    assert str(excinfo.value) == message
+
+
+# reverse lists the loop reference accepted or crashed on
+_HOLES = {
+    "reverse-repeats-a-reviewer": (
+        dict(reverse=[[0, 2], [0, 0], [1, 2]]),
+        "reverse_assignment lists reviewer 0 twice for paper 1",
+    ),
+    # reviewer -1 would wrap to reviewer 2, which holds paper 2
+    "reverse-negative-reviewer": (
+        dict(reverse=[[0, 2], [0, 1], [1, -1]]),
+        "reverse_assignment lists reviewer -1 not holding 2",
+    ),
+    "reverse-reviewer-out-of-range": (
+        dict(reverse=[[0, 2], [0, 1], [1, 3]]),
+        "reverse_assignment lists reviewer 3 not holding 2",
+    ),
+    # paper 1's key with reviewer 4 would alias paper 2's key with reviewer 1
+    "reverse-reviewer-out-of-range-aliasing-a-held-key": (
+        dict(reverse=[[0, 2], [0, 4], [1, 2]]),
+        "reverse_assignment lists reviewer 4 not holding 1",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_HOLES))
+def test_validate_closes_reverse_holes(case):
+    kwargs, message = _HOLES[case]
+    with pytest.raises(GenerationError) as excinfo:
+        _small_conf(**kwargs).validate()
+    assert str(excinfo.value) == message
+
+
+_FIELDS = ("authorship", "assignment", "reverse_assignment")
+
+
+@st.composite
+def _corruptions(draw):
+    """1-3 edits, each dropping, duplicating or re-pointing one id, or dropping a list.
+
+    A re-pointed id lands in range, one or two ids past either end of it,
+    or on another id of the same list.
+    """
+    edits = []
+    for _ in range(draw(st.integers(1, 3))):
+        edits.append(
+            (
+                draw(st.sampled_from(_FIELDS)),
+                draw(st.sampled_from(("drop", "duplicate", "repoint", "drop-list"))),
+                draw(st.integers(0, 10**6)),
+                draw(st.integers(0, 10**6)),
+                draw(st.sampled_from(("in-range", "below", "above", "sibling"))),
+                draw(st.integers(1, 2)),
+            )
+        )
+    return edits
+
+
+def _apply(conf, edits):
+    lists = {name: [a.tolist() for a in getattr(conf, name)] for name in _FIELDS}
+    domain = {
+        "authorship": conf.n_papers,
+        "assignment": conf.n_papers,
+        "reverse_assignment": conf.n_reviewers,
+    }
+    for name, op, which, pos, target_kind, offset in edits:
+        outer = lists[name]
+        if not outer:
+            continue
+        if op == "drop-list":
+            outer.pop(which % len(outer))
+            continue
+        inner = outer[which % len(outer)]
+        if op == "repoint" or not inner:
+            target = {
+                "in-range": pos % domain[name],
+                "below": -offset,
+                "above": domain[name] - 1 + offset,
+                "sibling": inner[(pos + offset) % len(inner)] if inner else 0,
+            }[target_kind]
+            if inner:
+                inner[pos % len(inner)] = target
+            else:
+                inner.append(target)
+        elif op == "drop":
+            inner.pop(pos % len(inner))
+        else:
+            inner.insert(pos % (len(inner) + 1), inner[pos % len(inner)])
+    return Conference(
+        true_scores=conf.true_scores,
+        authorship=[np.asarray(a, dtype=np.int64) for a in lists["authorship"]],
+        assignment=[np.asarray(a, dtype=np.int64) for a in lists["assignment"]],
+        reverse_assignment=[np.asarray(a, dtype=np.int64) for a in lists["reverse_assignment"]],
+    )
+
+
+def _outcome(check, conf):
+    try:
+        check(conf)
+    except GenerationError as exc:
+        return str(exc)
+    except IndexError:
+        return "IndexError"
+    return None
+
+
+def _has_reverse_hole(conf):
+    for reviewers in conf.reverse_assignment:
+        if len(reviewers) and (reviewers.min() < 0 or reviewers.max() >= conf.n_reviewers):
+            return True
+        if len(np.unique(reviewers)) != len(reviewers):
+            return True
+    return False
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(_corruptions())
+def test_validate_matches_loop_reference_property(tiny_conf, edits):
+    conf = _apply(tiny_conf, edits)
+    fast = _outcome(Conference.validate, conf)
+    if _has_reverse_hole(conf):
+        # the reference may accept, wrap or crash here; the check must refuse
+        assert fast is not None and fast != "IndexError"
+    else:
+        assert fast == _outcome(validate_conference_reference, conf)

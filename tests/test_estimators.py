@@ -54,6 +54,37 @@ def test_unreviewed_paper_rejected():
         avg_scores(table, conf)
 
 
+def _table(papers, values):
+    papers = np.asarray(papers, dtype=np.int64)
+    return ScoreTable(
+        reviewers=np.arange(len(papers), dtype=np.int64),
+        papers=papers,
+        values=np.asarray(values, dtype=float),
+        reviewer_ptr=np.arange(len(papers) + 1, dtype=np.int64),
+    )
+
+
+def test_avg_rejects_paper_ids_outside_conference():
+    conf = _conference([5.0, 5.0], [[0, 1]], [[0], [1]])
+    with pytest.raises(ValueError, match="outside"):
+        avg_scores(_table([0, 1, 2], [4.0, 6.0, 1.0]), conf)
+    with pytest.raises(ValueError, match="outside"):
+        avg_scores(_table([-1, 0, 1], [4.0, 6.0, 1.0]), conf)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_avg_rejects_non_finite_scores(bad):
+    conf = _conference([5.0, 5.0], [[0, 1]], [[0], [1]])
+    with pytest.raises(ValueError, match="finite"):
+        avg_scores(ScoreTable.for_conference(conf, np.array([4.0, bad])), conf)
+
+
+def test_avg_rejects_empty_table():
+    conf = _conference([5.0], [[0]], [[0]])
+    with pytest.raises(ValueError, match="empty"):
+        avg_scores(_table([], []), conf)
+
+
 # --- reviewer-ranking calibration
 
 
@@ -233,6 +264,19 @@ def test_rmse_exact_values():
 def test_rmse_shape_mismatch():
     with pytest.raises(ValueError, match="shape"):
         rmse(np.zeros(3), np.zeros(4))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_rmse_rejects_non_finite(bad):
+    with pytest.raises(ValueError, match="finite"):
+        rmse(np.array([1.0, bad]), np.zeros(2))
+    with pytest.raises(ValueError, match="finite"):
+        rmse(np.zeros(2), np.array([bad, 1.0]))
+
+
+def test_rmse_rejects_empty_input():
+    with pytest.raises(ValueError, match="empty"):
+        rmse(np.zeros(0), np.zeros(0))
 
 
 def test_estimates_to_csv_shape():
