@@ -5,105 +5,49 @@ authors, reviewers, biased noisy scores constrained by sampled reviewer
 rankings) and benchmarks four paper-quality estimators: plain score
 averaging, calibration by a reviewer-derived global ranking, calibration
 by authors' rankings of their own papers, and the combination of both.
+
+The names below are the public API; the submodules hold the rest.
 """
 
-from .bench import ExperimentConfig, ResultsTable, emit_results, run_experiment
-from .conference import (
-    Conference,
-    GenConfig,
-    gen_conference,
-    gen_true_scores,
-    sample_author_multiplicities,
-    scaled_config,
-)
+from .bench import ExperimentConfig, ResultsTable, run_experiment
+from .conference import Conference, GenConfig, gen_conference, scaled_config
 from .distributions import DiscreteDistribution
-from .errors import ConfigurationError, ConvergenceError, GenerationError
+from .errors import ConfigurationError, GenerationError
 from .estimators import (
     OwnerPartition,
     avg_scores,
     build_owner_partition,
     calibrate_author,
-    calibrate_combined,
     calibrate_reviewer,
-    estimates_to_csv,
     rmse,
 )
-from .isotonic import IsotonicProblem, isotonic_fit, isotonic_project_indexed
-from .ranking import (
-    ComparisonGraph,
-    TierDecomposition,
-    TransitionMatrix,
-    build_transition_matrix,
-    extract_pairwise,
-    find_never_losers,
-    full_ranking,
-    hierarchical_tiers,
-    stationary_distribution,
-)
-from .scoring import (
-    NOISE_CASES,
-    NoiseCase,
-    ReviewerParams,
-    ScoreTable,
-    gen_reviewer_params,
-    generate_final_scores,
-    get_noise_case,
-    pl_ranking_prob,
-    project_scores_to_ranking,
-    rankings_from_json,
-    rankings_to_json,
-    raw_scores,
-    sample_pl_ranking,
-)
+from .isotonic import isotonic_project_indexed
+from .ranking import full_ranking, hierarchical_tiers
+from .scoring import NOISE_CASES, generate_final_scores, get_noise_case
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "ComparisonGraph",
     "Conference",
     "ConfigurationError",
-    "ConvergenceError",
     "DiscreteDistribution",
     "ExperimentConfig",
     "GenConfig",
     "GenerationError",
-    "IsotonicProblem",
     "NOISE_CASES",
-    "NoiseCase",
     "OwnerPartition",
     "ResultsTable",
-    "ReviewerParams",
-    "ScoreTable",
-    "TierDecomposition",
-    "TransitionMatrix",
     "avg_scores",
     "build_owner_partition",
-    "build_transition_matrix",
     "calibrate_author",
-    "calibrate_combined",
     "calibrate_reviewer",
-    "emit_results",
-    "estimates_to_csv",
-    "extract_pairwise",
-    "find_never_losers",
     "full_ranking",
     "gen_conference",
-    "gen_reviewer_params",
-    "gen_true_scores",
     "generate_final_scores",
     "get_noise_case",
     "hierarchical_tiers",
-    "isotonic_fit",
     "isotonic_project_indexed",
-    "pl_ranking_prob",
-    "project_scores_to_ranking",
-    "rankings_from_json",
-    "rankings_to_json",
-    "raw_scores",
     "rmse",
     "run_experiment",
-    "sample_author_multiplicities",
-    "sample_pl_ranking",
     "scaled_config",
-    "stationary_distribution",
 ]

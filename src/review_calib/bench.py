@@ -17,8 +17,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .conference import Conference, GenConfig, gen_conference
-from .errors import ConfigurationError
+from .conference import DEFAULT_MASTER_SEED, Conference, GenConfig, gen_conference
+from .errors import ConfigurationError, config_float, config_int
 from .estimators import (
     OwnerPartition,
     avg_scores,
@@ -70,7 +70,8 @@ class ExperimentConfig:
 
     @property
     def effective_seed(self) -> int:
-        return self.master_seed if self.master_seed is not None else self.gen.master_seed
+        """The master seed the run uses: ``master_seed``, or ``DEFAULT_MASTER_SEED`` when None."""
+        return self.master_seed if self.master_seed is not None else DEFAULT_MASTER_SEED
 
     def to_json(self) -> dict:
         return {
@@ -85,18 +86,22 @@ class ExperimentConfig:
 
     @classmethod
     def from_json(cls, obj: dict) -> "ExperimentConfig":
+        if not isinstance(obj, dict):
+            raise ConfigurationError(f"experiment config must be a JSON object, got {obj!r}")
         kwargs = {}
         for key, value in obj.items():
             if key == "gen":
                 kwargs["gen"] = GenConfig.from_json(value)
             elif key == "cases":
+                if not isinstance(value, list):
+                    raise ConfigurationError(f"cases must be a list of names, got {value!r}")
                 kwargs["cases"] = tuple(str(c) for c in value)
             elif key == "repetitions":
-                kwargs["repetitions"] = int(value)
+                kwargs["repetitions"] = config_int(value, key)
             elif key == "blend":
-                kwargs["blend"] = float(value)
+                kwargs["blend"] = config_float(value, key)
             elif key == "master_seed":
-                kwargs["master_seed"] = None if value is None else int(value)
+                kwargs["master_seed"] = None if value is None else config_int(value, key)
             elif key == "output_path":
                 kwargs["output_path"] = None if value is None else str(value)
             elif key == "output_format":

@@ -22,8 +22,8 @@ import numpy as np
 from scipy.optimize import minimize_scalar
 
 from .distributions import DiscreteDistribution
-from .errors import ConfigurationError, GenerationError
-from .seeding import PURPOSE_CONFERENCE, check_master_seed, stream
+from .errors import ConfigurationError, GenerationError, config_float, config_int
+from .seeding import PURPOSE_CONFERENCE, stream
 
 DEFAULT_MULTIPLICITY_TARGETS = ((2, 4505), (5, 508), (10, 74), (15, 26))
 
@@ -52,7 +52,6 @@ class GenConfig:
     capacity_slack: float = 1.05
     true_score_mean: float = 5.0
     true_score_sd: float = 0.88
-    master_seed: int = DEFAULT_MASTER_SEED
 
     def __post_init__(self):
         if self.n_papers < 1:
@@ -61,11 +60,10 @@ class GenConfig:
             raise ConfigurationError(f"n_authors must be >= 1, got {self.n_authors}")
         if self.true_score_sd <= 0:
             raise ConfigurationError(f"true_score_sd must be > 0, got {self.true_score_sd}")
-        if self.capacity_slack < 1.0:
-            raise ConfigurationError(f"capacity_slack must be >= 1, got {self.capacity_slack}")
+        if not 1.0 <= self.capacity_slack < float("inf"):
+            raise ConfigurationError(f"capacity_slack must be finite and >= 1, got {self.capacity_slack}")
         if self.n_reviewers is not None and self.n_reviewers < 1:
             raise ConfigurationError(f"n_reviewers must be >= 1, got {self.n_reviewers}")
-        check_master_seed(self.master_seed)
         validate_multiplicity_targets(self.author_multiplicity_targets, self.n_authors)
 
     def to_json(self) -> dict:
@@ -80,34 +78,32 @@ class GenConfig:
             "capacity_slack": self.capacity_slack,
             "true_score_mean": self.true_score_mean,
             "true_score_sd": self.true_score_sd,
-            "master_seed": self.master_seed,
         }
 
     @classmethod
     def from_json(cls, obj: dict) -> "GenConfig":
+        if not isinstance(obj, dict):
+            raise ConfigurationError(f"gen must be a JSON object, got {obj!r}")
         known = {
-            "n_papers": int,
-            "n_authors": int,
-            "n_reviewers": lambda v: None if v is None else int(v),
-            "capacity_slack": float,
-            "true_score_mean": float,
-            "true_score_sd": float,
-            "master_seed": int,
+            "n_papers": config_int,
+            "n_authors": config_int,
+            "n_reviewers": lambda v, name: None if v is None else config_int(v, name),
+            "capacity_slack": config_float,
+            "true_score_mean": config_float,
+            "true_score_sd": config_float,
         }
         kwargs = {}
         for key, value in obj.items():
             if key in known:
-                kwargs[key] = known[key](value)
+                kwargs[key] = known[key](value, key)
             elif key == "author_multiplicity_targets":
-                kwargs[key] = tuple((int(t), int(c)) for t, c in value)
-            elif key.endswith("_dist"):
-                if key not in (
-                    "authors_per_paper_dist",
-                    "reviewers_per_paper_dist",
-                    "reviewer_capacity_dist",
-                ):
-                    raise ConfigurationError(f"unknown generator option {key!r}")
+                if not isinstance(value, list) or not all(isinstance(t, list) and len(t) == 2 for t in value):
+                    raise ConfigurationError(f"{key} must list [threshold, count] pairs, got {value!r}")
+                kwargs[key] = tuple((config_int(t, key), config_int(c, key)) for t, c in value)
+            elif key in ("authors_per_paper_dist", "reviewers_per_paper_dist", "reviewer_capacity_dist"):
                 kwargs[key] = DiscreteDistribution.from_json(value)
+            elif key == "master_seed":
+                raise ConfigurationError("master_seed belongs at the top level of the config, not in gen")
             else:
                 raise ConfigurationError(f"unknown generator option {key!r}")
         return cls(**kwargs)
@@ -213,29 +209,27 @@ def gen_true_scores(n: int, mean: float, sd: float, rng: np.random.Generator) ->
 class Conference:
     """A generated conference: quality scores, authorship, review assignment.
 
-    ``slot_reviewers``/``slot_papers`` flatten the assignment into review
-    slots sorted by (reviewer, paper); ``reviewer_ptr`` is the CSR pointer
-    such that reviewer r's slots are ``slice(reviewer_ptr[r], reviewer_ptr[r+1])``.
+    The assignment is stored once, as review slots in CSR layout: reviewer
+    r holds papers ``slot_papers[reviewer_ptr[r]:reviewer_ptr[r + 1]]``,
+    and ``slot_reviewers`` (derived) names the reviewer of every slot.
+    Slots run reviewer by reviewer; a generated conference lists each
+    reviewer's papers in increasing order, a hand-built one keeps the order
+    it was given.
     """
 
     true_scores: np.ndarray
     authorship: list[np.ndarray]
-    assignment: list[np.ndarray]
-    reverse_assignment: list[np.ndarray]
+    slot_papers: np.ndarray
+    reviewer_ptr: np.ndarray
     slot_reviewers: np.ndarray = field(init=False, repr=False)
-    slot_papers: np.ndarray = field(init=False, repr=False)
-    reviewer_ptr: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        sizes = np.fromiter((len(a) for a in self.assignment), dtype=np.int64, count=len(self.assignment))
-        self.reviewer_ptr = np.zeros(len(self.assignment) + 1, dtype=np.int64)
-        np.cumsum(sizes, out=self.reviewer_ptr[1:])
-        if len(self.assignment) > 0 and self.reviewer_ptr[-1] > 0:
-            self.slot_papers = np.concatenate([np.asarray(a, dtype=np.int64) for a in self.assignment])
-            self.slot_reviewers = np.repeat(np.arange(len(self.assignment), dtype=np.int64), sizes)
-        else:
-            self.slot_papers = np.empty(0, dtype=np.int64)
-            self.slot_reviewers = np.empty(0, dtype=np.int64)
+        self.slot_papers = np.asarray(self.slot_papers, dtype=np.int64)
+        ptr = self.reviewer_ptr = np.asarray(self.reviewer_ptr, dtype=np.int64)
+        csr = ptr.ndim == 1 and len(ptr) > 0 and ptr[0] == 0 and ptr[-1] == self.n_slots
+        if not csr or np.any(ptr[1:] < ptr[:-1]):
+            raise GenerationError("reviewer_ptr is not a CSR pointer over slot_papers")
+        self.slot_reviewers = np.repeat(np.arange(self.n_reviewers, dtype=np.int64), np.diff(ptr))
 
     @property
     def n_papers(self) -> int:
@@ -247,7 +241,7 @@ class Conference:
 
     @property
     def n_reviewers(self) -> int:
-        return len(self.assignment)
+        return len(self.reviewer_ptr) - 1
 
     @property
     def n_slots(self) -> int:
@@ -259,9 +253,7 @@ class Conference:
         - every author holds a non-empty list of distinct, known paper ids;
         - every paper has at least one author;
         - no reviewer holds a paper twice or an unknown paper id;
-        - every paper has at least one reviewer;
-        - ``reverse_assignment`` has one list per paper, and paper p's list
-          names exactly the reviewers holding p, each once.
+        - every paper has at least one reviewer.
 
         Each check runs over authors, reviewers or papers in id order. The
         error names the first one that fails, with the first of its failing
@@ -295,44 +287,21 @@ class Conference:
                 lambda r: f"reviewer {r} references an unknown paper id",
             ),
         )
-        review_counts = np.bincount(slot_papers, minlength=n)
-        _raise_first((review_counts == 0, lambda p: f"paper {p} has no reviewer"))
+        _raise_first((np.bincount(slot_papers, minlength=n) == 0, lambda p: f"paper {p} has no reviewer"))
 
-        if len(self.reverse_assignment) != n:
-            raise GenerationError("reverse_assignment length != n_papers")
-        listed, paper_of, list_sizes = _flatten(self.reverse_assignment)
-        # (paper, reviewer) keys; the reviewer checks above made the slot keys unique, and
-        # the range test keeps an unknown reviewer id from aliasing another paper's key
-        n_reviewers = self.n_reviewers
-        slot_keys = np.sort(slot_papers * n_reviewers + slot_reviewers)
-        keys = paper_of * n_reviewers + listed
-        at = np.minimum(np.searchsorted(slot_keys, keys), len(slot_keys) - 1)
-        held = (listed >= 0) & (listed < n_reviewers) & (slot_keys[at] == keys)
-        strays = np.flatnonzero(~held)
-        repeats = np.sort(_repeats(paper_of, listed))
-
-        def first_listed(at_indices, p):
-            # at_indices is sorted, so the first entry of paper p comes first in p's list
-            return listed[at_indices[np.searchsorted(paper_of[at_indices], p)]]
-
-        _raise_first(
-            (list_sizes != review_counts, lambda p: f"reverse_assignment inconsistent for paper {p}"),
-            (
-                _mask(paper_of[strays], n),
-                lambda p: f"reverse_assignment lists reviewer {first_listed(strays, p)} not holding {p}",
-            ),
-            (
-                _mask(paper_of[repeats], n),
-                lambda p: f"reverse_assignment lists reviewer {first_listed(repeats, p)} twice for paper {p}",
-            ),
-        )
+    def _paper_reviewers(self) -> list[np.ndarray]:
+        """Per paper, the reviewers holding it in increasing order (the reverse assignment)."""
+        # slot_reviewers never decreases, so a stable sort by paper keeps it increasing per paper
+        order = np.argsort(self.slot_papers, kind="stable")
+        counts = np.bincount(self.slot_papers, minlength=self.n_papers)
+        return _split(self.slot_reviewers[order], np.concatenate(([0], np.cumsum(counts))))
 
     def to_json(self) -> dict:
         return {
             "true_scores": self.true_scores.tolist(),
             "authorship": [a.tolist() for a in self.authorship],
-            "assignment": [a.tolist() for a in self.assignment],
-            "reverse_assignment": [a.tolist() for a in self.reverse_assignment],
+            "assignment": [a.tolist() for a in _split(self.slot_papers, self.reviewer_ptr)],
+            "reverse_assignment": [a.tolist() for a in self._paper_reviewers()],
         }
 
     def to_json_str(self) -> str:
@@ -340,12 +309,26 @@ class Conference:
 
     @classmethod
     def from_json(cls, obj: dict) -> "Conference":
-        return cls(
+        """Read what ``to_json`` writes; raises GenerationError for an invalid conference.
+
+        After ``validate``, paper p's stored reverse list must name the
+        reviewers holding p, each once, in any order.
+        """
+        slot_papers, _, sizes = _flatten([np.asarray(a, dtype=np.int64) for a in obj["assignment"]])
+        conf = cls(
             true_scores=np.asarray(obj["true_scores"], dtype=float),
             authorship=[np.asarray(a, dtype=np.int64) for a in obj["authorship"]],
-            assignment=[np.asarray(a, dtype=np.int64) for a in obj["assignment"]],
-            reverse_assignment=[np.asarray(a, dtype=np.int64) for a in obj["reverse_assignment"]],
+            slot_papers=slot_papers,
+            reviewer_ptr=np.concatenate(([0], np.cumsum(sizes))),
         )
+        conf.validate()
+        listed = obj["reverse_assignment"]
+        if len(listed) != conf.n_papers:
+            raise GenerationError("reverse_assignment length != n_papers")
+        for p, (given, held) in enumerate(zip(listed, conf._paper_reviewers())):
+            if sorted(given) != held.tolist():
+                raise GenerationError(f"reverse_assignment inconsistent for paper {p}")
+        return conf
 
 
 def _flatten(lists: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -353,6 +336,12 @@ def _flatten(lists: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray, np.ndarra
     sizes = np.fromiter((len(a) for a in lists), dtype=np.int64, count=len(lists))
     flat = np.concatenate(lists).astype(np.int64, copy=False) if lists else np.empty(0, dtype=np.int64)
     return flat, np.repeat(np.arange(len(lists), dtype=np.int64), sizes), sizes
+
+
+def _split(flat: np.ndarray, ptr: np.ndarray) -> list[np.ndarray]:
+    """Views of ``flat`` between consecutive CSR pointers."""
+    bounds = ptr.tolist()
+    return [flat[lo:hi] for lo, hi in zip(bounds[:-1], bounds[1:])]
 
 
 def _repeats(owner: np.ndarray, values: np.ndarray) -> np.ndarray:
@@ -429,31 +418,31 @@ def _deal_authorship(
         deck = np.repeat(np.arange(n_papers, dtype=np.int64), loads)
         rng.shuffle(deck)
         deck = deck.tolist()
-        authorship: list[np.ndarray | None] = [None] * n_authors
         ptr = 0
         stranded = False
         for a in deal_order:
             want = int(multiplicities[a])
-            held: list[int] = []
-            held_set: set[int] = set()
+            held: set[int] = set()
             j = ptr
             while len(held) < want:
                 if j >= len(deck):
                     stranded = True
                     break
-                if deck[j] not in held_set:
+                if deck[j] not in held:
                     deck[ptr], deck[j] = deck[j], deck[ptr]
-                    held.append(deck[ptr])
-                    held_set.add(deck[ptr])
+                    held.add(deck[ptr])
                     ptr += 1
                     j = max(j + 1, ptr)
                 else:
                     j += 1
             if stranded:
                 break
-            authorship[a] = np.sort(np.asarray(held, dtype=np.int64))
         if not stranded:
-            return authorship  # type: ignore[return-value]
+            # deck[:ptr] holds each author's papers in one run, authors in deal order
+            owner = np.repeat(deal_order, multiplicities[deal_order])
+            dealt = np.asarray(deck[:ptr], dtype=np.int64)
+            dealt = dealt[np.lexsort((dealt, owner))]
+            return _split(dealt, np.concatenate(([0], np.cumsum(multiplicities))))
     raise GenerationError(
         f"authorship dealing failed after {_MATCHING_RETRIES} retries; "
         "multiplicity targets are too tight for this paper count"
@@ -464,12 +453,14 @@ def _assign_reviewers(
     per_paper: np.ndarray,
     config: GenConfig,
     rng: np.random.Generator,
-) -> list[np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Randomized feasible matching of review slots to reviewers.
 
     Review slots (paper i repeated per_paper[i] times) are shuffled and
     assigned greedily to reviewers with remaining capacity, rejecting
     duplicate (reviewer, paper) pairs; a dead end restarts the matching.
+    Returns ``(slot_papers, reviewer_ptr)``, each reviewer's papers in
+    increasing order.
     """
     total_slots = int(per_paper.sum())
     cap_dist = config.reviewer_capacity_dist
@@ -500,6 +491,7 @@ def _assign_reviewers(
         remaining = capacities.copy()
         active = list(range(n_reviewers))
         held: list[set[int]] = [set() for _ in range(n_reviewers)]
+        holder: list[int] = []
         dead_end = False
         for paper in slots:
             paper = int(paper)
@@ -518,12 +510,15 @@ def _assign_reviewers(
                 j = eligible[int(rng.integers(0, len(eligible)))]
                 r = active[j]
             held[r].add(paper)
+            holder.append(r)
             remaining[r] -= 1
             if remaining[r] == 0:
                 active[j] = active[-1]
                 active.pop()
         if not dead_end:
-            return [np.sort(np.fromiter(s, dtype=np.int64)) if s else np.empty(0, dtype=np.int64) for s in held]
+            reviewers = np.asarray(holder, dtype=np.int64)
+            counts = np.bincount(reviewers, minlength=n_reviewers)
+            return slots[np.lexsort((slots, reviewers))], np.concatenate(([0], np.cumsum(counts)))
     raise GenerationError(
         f"review matching failed after {_MATCHING_RETRIES} retries; "
         "reviewer capacities are too tight for a duplicate-free assignment"
@@ -551,29 +546,19 @@ def gen_conference(config: GenConfig, rng: np.random.Generator | None = None) ->
     """Generate a full conference from the configuration.
 
     Identical (config, seed stream) inputs yield a byte-identical
-    conference. When ``rng`` is omitted, the conference stream derived from
-    ``config.master_seed`` is used.
+    conference. When ``rng`` is omitted, the conference stream of
+    ``DEFAULT_MASTER_SEED`` is used; ``run_experiment`` passes the stream of
+    the experiment's master seed.
     """
     if rng is None:
-        rng = stream(config.master_seed, PURPOSE_CONFERENCE)
+        rng = stream(DEFAULT_MASTER_SEED, PURPOSE_CONFERENCE)
     multiplicities = sample_author_multiplicities(config, rng)
     _check_multiplicity_calibration(config, multiplicities)
     true_scores = gen_true_scores(config.n_papers, config.true_score_mean, config.true_score_sd, rng)
     authorship = _deal_authorship(config.n_papers, multiplicities, config.authors_per_paper_dist, rng)
     per_paper = config.reviewers_per_paper_dist.sample(rng, config.n_papers)
-    assignment = _assign_reviewers(per_paper, config, rng)
-    conference = Conference(
-        true_scores=true_scores,
-        authorship=authorship,
-        assignment=assignment,
-        reverse_assignment=[],
-    )
-    # slots run reviewer by reviewer, so a stable sort by paper keeps each
-    # paper's reviewers in increasing order
-    order = np.argsort(conference.slot_papers, kind="stable")
-    reviewers = conference.slot_reviewers[order]
-    bounds = np.cumsum(np.bincount(conference.slot_papers, minlength=config.n_papers)).tolist()
-    conference.reverse_assignment = [reviewers[lo:hi] for lo, hi in zip([0, *bounds], bounds)]
+    slot_papers, reviewer_ptr = _assign_reviewers(per_paper, config, rng)
+    conference = Conference(true_scores, authorship, slot_papers, reviewer_ptr)
     conference.validate()
     return conference
 

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError
+from .errors import ConfigurationError, config_float, config_int
 
 
 @dataclass(frozen=True)
@@ -60,7 +60,8 @@ class DiscreteDistribution:
     @classmethod
     def from_json(cls, obj: dict) -> "DiscreteDistribution":
         try:
-            return cls(tuple(int(v) for v in obj["values"]), tuple(float(p) for p in obj["probs"]))
+            values = tuple(config_int(v, "distribution value") for v in obj["values"])
+            return cls(values, tuple(config_float(p, "distribution probability") for p in obj["probs"]))
         except (KeyError, TypeError) as exc:
             raise ConfigurationError(f"bad distribution spec {obj!r}: {exc}") from exc
 

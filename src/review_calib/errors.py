@@ -1,4 +1,7 @@
-"""Exception types shared across the toolkit."""
+"""Exception types shared across the toolkit, and the number checks used
+when reading a JSON configuration."""
+
+import math
 
 
 class ConfigurationError(ValueError):
@@ -9,12 +12,25 @@ class GenerationError(RuntimeError):
     """Synthetic-conference generation hit an infeasible constraint."""
 
 
-class ConvergenceError(RuntimeError):
-    """An iterative solver failed to reach its tolerance.
+def config_int(value, name: str) -> int:
+    """``value`` as an int; raises ConfigurationError unless it is an integral number.
 
-    Carries the last residual so callers can report how far off it was.
+    A bool, a string, None and a float with a fractional part are refused
+    rather than converted.
     """
+    if isinstance(value, bool) or not (
+        isinstance(value, int) or isinstance(value, float) and value.is_integer()
+    ):
+        raise ConfigurationError(f"{name} must be an integer, got {value!r}")
+    return int(value)
 
-    def __init__(self, message: str, residual: float):
-        super().__init__(message)
-        self.residual = residual
+
+def config_float(value, name: str) -> float:
+    """``value`` as a float; raises ConfigurationError unless it is a finite number."""
+    try:
+        ok = not isinstance(value, bool) and math.isfinite(value)
+    except (TypeError, OverflowError):
+        ok = False
+    if not ok:
+        raise ConfigurationError(f"{name} must be a finite number, got {value!r}")
+    return float(value)

@@ -160,11 +160,3 @@ def rmse(est: EstimateVector, truth: np.ndarray) -> float:
         raise ValueError("rmse input must be finite")
     return float(np.sqrt(np.mean((est - truth) ** 2)))
 
-
-def estimates_to_csv(estimates: dict[str, EstimateVector]) -> str:
-    """Per-paper estimates as CSV with columns paper_id,method,estimate."""
-    lines = ["paper_id,method,estimate"]
-    for method, vector in estimates.items():
-        for paper_id, value in enumerate(np.asarray(vector, dtype=float)):
-            lines.append(f"{paper_id},{method},{float(value)!r}")
-    return "\n".join(lines) + "\n"

@@ -5,12 +5,15 @@ given index order. The solver is the linear-time stack variant of PAVA;
 pooled block values are recomputed with compensated summation so that the
 weighted total is preserved tightly even for inputs thousands of entries
 long.
+
+``isotonic_fit`` runs one stack over one (possibly long) input;
+``project_rows_non_increasing`` advances the same stack over many short
+rows at once, the shape of a batch of reviewer bundles.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -19,63 +22,39 @@ NON_DECREASING = "non-decreasing"
 _DIRECTIONS = (NON_INCREASING, NON_DECREASING)
 
 
-@dataclass(frozen=True)
-class IsotonicProblem:
-    """Inputs of one isotonic fit.
-
-    ``weights`` defaults to all ones. ``direction`` is the monotonicity
-    required of the output along the index order of ``values``.
-    """
-
-    values: np.ndarray
-    weights: np.ndarray | None = None
-    direction: str = NON_INCREASING
-
-
 def _pava_non_decreasing(y: np.ndarray, w: np.ndarray | None) -> np.ndarray:
     """Stack PAVA; merges adjacent blocks while their means strictly violate.
 
-    ``w is None`` means unit weights. Block values are recomputed with
-    compensated summation so sum(w*x) == sum(w*y) stays tight.
+    ``w is None`` means unit weights. Pooled block values are recomputed
+    with compensated summation so sum(w*x) == sum(w*y) stays tight; a block
+    of one keeps its input value.
     """
     n = len(y)
     yl = y.tolist()
+    if w is None:
+        wl, wyl = [1.0] * n, yl
+    else:
+        wl, wyl = w.tolist(), (w * y).tolist()
     starts = [0] * n
     wsum = [0.0] * n
     wysum = [0.0] * n
     m = 0
-    if w is None:
-        for i in range(n):
-            starts[m] = i
-            wsum[m] = 1.0
-            wysum[m] = yl[i]
-            m += 1
-            while m > 1 and wysum[m - 2] * wsum[m - 1] > wysum[m - 1] * wsum[m - 2]:
-                wsum[m - 2] += wsum[m - 1]
-                wysum[m - 2] += wysum[m - 1]
-                m -= 1
-    else:
-        wl = w.tolist()
-        for i in range(n):
-            starts[m] = i
-            wsum[m] = wl[i]
-            wysum[m] = wl[i] * yl[i]
-            m += 1
-            while m > 1 and wysum[m - 2] * wsum[m - 1] > wysum[m - 1] * wsum[m - 2]:
-                wsum[m - 2] += wsum[m - 1]
-                wysum[m - 2] += wysum[m - 1]
-                m -= 1
-    out = np.empty(n)
+    for i in range(n):
+        starts[m] = i
+        wsum[m] = wl[i]
+        wysum[m] = wyl[i]
+        m += 1
+        while m > 1 and wysum[m - 2] * wsum[m - 1] > wysum[m - 1] * wsum[m - 2]:
+            wsum[m - 2] += wsum[m - 1]
+            wysum[m - 2] += wysum[m - 1]
+            m -= 1
+    out = yl[:]
     for b in range(m):
         lo = starts[b]
         hi = starts[b + 1] if b + 1 < m else n
-        if hi - lo == 1:
-            out[lo] = yl[lo]
-        elif w is None:
-            out[lo:hi] = math.fsum(yl[lo:hi]) / (hi - lo)
-        else:
-            out[lo:hi] = math.fsum(wl[i] * yl[i] for i in range(lo, hi)) / math.fsum(wl[lo:hi])
-    return out
+        if hi - lo > 1:
+            out[lo:hi] = [math.fsum(wyl[lo:hi]) / math.fsum(wl[lo:hi])] * (hi - lo)
+    return np.array(out)
 
 
 def project_rows_non_increasing(y: np.ndarray) -> np.ndarray:
@@ -126,32 +105,36 @@ def project_rows_non_increasing(y: np.ndarray) -> np.ndarray:
     return -out
 
 
-def isotonic_fit(problem: IsotonicProblem) -> np.ndarray:
-    """Unique least-squares monotone fit of the problem's values.
+def isotonic_fit(
+    values: np.ndarray, weights: np.ndarray | None = None, direction: str = NON_INCREASING
+) -> np.ndarray:
+    """Unique least-squares monotone fit of ``values``.
 
-    Returns a piecewise-constant vector whose blocks are weighted means of
-    the pooled input entries. An empty input yields an empty output.
+    ``weights`` defaults to all ones. ``direction`` is the monotonicity
+    required of the output along the index order of ``values``. Returns a
+    piecewise-constant vector whose blocks are weighted means of the pooled
+    input entries. An empty input yields an empty output.
     """
-    y = np.asarray(problem.values, dtype=float)
+    y = np.asarray(values, dtype=float)
     if y.ndim != 1:
         raise ValueError(f"values must be 1-d, got shape {y.shape}")
     if not np.isfinite(y).all():
         raise ValueError("values must be finite")
-    if problem.weights is None:
+    if weights is None:
         w = None
     else:
-        w = np.asarray(problem.weights, dtype=float)
+        w = np.asarray(weights, dtype=float)
         if w.shape != y.shape:
             raise ValueError(f"weights shape {w.shape} != values shape {y.shape}")
         if not np.isfinite(w).all():
             raise ValueError("weights must be finite")
         if np.any(w <= 0):
             raise ValueError("weights must be strictly positive")
-    if problem.direction not in _DIRECTIONS:
-        raise ValueError(f"direction must be one of {_DIRECTIONS}, got {problem.direction!r}")
+    if direction not in _DIRECTIONS:
+        raise ValueError(f"direction must be one of {_DIRECTIONS}, got {direction!r}")
     if y.size == 0:
         return y.copy()
-    if problem.direction == NON_DECREASING:
+    if direction == NON_DECREASING:
         return _pava_non_decreasing(y, w)
     return -_pava_non_decreasing(-y, w)
 
@@ -170,5 +153,5 @@ def isotonic_project_indexed(scores: np.ndarray, order: np.ndarray, blend: float
     if sorted(order.tolist()) != list(range(len(scores))):
         raise ValueError("order is not a permutation of the score indices")
     fitted = np.empty_like(scores)
-    fitted[order] = isotonic_fit(IsotonicProblem(scores[order], direction=NON_INCREASING))
+    fitted[order] = isotonic_fit(scores[order])
     return blend * fitted + (1.0 - blend) * scores

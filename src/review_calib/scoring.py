@@ -9,9 +9,9 @@ so the final scores respect the sampled ranking.
 Steps 2 and 3 run batched: reviewers are grouped by bundle size and each
 group is ranked and adjusted with whole-array operations. The batch
 consumes the same uniforms in the same order, and performs the same
-floating-point operations, as running ``sample_pl_ranking`` and the
-scalar isotonic projection reviewer by reviewer, so its output is
-bit-identical to that sequential-choice sampler.
+floating-point operations, as a sequential-choice sampler followed by the
+scalar isotonic projection run reviewer by reviewer, so its output is
+bit-identical to that loop.
 
 A reviewer's bias shifts every score they give by the same amount, so it
 never changes their internal ranking; the per-reviewer noise variance is a
@@ -21,7 +21,6 @@ Gamma draw (``noise_sd`` is its square root).
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,18 +31,6 @@ from .isotonic import project_rows_non_increasing
 
 ReviewerRanking = np.ndarray
 """Paper ids of one reviewer's bundle, most preferred first."""
-
-
-@dataclass(frozen=True)
-class ReviewerParams:
-    """Additive bias and noise level of a single reviewer."""
-
-    bias: float
-    noise_sd: float
-
-    def __post_init__(self):
-        if self.noise_sd < 0:
-            raise ValueError(f"noise_sd must be >= 0, got {self.noise_sd}")
 
 
 @dataclass(frozen=True)
@@ -84,18 +71,14 @@ def get_noise_case(name: str) -> NoiseCase:
     )
 
 
-def case_index(case: NoiseCase) -> int:
-    """Stable registry index of a case, used to address its random streams."""
-    return list(NOISE_CASES).index(case.name)
-
-
 @dataclass
 class ScoreTable:
     """Sparse (reviewer, paper) -> score map on the assignment support.
 
     Slot-aligned with the conference: entry k is reviewer
-    ``reviewers[k]``'s score for paper ``papers[k]``, slots sorted by
-    (reviewer, paper). ``reviewer_ptr`` is the CSR pointer per reviewer.
+    ``reviewers[k]``'s score for paper ``papers[k]``, slots in the
+    conference's order (reviewer by reviewer). ``reviewer_ptr`` is the CSR
+    pointer per reviewer.
     """
 
     reviewers: np.ndarray
@@ -114,37 +97,12 @@ class ScoreTable:
             reviewer_ptr=conf.reviewer_ptr,
         )
 
-    def reviewer_slice(self, reviewer: int) -> slice:
-        return slice(int(self.reviewer_ptr[reviewer]), int(self.reviewer_ptr[reviewer + 1]))
-
-    def value(self, reviewer: int, paper: int) -> float:
-        sl = self.reviewer_slice(reviewer)
-        papers = self.papers[sl]
-        k = bisect_left(papers.tolist(), paper)
-        if k == len(papers) or papers[k] != paper:
-            raise KeyError(f"reviewer {reviewer} does not review paper {paper}")
-        return float(self.values[sl][k])
-
-    def as_dict(self) -> dict[tuple[int, int], float]:
-        return {
-            (int(r), int(p)): float(v)
-            for r, p, v in zip(self.reviewers, self.papers, self.values)
-        }
-
     def to_json(self) -> dict:
         return {
             "reviewers": self.reviewers.tolist(),
             "papers": self.papers.tolist(),
             "values": self.values.tolist(),
         }
-
-
-def rankings_to_json(rankings: list[ReviewerRanking]) -> list[list[int]]:
-    return [np.asarray(r).tolist() for r in rankings]
-
-
-def rankings_from_json(obj: list[list[int]]) -> list[ReviewerRanking]:
-    return [np.asarray(r, dtype=np.int64) for r in obj]
 
 
 def _draw_reviewer_params(
@@ -160,34 +118,11 @@ def _draw_reviewer_params(
     return biases, np.sqrt(variances)
 
 
-def gen_reviewer_params(
-    case: NoiseCase, n_reviewers: int, rng: np.random.Generator
-) -> list[ReviewerParams]:
-    """Draw per-reviewer bias and noise level for one scenario."""
-    biases, sds = _draw_reviewer_params(case, n_reviewers, rng)
-    return [ReviewerParams(float(b), float(s)) for b, s in zip(biases, sds)]
-
-
 def _raw_values(
     conf: Conference, bias: np.ndarray, noise_sd: np.ndarray, rng: np.random.Generator
 ) -> np.ndarray:
     loc = conf.true_scores[conf.slot_papers] + bias[conf.slot_reviewers]
     return rng.normal(loc, noise_sd[conf.slot_reviewers])
-
-
-def raw_scores(
-    conf: Conference, params: list[ReviewerParams], rng: np.random.Generator
-) -> ScoreTable:
-    """Step-1 raw scores: Normal(theta + bias, noise_sd) per assigned pair.
-
-    Draws are independent across (reviewer, paper) pairs and consumed from
-    the stream in canonical slot order (sorted by reviewer, then paper).
-    """
-    if len(params) != conf.n_reviewers:
-        raise ValueError(f"expected {conf.n_reviewers} reviewer params, got {len(params)}")
-    bias = np.fromiter((p.bias for p in params), dtype=float, count=len(params))
-    noise_sd = np.fromiter((p.noise_sd for p in params), dtype=float, count=len(params))
-    return ScoreTable.for_conference(conf, _raw_values(conf, bias, noise_sd, rng))
 
 
 def pl_ranking_prob(theta: np.ndarray, perm: np.ndarray) -> float:
@@ -213,36 +148,13 @@ def pl_ranking_prob(theta: np.ndarray, perm: np.ndarray) -> float:
     return float(prob)
 
 
-def sample_pl_ranking(theta: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """Sample a preference order by sequential choice without replacement."""
-    theta = np.asarray(theta, dtype=float)
-    if theta.size == 0:
-        raise ValueError("theta must contain at least one item")
-    shift = float(theta.max())
-    weights = [math.exp(float(v) - shift) for v in theta]
-    indices = list(range(theta.size))
-    total = sum(weights)
-    out = np.empty(theta.size, dtype=np.int64)
-    for k in range(theta.size - 1):
-        u = rng.random() * total
-        acc = 0.0
-        pos = len(weights) - 1
-        for q, wq in enumerate(weights):
-            acc += wq
-            if u <= acc:
-                pos = q
-                break
-        out[k] = indices.pop(pos)
-        total -= weights.pop(pos)
-    out[-1] = indices[0]
-    return out
-
-
 def _sample_pl_rows(theta: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
-    """``sample_pl_ranking`` on every row of ``theta`` at once.
+    """The scalar sequential-choice sampler run on every row of ``theta`` at once.
 
-    ``uniforms[:, k]`` is the k-th ``rng.random()`` that the scalar sampler
-    would draw for the row. Weights use ``math.exp`` (as the scalar sampler
+    The scalar sampler (``sample_pl_ranking`` in ``tests/oracles.py``) picks
+    by a cumulative scan of the remaining weights against one
+    ``rng.random() * total`` per position; ``uniforms[:, k]`` is the k-th
+    uniform it would draw for the row. Weights use ``math.exp`` (as the scalar sampler
     does; ``np.exp`` may differ in the last bit), the running total is the
     same left-to-right sum less each pick, and the cumulative scan visits
     only the papers still unranked, so the returned permutations are the
@@ -275,21 +187,6 @@ def _sample_pl_rows(theta: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
         total -= weights[rows, pick]
     perm[:, s - 1] = np.argmax(remaining, axis=1)
     return perm
-
-
-def project_scores_to_ranking(raw: np.ndarray, perm: np.ndarray) -> np.ndarray:
-    """Step-3 adjustment: least-squares fit of raw scores to the ranking.
-
-    Returns the Euclidean projection of ``raw`` onto score vectors that are
-    non-increasing along ``perm`` (most preferred scored highest).
-    """
-    raw = np.asarray(raw, dtype=float)
-    perm = np.asarray(perm)
-    if sorted(perm.tolist()) != list(range(raw.size)):
-        raise ValueError("perm is not a permutation of the raw-score indices")
-    out = np.empty_like(raw)
-    out[perm] = project_rows_non_increasing(raw[perm][None, :])[0]
-    return out
 
 
 def generate_final_scores(

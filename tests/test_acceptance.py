@@ -19,28 +19,28 @@ import numpy as np
 import pytest
 from scipy.stats import kendalltau
 
-from oracles import isotonic_qp_oracle, two_state_stationary
-from review_calib import (
+from oracles import (
     ComparisonGraph,
+    TransitionMatrix,
+    build_transition_matrix,
+    isotonic_qp_oracle,
+    sample_pl_ranking,
+    stationary_distribution,
+    two_state_stationary,
+)
+from review_calib import (
     ExperimentConfig,
     GenConfig,
-    IsotonicProblem,
     NOISE_CASES,
-    TransitionMatrix,
-    avg_scores,
-    build_transition_matrix,
     gen_conference,
     generate_final_scores,
     hierarchical_tiers,
-    isotonic_fit,
-    pl_ranking_prob,
     run_experiment,
-    sample_pl_ranking,
-    stationary_distribution,
 )
 from review_calib.cli import main as cli_main
 from review_calib.conference import DEFAULT_MASTER_SEED
-from review_calib.isotonic import NON_DECREASING, NON_INCREASING
+from review_calib.isotonic import NON_DECREASING, NON_INCREASING, isotonic_fit
+from review_calib.scoring import pl_ranking_prob
 from review_calib.seeding import PURPOSE_CONFERENCE, PURPOSE_SCORES, stream
 
 SEEDS = tuple(DEFAULT_MASTER_SEED + k for k in range(5))
@@ -140,7 +140,7 @@ def test_criterion_4_isotonic_oracle_equivalence():
         values = rng.normal(0, 3, n)
         weights = rng.uniform(0.1, 5.0, n) if k % 2 else None
         direction = NON_INCREASING if k % 3 else NON_DECREASING
-        fit = isotonic_fit(IsotonicProblem(values, weights, direction))
+        fit = isotonic_fit(values, weights, direction)
         oracle = isotonic_qp_oracle(values, weights, direction)
         worst = max(worst, float(np.max(np.abs(fit - oracle))))
     _report(4, "isotonic matches exhaustive QP oracle", worst < 1e-6, f"max deviation {worst:.2e}")
@@ -204,7 +204,7 @@ def test_criterion_7_tier_properties(default_base_cell, default_conference):
     tiers.validate(range(n))
     g1_sizes = [len(tiers.tiers[0])]
     for seed in SEEDS[1:]:
-        conf = gen_conference(GenConfig(master_seed=seed), stream(seed, PURPOSE_CONFERENCE))
+        conf = gen_conference(GenConfig(), stream(seed, PURPOSE_CONFERENCE))
         _, _, rks = generate_final_scores(
             conf, NOISE_CASES["Base"], stream(seed, PURPOSE_SCORES, 0, 0)
         )

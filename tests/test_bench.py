@@ -10,13 +10,12 @@ from review_calib import (
     ExperimentConfig,
     GenConfig,
     ResultsTable,
-    emit_results,
     run_experiment,
     scaled_config,
 )
-from review_calib.bench import METHODS, _init_worker, _run_cell
+from review_calib.bench import METHODS, _init_worker, _run_cell, emit_results
 from review_calib.estimators import build_owner_partition
-from review_calib.conference import gen_conference
+from review_calib.conference import DEFAULT_MASTER_SEED, gen_conference
 from review_calib.seeding import PURPOSE_CONFERENCE, stream
 
 
@@ -153,4 +152,4 @@ def test_experiment_config_json_round_trip():
 def test_effective_seed_prefers_explicit():
     config = ExperimentConfig(master_seed=9)
     assert config.effective_seed == 9
-    assert ExperimentConfig().effective_seed == GenConfig().master_seed
+    assert ExperimentConfig().effective_seed == DEFAULT_MASTER_SEED

@@ -110,3 +110,40 @@ def test_negative_seed_is_config_error(config_path, monkeypatch):
 def test_zero_workers_is_config_error(config_path, monkeypatch):
     monkeypatch.delenv("REVIEW_CALIB_SEED", raising=False)
     assert main(["--config", config_path, "--workers", "0"]) == EXIT_CONFIG
+
+
+_BAD_CONFIGS = {
+    "n-papers-string": {"gen": {"n_papers": "abc"}},
+    "n-papers-null": {"gen": {"n_papers": None}},
+    "n-papers-fractional": {"gen": {"n_papers": 80.7}},
+    "n-papers-bool": {"gen": {"n_papers": True}},
+    "gen-not-an-object": {"gen": [1, 2]},
+    "capacity-fractional": {"gen": {"reviewer_capacity_dist": {"values": [2.5], "probs": [1.0]}}},
+    "probability-string": {"gen": {"reviewer_capacity_dist": {"values": [2], "probs": ["1"]}}},
+    "targets-not-pairs": {"gen": {"author_multiplicity_targets": [[2, 4505, 1]]}},
+    "slack-infinite": {"gen": {"capacity_slack": float("inf")}},
+    "mean-infinite": {"gen": {"true_score_mean": float("inf")}},
+    "mean-not-a-number": {"gen": {"true_score_mean": float("nan")}},
+    "gen-master-seed": {"gen": {"master_seed": 9}},
+    "repetitions-fractional": {"repetitions": 2.9},
+    "repetitions-bool": {"repetitions": True},
+    "master-seed-string": {"master_seed": "7"},
+    "blend-string": {"blend": "half"},
+    "cases-not-a-list": {"cases": 5},
+    "config-not-an-object": [1, 2],
+}
+
+
+@pytest.mark.parametrize("case", sorted(_BAD_CONFIGS))
+def test_malformed_config_value_is_config_error(case, tmp_path, monkeypatch, capsys):
+    monkeypatch.delenv("REVIEW_CALIB_SEED", raising=False)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(_BAD_CONFIGS[case]))
+    assert main(["--config", str(path)]) == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith("configuration error: ")
+
+
+def test_integral_float_config_values_are_accepted():
+    config = ExperimentConfig.from_json({"repetitions": 2.0, "gen": {"n_papers": 80.0}})
+    assert config.repetitions == 2 and type(config.repetitions) is int
+    assert config.gen.n_papers == 80 and type(config.gen.n_papers) is int

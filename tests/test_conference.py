@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import reverse_assignment_reference, validate_conference_reference
+from oracles import conference_from_lists, reverse_assignment_reference, validate_conference_reference
 from review_calib import (
     Conference,
     ConfigurationError,
@@ -16,11 +16,14 @@ from review_calib import (
     GenConfig,
     GenerationError,
     gen_conference,
-    gen_true_scores,
-    sample_author_multiplicities,
     scaled_config,
 )
-from review_calib.conference import fit_multiplicity_distribution
+from review_calib.conference import (
+    DEFAULT_MASTER_SEED,
+    fit_multiplicity_distribution,
+    gen_true_scores,
+    sample_author_multiplicities,
+)
 from review_calib.seeding import PURPOSE_CONFERENCE, stream
 
 
@@ -114,15 +117,16 @@ def test_true_scores_negative_sd_rejected():
 
 def test_conference_invariants(tiny_conf, tiny_config):
     tiny_conf.validate()
-    per_paper = np.bincount(
-        np.concatenate(tiny_conf.assignment), minlength=tiny_conf.n_papers
-    )
+    per_paper = np.bincount(tiny_conf.slot_papers, minlength=tiny_conf.n_papers)
     support = tiny_config.reviewers_per_paper_dist.values
     assert per_paper.min() == min(support)
     assert per_paper.max() == max(support)
     # reviewer loads never exceed the capacity support
-    loads = np.fromiter((len(a) for a in tiny_conf.assignment), dtype=int)
+    loads = np.diff(tiny_conf.reviewer_ptr)
     assert loads.max() <= tiny_config.reviewer_capacity_dist.max_value
+    # a generated conference lists each reviewer's papers in increasing order
+    keys = tiny_conf.slot_reviewers * tiny_conf.n_papers + tiny_conf.slot_papers
+    assert np.all(np.diff(keys) > 0)
 
 
 def test_single_paper_conference():
@@ -135,21 +139,44 @@ def test_single_paper_conference():
     conf = gen_conference(config)
     conf.validate()
     assert conf.n_papers == 1
-    assert sum(len(a) for a in conf.assignment) == 1
+    assert conf.n_slots == 1
 
 
 def test_determinism_byte_identical(tiny_config):
-    a = gen_conference(tiny_config, stream(tiny_config.master_seed, PURPOSE_CONFERENCE))
-    b = gen_conference(tiny_config, stream(tiny_config.master_seed, PURPOSE_CONFERENCE))
+    a = gen_conference(tiny_config, stream(DEFAULT_MASTER_SEED, PURPOSE_CONFERENCE))
+    b = gen_conference(tiny_config, stream(DEFAULT_MASTER_SEED, PURPOSE_CONFERENCE))
     assert a.to_json_str() == b.to_json_str()
+    # without an rng, generation uses the default master seed's conference stream
+    assert gen_conference(tiny_config).to_json_str() == a.to_json_str()
 
 
 def test_json_round_trip(tiny_conf):
     clone = Conference.from_json(tiny_conf.to_json())
     assert np.array_equal(clone.true_scores, tiny_conf.true_scores)
-    assert all(np.array_equal(x, y) for x, y in zip(clone.assignment, tiny_conf.assignment))
+    assert np.array_equal(clone.slot_papers, tiny_conf.slot_papers)
+    assert np.array_equal(clone.reviewer_ptr, tiny_conf.reviewer_ptr)
+    assert np.array_equal(clone.slot_reviewers, tiny_conf.slot_reviewers)
     assert all(np.array_equal(x, y) for x, y in zip(clone.authorship, tiny_conf.authorship))
     clone.validate()
+
+
+def test_hand_built_slot_order_is_kept():
+    # a hand-built reviewer list keeps its order in the slots and in the JSON
+    conf = conference_from_lists(np.zeros(3), [[0, 1, 2]], [[2, 0], [1, 0, 2]])
+    assert conf.slot_papers.tolist() == [2, 0, 1, 0, 2]
+    assert conf.slot_reviewers.tolist() == [0, 0, 1, 1, 1]
+    lists = conf.to_json()
+    assert lists["assignment"] == [[2, 0], [1, 0, 2]]
+    assert lists["reverse_assignment"] == [[0, 1], [1], [0, 1]]
+    assert Conference.from_json(lists).to_json_str() == conf.to_json_str()
+
+
+@pytest.mark.parametrize(
+    "ptr", [[1, 2], [0, 3], [0, 2, 1, 2], [], [[0, 2]]], ids=["start", "end", "decreasing", "empty", "2-d"]
+)
+def test_malformed_reviewer_ptr_rejected(ptr):
+    with pytest.raises(GenerationError, match="CSR pointer"):
+        Conference(np.zeros(2), [np.arange(2)], slot_papers=np.array([0, 1]), reviewer_ptr=np.array(ptr))
 
 
 def test_capacity_deficit_raises():
@@ -192,8 +219,9 @@ def test_genconfig_validation():
         GenConfig(n_papers=0)
     with pytest.raises(ConfigurationError):
         GenConfig(true_score_sd=0.0)
-    with pytest.raises(ConfigurationError):
-        GenConfig(capacity_slack=0.9)
+    for slack in (0.9, float("inf"), float("nan")):
+        with pytest.raises(ConfigurationError, match="capacity_slack"):
+            GenConfig(capacity_slack=slack)
 
 
 # --- golden conferences
@@ -222,15 +250,19 @@ def test_golden_conference_hash(golden_conference):
     assert digest == GOLDEN_CONFERENCE_SHA256[name]
 
 
+def test_golden_conference_json_round_trip(golden_conference):
+    _, conf = golden_conference
+    assert Conference.from_json(conf.to_json()).to_json_str() == conf.to_json_str()
+
+
 def test_reverse_assignment_matches_double_loop(golden_conference, tiny_conf):
     for conf in (golden_conference[1], tiny_conf):
-        expected = reverse_assignment_reference(conf.assignment, conf.n_papers)
-        assert len(conf.reverse_assignment) == len(expected)
-        for got, want in zip(conf.reverse_assignment, expected):
-            assert got.dtype == want.dtype and np.array_equal(got, want)
+        lists = conf.to_json()
+        expected = reverse_assignment_reference(lists["assignment"], conf.n_papers)
+        assert lists["reverse_assignment"] == [want.tolist() for want in expected]
 
 
-# --- Conference.validate, one case per message
+# --- Conference.from_json and validate, one case per message
 
 # three papers; authors {0, 1} and {2}; reviewers {0, 1}, {1, 2}, {0, 2}
 _AUTHORSHIP = [[0, 1], [2]]
@@ -239,16 +271,28 @@ _REVERSE = [[0, 2], [0, 1], [1, 2]]
 
 
 def _small_conf(authorship=_AUTHORSHIP, assignment=_ASSIGNMENT, reverse=_REVERSE):
-    return Conference(
-        true_scores=np.zeros(3),
-        authorship=[np.asarray(a, dtype=np.int64) for a in authorship],
-        assignment=[np.asarray(a, dtype=np.int64) for a in assignment],
-        reverse_assignment=[np.asarray(v, dtype=np.int64) for v in reverse],
-    )
+    """The JSON lists of a three-paper conference."""
+    return {
+        "true_scores": [0.0, 0.0, 0.0],
+        "authorship": authorship,
+        "assignment": assignment,
+        "reverse_assignment": reverse,
+    }
+
+
+def _from_json_message(message):
+    """What ``Conference.from_json`` raises where the loop reference raises ``message``.
+
+    The reference names the first failing member of a reverse list; from_json
+    names only its paper.
+    """
+    if message is not None and message.startswith("reverse_assignment lists"):
+        return f"reverse_assignment inconsistent for paper {message.split()[-1]}"
+    return message
 
 
 def test_small_conference_is_valid():
-    _small_conf().validate()
+    Conference.from_json(_small_conf()).validate()
     validate_conference_reference(_small_conf())
 
 
@@ -324,12 +368,12 @@ _INVALID = {
 @pytest.mark.parametrize("case", sorted(_INVALID))
 def test_validate_rejects(case):
     kwargs, message = _INVALID[case]
-    conf = _small_conf(**kwargs)
+    lists = _small_conf(**kwargs)
     with pytest.raises(GenerationError) as excinfo:
-        conf.validate()
-    assert str(excinfo.value) == message
+        Conference.from_json(lists)
+    assert str(excinfo.value) == _from_json_message(message)
     with pytest.raises(GenerationError) as excinfo:
-        validate_conference_reference(conf)
+        validate_conference_reference(lists)
     assert str(excinfo.value) == message
 
 
@@ -360,8 +404,8 @@ _HOLES = {
 def test_validate_closes_reverse_holes(case):
     kwargs, message = _HOLES[case]
     with pytest.raises(GenerationError) as excinfo:
-        _small_conf(**kwargs).validate()
-    assert str(excinfo.value) == message
+        Conference.from_json(_small_conf(**kwargs))
+    assert str(excinfo.value) == _from_json_message(message)
 
 
 _FIELDS = ("authorship", "assignment", "reverse_assignment")
@@ -390,7 +434,7 @@ def _corruptions(draw):
 
 
 def _apply(conf, edits):
-    lists = {name: [a.tolist() for a in getattr(conf, name)] for name in _FIELDS}
+    lists = conf.to_json()
     domain = {
         "authorship": conf.n_papers,
         "assignment": conf.n_papers,
@@ -419,17 +463,12 @@ def _apply(conf, edits):
             inner.pop(pos % len(inner))
         else:
             inner.insert(pos % (len(inner) + 1), inner[pos % len(inner)])
-    return Conference(
-        true_scores=conf.true_scores,
-        authorship=[np.asarray(a, dtype=np.int64) for a in lists["authorship"]],
-        assignment=[np.asarray(a, dtype=np.int64) for a in lists["assignment"]],
-        reverse_assignment=[np.asarray(a, dtype=np.int64) for a in lists["reverse_assignment"]],
-    )
+    return lists
 
 
-def _outcome(check, conf):
+def _outcome(check, lists):
     try:
-        check(conf)
+        check(lists)
     except GenerationError as exc:
         return str(exc)
     except IndexError:
@@ -437,11 +476,10 @@ def _outcome(check, conf):
     return None
 
 
-def _has_reverse_hole(conf):
-    for reviewers in conf.reverse_assignment:
-        if len(reviewers) and (reviewers.min() < 0 or reviewers.max() >= conf.n_reviewers):
-            return True
-        if len(np.unique(reviewers)) != len(reviewers):
+def _has_reverse_hole(lists):
+    n_reviewers = len(lists["assignment"])
+    for reviewers in lists["reverse_assignment"]:
+        if any(r < 0 or r >= n_reviewers for r in reviewers) or len(set(reviewers)) != len(reviewers):
             return True
     return False
 
@@ -449,10 +487,10 @@ def _has_reverse_hole(conf):
 @settings(max_examples=300, deadline=None, database=None)
 @given(_corruptions())
 def test_validate_matches_loop_reference_property(tiny_conf, edits):
-    conf = _apply(tiny_conf, edits)
-    fast = _outcome(Conference.validate, conf)
-    if _has_reverse_hole(conf):
-        # the reference may accept, wrap or crash here; the check must refuse
+    lists = _apply(tiny_conf, edits)
+    fast = _outcome(Conference.from_json, lists)
+    if _has_reverse_hole(lists):
+        # the reference may accept, wrap or crash here; from_json must refuse
         assert fast is not None and fast != "IndexError"
     else:
-        assert fast == _outcome(validate_conference_reference, conf)
+        assert fast == _from_json_message(_outcome(validate_conference_reference, lists))

@@ -3,52 +3,38 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from oracles import conference_from_lists
 from review_calib import (
-    Conference,
     NOISE_CASES,
     OwnerPartition,
-    ScoreTable,
     avg_scores,
     build_owner_partition,
     calibrate_author,
-    calibrate_combined,
     calibrate_reviewer,
     generate_final_scores,
     rmse,
 )
-
-
-def _conference(theta, authorship, assignment):
-    n = len(theta)
-    reverse = [[] for _ in range(n)]
-    for r, papers in enumerate(assignment):
-        for p in papers:
-            reverse[p].append(r)
-    return Conference(
-        true_scores=np.asarray(theta, dtype=float),
-        authorship=[np.asarray(a, dtype=np.int64) for a in authorship],
-        assignment=[np.asarray(a, dtype=np.int64) for a in assignment],
-        reverse_assignment=[np.asarray(v, dtype=np.int64) for v in reverse],
-    )
+from review_calib.estimators import calibrate_combined
+from review_calib.scoring import ScoreTable
 
 
 # --- averaging
 
 
 def test_avg_is_arithmetic_mean():
-    conf = _conference([5.0], [[0]], [[0], [0]])
+    conf = conference_from_lists([5.0], [[0]], [[0], [0]])
     table = ScoreTable.for_conference(conf, np.array([4.0, 6.0]))
     assert avg_scores(table, conf).tolist() == [5.0]
 
 
 def test_single_review_average_is_identity():
-    conf = _conference([5.0], [[0]], [[0]])
+    conf = conference_from_lists([5.0], [[0]], [[0]])
     table = ScoreTable.for_conference(conf, np.array([7.2]))
     assert avg_scores(table, conf).tolist() == [7.2]
 
 
 def test_unreviewed_paper_rejected():
-    conf = _conference([5.0, 5.0], [[0, 1]], [[0], [0]])
+    conf = conference_from_lists([5.0, 5.0], [[0, 1]], [[0], [0]])
     table = ScoreTable.for_conference(conf, np.array([4.0, 6.0]))
     with pytest.raises(ValueError, match="no review"):
         avg_scores(table, conf)
@@ -65,7 +51,7 @@ def _table(papers, values):
 
 
 def test_avg_rejects_paper_ids_outside_conference():
-    conf = _conference([5.0, 5.0], [[0, 1]], [[0], [1]])
+    conf = conference_from_lists([5.0, 5.0], [[0, 1]], [[0], [1]])
     with pytest.raises(ValueError, match="outside"):
         avg_scores(_table([0, 1, 2], [4.0, 6.0, 1.0]), conf)
     with pytest.raises(ValueError, match="outside"):
@@ -74,13 +60,13 @@ def test_avg_rejects_paper_ids_outside_conference():
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_avg_rejects_non_finite_scores(bad):
-    conf = _conference([5.0, 5.0], [[0, 1]], [[0], [1]])
+    conf = conference_from_lists([5.0, 5.0], [[0, 1]], [[0], [1]])
     with pytest.raises(ValueError, match="finite"):
         avg_scores(ScoreTable.for_conference(conf, np.array([4.0, bad])), conf)
 
 
 def test_avg_rejects_empty_table():
-    conf = _conference([5.0], [[0]], [[0]])
+    conf = conference_from_lists([5.0], [[0]], [[0]])
     with pytest.raises(ValueError, match="empty"):
         avg_scores(_table([], []), conf)
 
@@ -124,7 +110,7 @@ def test_blend_is_affine_path():
 
 
 def test_single_author_owns_both_papers():
-    conf = _conference([1.0, 2.0], [[0, 1]], [[0, 1]])
+    conf = conference_from_lists([1.0, 2.0], [[0, 1]], [[0, 1]])
     owners = build_owner_partition(conf)
     assert list(owners.owners) == [0]
     # ordered by descending true score
@@ -135,7 +121,7 @@ def test_single_author_owns_both_papers():
 def test_greedy_overlap_resolution_drops_starved_author():
     # author 0 has three papers including the shared one; author 1 keeps
     # only one unclaimed paper and is dropped
-    conf = _conference(
+    conf = conference_from_lists(
         [4.0, 3.0, 2.0, 1.0],
         [[0, 1, 2], [2, 3]],
         [[0, 1, 2, 3]],
@@ -146,12 +132,12 @@ def test_greedy_overlap_resolution_drops_starved_author():
 
 
 def test_all_single_paper_authors_yield_empty_partition():
-    conf = _conference([1.0, 2.0], [[0], [1]], [[0, 1]])
+    conf = conference_from_lists([1.0, 2.0], [[0], [1]], [[0, 1]])
     assert build_owner_partition(conf).owners == {}
 
 
 def test_tie_break_prefers_smaller_author_id():
-    conf = _conference(
+    conf = conference_from_lists(
         [3.0, 2.0, 1.0],
         [[0, 1], [0, 2]],
         [[0, 1, 2]],
@@ -164,14 +150,14 @@ def test_tie_break_prefers_smaller_author_id():
 
 
 def test_consistent_owner_scores_unchanged():
-    conf = _conference([5.0, 4.0], [[0, 1]], [[0, 1]])
+    conf = conference_from_lists([5.0, 4.0], [[0, 1]], [[0, 1]])
     owners = build_owner_partition(conf)
     scores = np.array([6.0, 2.0])
     assert np.allclose(calibrate_author(scores, owners), scores, atol=1e-12)
 
 
 def test_violating_pair_pools():
-    conf = _conference([5.0, 4.0], [[0, 1]], [[0, 1]])
+    conf = conference_from_lists([5.0, 4.0], [[0, 1]], [[0, 1]])
     owners = build_owner_partition(conf)
     out = calibrate_author(np.array([4.0, 6.0]), owners)
     assert np.allclose(out, [5.0, 5.0], atol=1e-12)
@@ -180,7 +166,7 @@ def test_violating_pair_pools():
 def test_unowned_papers_untouched_and_sums_preserved():
     rng = np.random.default_rng(7)
     theta = np.array([5.0, 4.0, 3.0, 2.0, 1.0])
-    conf = _conference(theta, [[0, 1, 2], [3], [4]], [[0, 1, 2, 3, 4]])
+    conf = conference_from_lists(theta, [[0, 1, 2], [3], [4]], [[0, 1, 2, 3, 4]])
     owners = build_owner_partition(conf)
     scores = rng.normal(4, 2, 5)
     out = calibrate_author(scores, owners)
@@ -191,7 +177,7 @@ def test_unowned_papers_untouched_and_sums_preserved():
 
 
 def test_author_blend_is_exposed():
-    conf = _conference([5.0, 4.0], [[0, 1]], [[0, 1]])
+    conf = conference_from_lists([5.0, 4.0], [[0, 1]], [[0, 1]])
     owners = build_owner_partition(conf)
     scores = np.array([4.0, 6.0])
     half = calibrate_author(scores, owners, blend=0.5)
@@ -215,7 +201,7 @@ def test_empty_partition_reduces_to_reviewer_calibration():
 def test_fully_consistent_inputs_reduce_to_avg():
     avg = np.array([6.0, 5.0, 4.0])
     rankings = [np.array([0, 1]), np.array([1, 2])]
-    conf = _conference([6.0, 5.0, 4.0], [[0, 1, 2]], [[0, 1, 2]])
+    conf = conference_from_lists([6.0, 5.0, 4.0], [[0, 1, 2]], [[0, 1, 2]])
     owners = build_owner_partition(conf)
     out = calibrate_combined(avg, rankings, owners)
     assert np.allclose(out, avg, atol=1e-12)
@@ -278,13 +264,3 @@ def test_rmse_rejects_empty_input():
     with pytest.raises(ValueError, match="empty"):
         rmse(np.zeros(0), np.zeros(0))
 
-
-def test_estimates_to_csv_shape():
-    from review_calib import estimates_to_csv
-
-    csv = estimates_to_csv({"average": np.array([1.5, 2.0]), "combined": np.array([1.25, 2.25])})
-    lines = csv.splitlines()
-    assert lines[0] == "paper_id,method,estimate"
-    assert lines[1] == "0,average,1.5"
-    assert lines[-1] == "1,combined,2.25"
-    assert len(lines) == 5

@@ -1,0 +1,54 @@
+"""The public API is what the README and the benchmark harness use.
+
+``perfbench/tests`` is outside the tier-1 test paths, so these tests read
+the harness and the README as source and check every ``review_calib``
+name they import.
+"""
+
+from __future__ import annotations
+
+import ast
+import importlib
+import json
+from dataclasses import replace
+from pathlib import Path
+
+import review_calib
+from review_calib import ExperimentConfig
+
+ROOT = Path(__file__).parents[1]
+ERROR_TYPES = {"ConfigurationError", "GenerationError"}
+
+
+def _readme_blocks(language: str) -> list[str]:
+    blocks = (ROOT / "README.md").read_text(encoding="utf-8").split("```")
+    return [b[len(language) :] for b in blocks[1::2] if b.startswith(language + "\n")]
+
+
+def _review_calib_imports(source: str) -> set[tuple[str, str]]:
+    """(module, name) for each ``from review_calib[.module] import name`` in the source."""
+    return {
+        (node.module, alias.name)
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "review_calib"
+        for alias in node.names
+    }
+
+
+def test_all_is_what_the_readme_and_harness_import():
+    imports = _review_calib_imports((ROOT / "perfbench" / "harness.py").read_text(encoding="utf-8"))
+    examples = [b for b in _readme_blocks("python") if "from review_calib import" in b]
+    assert examples, "README has no library example"
+    for example in examples:
+        imports |= _review_calib_imports(example)
+    for module, name in sorted(imports):
+        assert hasattr(importlib.import_module(module), name), f"{module}.{name} does not resolve"
+    top_level = {name for module, name in imports if module == "review_calib"}
+    assert sorted(review_calib.__all__) == sorted(top_level | ERROR_TYPES)
+
+
+def test_readme_config_example_gives_the_defaults():
+    (example,) = [b for b in _readme_blocks("json") if '"gen"' in b]
+    config = ExperimentConfig.from_json(json.loads(example))
+    assert config.effective_seed == 42
+    assert replace(config, master_seed=None) == ExperimentConfig()

@@ -6,39 +6,35 @@ import math
 import numpy as np
 import pytest
 
-from oracles import generate_final_scores_reference, pl_prob_direct
+from oracles import (
+    ReviewerParams,
+    conference_from_lists,
+    gen_reviewer_params,
+    generate_final_scores_reference,
+    pl_prob_direct,
+    raw_scores,
+    sample_pl_ranking,
+)
 from review_calib import (
-    Conference,
     ConfigurationError,
     DiscreteDistribution,
     GenConfig,
     NOISE_CASES,
-    NoiseCase,
-    ReviewerParams,
-    ScoreTable,
-    gen_reviewer_params,
     generate_final_scores,
     gen_conference,
     get_noise_case,
-    pl_ranking_prob,
-    project_scores_to_ranking,
-    raw_scores,
-    sample_pl_ranking,
     scaled_config,
 )
+from review_calib.isotonic import project_rows_non_increasing
+from review_calib.scoring import NoiseCase, ScoreTable, pl_ranking_prob
 
 
 def _rng(seed=0):
     return np.random.default_rng(seed)
 
 
-def _single_paper_conference(n_reviewers: int, theta: float = 5.0) -> Conference:
-    return Conference(
-        true_scores=np.array([theta]),
-        authorship=[np.array([0])],
-        assignment=[np.array([0]) for _ in range(n_reviewers)],
-        reverse_assignment=[np.arange(n_reviewers)],
-    )
+def _single_paper_conference(n_reviewers: int, theta: float = 5.0):
+    return conference_from_lists([theta], [[0]], [[0]] * n_reviewers)
 
 
 # --- noise cases and reviewer parameters
@@ -195,17 +191,18 @@ def test_sampler_frequencies_match_probabilities(theta, seed):
         assert counts.get(perm, 0) / n == pytest.approx(p, abs=tol)
 
 
-# --- projection of raw scores onto a ranking
+# --- projection of raw scores onto a ranking: the step-3 adjustment projects
+# each reviewer's raw scores, taken in ranked order, onto non-increasing vectors
 
 
 def test_projection_identity_when_consistent():
-    raw = np.array([5.0, 3.0, 1.0])
-    assert np.array_equal(project_scores_to_ranking(raw, np.array([0, 1, 2])), raw)
+    raw = np.array([[5.0, 3.0, 1.0]])
+    assert np.array_equal(project_rows_non_increasing(raw), raw)
 
 
 def test_projection_pools_violating_pair():
-    out = project_scores_to_ranking(np.array([1.0, 3.0]), np.array([0, 1]))
-    assert np.allclose(out, [2.0, 2.0], atol=1e-12)
+    out = project_rows_non_increasing(np.array([[1.0, 3.0]]))
+    assert np.allclose(out, [[2.0, 2.0]], atol=1e-12)
 
 
 def test_projection_preserves_sum():
@@ -214,7 +211,8 @@ def test_projection_preserves_sum():
         n = int(rng.integers(1, 7))
         raw = rng.normal(5, 2, n)
         perm = rng.permutation(n)
-        out = project_scores_to_ranking(raw, perm)
+        out = np.empty(n)
+        out[perm] = project_rows_non_increasing(raw[perm][None, :])[0]
         assert out.sum() == pytest.approx(raw.sum(), rel=1e-12)
         assert np.all(np.diff(out[perm]) <= 1e-12)
 
@@ -274,16 +272,7 @@ def _mixed_bundle_conference(theta, seed=3):
     rng = _rng(seed)
     n = len(theta)
     assignment = [np.sort(rng.choice(n, size=size, replace=False)) for size in range(9) for _ in range(6)]
-    reverse = [
-        np.asarray([r for r, bundle in enumerate(assignment) if p in bundle], dtype=np.int64)
-        for p in range(n)
-    ]
-    return Conference(
-        true_scores=np.asarray(theta, dtype=float),
-        authorship=[np.arange(n)],
-        assignment=assignment,
-        reverse_assignment=reverse,
-    )
+    return conference_from_lists(theta, [np.arange(n)], assignment)
 
 
 def _assert_matches_reference(conf, case, seed):
@@ -345,29 +334,9 @@ def test_reviewers_without_papers_get_empty_rankings():
     assert all(r.dtype == np.int64 for r in rankings)
 
 
-# --- score table access
-
-
-def test_score_table_lookup(tiny_conf):
-    values = np.arange(tiny_conf.n_slots, dtype=float)
-    table = ScoreTable.for_conference(tiny_conf, values)
-    r = next(r for r in range(tiny_conf.n_reviewers) if len(tiny_conf.assignment[r]) > 0)
-    paper = int(tiny_conf.assignment[r][0])
-    lo = int(tiny_conf.reviewer_ptr[r])
-    assert table.value(r, paper) == float(values[lo])
-    assert table.as_dict()[(r, paper)] == float(values[lo])
-    with pytest.raises(KeyError):
-        table.value(r, tiny_conf.n_papers + 5)
+# --- score table
 
 
 def test_score_table_length_checked(tiny_conf):
     with pytest.raises(ValueError, match="slot values"):
         ScoreTable.for_conference(tiny_conf, np.zeros(tiny_conf.n_slots + 1))
-
-
-def test_rankings_json_round_trip(tiny_conf):
-    from review_calib import rankings_from_json, rankings_to_json
-
-    _, _, rankings = generate_final_scores(tiny_conf, NOISE_CASES["Base"], _rng(71))
-    clone = rankings_from_json(rankings_to_json(rankings))
-    assert all(np.array_equal(a, b) for a, b in zip(rankings, clone))
