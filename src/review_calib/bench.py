@@ -102,10 +102,10 @@ class ExperimentConfig:
                 kwargs["blend"] = config_float(value, key)
             elif key == "master_seed":
                 kwargs["master_seed"] = None if value is None else config_int(value, key)
-            elif key == "output_path":
-                kwargs["output_path"] = None if value is None else str(value)
-            elif key == "output_format":
-                kwargs["output_format"] = str(value)
+            elif key in ("output_path", "output_format"):
+                if not isinstance(value, str) and not (value is None and key == "output_path"):
+                    raise ConfigurationError(f"{key} must be a string, got {value!r}")
+                kwargs[key] = value
             else:
                 raise ConfigurationError(f"unknown experiment option {key!r}")
         return cls(**kwargs)

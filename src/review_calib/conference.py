@@ -54,6 +54,11 @@ class GenConfig:
     true_score_sd: float = 0.88
 
     def __post_init__(self):
+        # a count may be a Python or numpy integer or an integral float; it is stored as int
+        for name in ("n_papers", "n_authors", "n_reviewers"):
+            value = getattr(self, name)
+            if value is not None or name != "n_reviewers":
+                object.__setattr__(self, name, config_int(value, name))
         if self.n_papers < 1:
             raise ConfigurationError(f"n_papers must be >= 1, got {self.n_papers}")
         if self.n_authors < 1:

@@ -2,6 +2,7 @@
 when reading a JSON configuration."""
 
 import math
+import numbers
 
 
 class ConfigurationError(ValueError):
@@ -15,11 +16,12 @@ class GenerationError(RuntimeError):
 def config_int(value, name: str) -> int:
     """``value`` as an int; raises ConfigurationError unless it is an integral number.
 
-    A bool, a string, None and a float with a fractional part are refused
-    rather than converted.
+    Python and numpy integers and integral floats are accepted; a bool, a
+    string, None and a float with a fractional part are refused rather than
+    converted.
     """
     if isinstance(value, bool) or not (
-        isinstance(value, int) or isinstance(value, float) and value.is_integer()
+        isinstance(value, numbers.Integral) or isinstance(value, float) and value.is_integer()
     ):
         raise ConfigurationError(f"{name} must be an integer, got {value!r}")
     return int(value)

@@ -12,7 +12,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -68,9 +68,28 @@ class OwnerPartition:
 
     ``owners`` maps author id -> owned papers ordered by descending true
     quality; ownership sets never overlap and each has >= 2 papers.
+
+    Construction also derives a flat layout of ``owners`` in insertion
+    order, which ``calibrate_author`` reads: the concatenated paper ids,
+    CSR pointers (owner k holds ``_papers[_ptr[k]:_ptr[k + 1]]``) and a
+    mask that is true where an entry has the same owner as the entry
+    before it. The layout is not refreshed, so ``owners`` must not be
+    mutated after construction.
     """
 
     owners: dict[int, np.ndarray]
+    _papers: np.ndarray = field(init=False, repr=False, compare=False)
+    _ptr: np.ndarray = field(init=False, repr=False, compare=False)
+    _same_owner: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        owned = [np.asarray(p) for p in self.owners.values()]
+        lengths = np.array([len(p) for p in owned], dtype=np.int64)
+        self._papers = np.concatenate([np.zeros(0, dtype=np.int64), *owned])
+        self._ptr = np.concatenate(([0], np.cumsum(lengths)))
+        owner_of = np.repeat(np.arange(len(owned)), lengths)
+        self._same_owner = np.zeros(len(owner_of), dtype=bool)
+        self._same_owner[1:] = owner_of[1:] == owner_of[:-1]
 
     @property
     def n_owned(self) -> int:
@@ -122,16 +141,27 @@ def calibrate_author(
     The default blend of 1 applies the full projection (the owners' order
     is exact, so no regularisation toward the input is needed); papers
     without an owner pass through unchanged.
+
+    All owners run as one flat pass over the partition's layout. An owner
+    whose scores never rise along its order is already non-increasing, so
+    the projection passes it through untouched and PAVA skips it; the other
+    owners are fitted as segments of a single PAVA call. The result equals
+    the per-owner projection bit for bit.
     """
     if not 0.0 <= blend <= 1.0:
         raise ValueError(f"blend must lie in [0, 1], got {blend}")
     out = np.asarray(scores, dtype=float).copy()
     if not np.isfinite(out).all():
         raise ValueError("scores must be finite")
-    for papers in owners.owners.values():
-        # isotonic_fit's unit-weight non-increasing fit; the check above covers every owner
-        fitted = -_pava_non_decreasing(-out[papers], None)
-        out[papers] = blend * fitted + (1.0 - blend) * out[papers]
+    papers, ptr = owners._papers, owners._ptr
+    y = out[papers]
+    # the first entry of each strict rise; it shares its owner with the next entry
+    rises = np.flatnonzero(owners._same_owner[1:] & (y[1:] > y[:-1]))
+    rising = np.unique(np.searchsorted(ptr, rises, side="right") - 1)
+    segments = zip(ptr[rising].tolist(), ptr[rising + 1].tolist())
+    # isotonic_fit's unit-weight non-increasing fit; the check above covers every owner
+    fitted = -_pava_non_decreasing(-y, None, segments)
+    out[papers] = blend * fitted + (1.0 - blend) * y
     return out
 
 

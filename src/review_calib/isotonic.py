@@ -6,14 +6,17 @@ pooled block values are recomputed with compensated summation so that the
 weighted total is preserved tightly even for inputs thousands of entries
 long.
 
-``isotonic_fit`` runs one stack over one (possibly long) input;
-``project_rows_non_increasing`` advances the same stack over many short
-rows at once, the shape of a batch of reviewer bundles.
+``isotonic_fit`` runs one stack over one (possibly long) input; the same
+loop fits many disjoint segments of one flat input in a single call, the
+shape of the author projection's owners. ``project_rows_non_increasing``
+advances the same stack over many short rows at once, the shape of a batch
+of reviewer bundles.
 """
 
 from __future__ import annotations
 
 import math
+from typing import Iterable
 
 import numpy as np
 
@@ -22,12 +25,16 @@ NON_DECREASING = "non-decreasing"
 _DIRECTIONS = (NON_INCREASING, NON_DECREASING)
 
 
-def _pava_non_decreasing(y: np.ndarray, w: np.ndarray | None) -> np.ndarray:
+def _pava_non_decreasing(
+    y: np.ndarray, w: np.ndarray | None, segments: Iterable[tuple[int, int]]
+) -> np.ndarray:
     """Stack PAVA; merges adjacent blocks while their means strictly violate.
 
-    ``w is None`` means unit weights. Pooled block values are recomputed
-    with compensated summation so sum(w*x) == sum(w*y) stays tight; a block
-    of one keeps its input value.
+    Each ``(lo, hi)`` pair in ``segments`` is a slice ``[lo, hi)`` fitted on
+    its own, with a fresh stack; entries outside every segment keep their
+    input value. ``w is None`` means unit weights. Pooled block values are
+    recomputed with compensated summation so sum(w*x) == sum(w*y) stays
+    tight; a block of one keeps its input value.
     """
     n = len(y)
     yl = y.tolist()
@@ -38,31 +45,32 @@ def _pava_non_decreasing(y: np.ndarray, w: np.ndarray | None) -> np.ndarray:
     starts = [0] * n
     wsum = [0.0] * n
     wysum = [0.0] * n
-    m = 0
-    for i in range(n):
-        starts[m] = i
-        wsum[m] = wl[i]
-        wysum[m] = wyl[i]
-        m += 1
-        while m > 1 and wysum[m - 2] * wsum[m - 1] > wysum[m - 1] * wsum[m - 2]:
-            wsum[m - 2] += wsum[m - 1]
-            wysum[m - 2] += wysum[m - 1]
-            m -= 1
     out = yl[:]
-    for b in range(m):
-        lo = starts[b]
-        hi = starts[b + 1] if b + 1 < m else n
-        if hi - lo > 1:
-            out[lo:hi] = [math.fsum(wyl[lo:hi]) / math.fsum(wl[lo:hi])] * (hi - lo)
+    for seg_lo, seg_hi in segments:
+        m = 0
+        for i in range(seg_lo, seg_hi):
+            starts[m] = i
+            wsum[m] = wl[i]
+            wysum[m] = wyl[i]
+            m += 1
+            while m > 1 and wysum[m - 2] * wsum[m - 1] > wysum[m - 1] * wsum[m - 2]:
+                wsum[m - 2] += wsum[m - 1]
+                wysum[m - 2] += wysum[m - 1]
+                m -= 1
+        for b in range(m):
+            lo = starts[b]
+            hi = starts[b + 1] if b + 1 < m else seg_hi
+            if hi - lo > 1:
+                out[lo:hi] = [math.fsum(wyl[lo:hi]) / math.fsum(wl[lo:hi])] * (hi - lo)
     return np.array(out)
 
 
 def project_rows_non_increasing(y: np.ndarray) -> np.ndarray:
     """Unit-weight projection of every row of ``y`` onto non-increasing vectors.
 
-    A row-batched copy of ``_pava_non_decreasing(-row, None)``: the same
-    stack, merge test and running sums, advanced one column at a time for
-    all rows, so each row matches the scalar kernel bit for bit. A pooled
+    A row-batched copy of the scalar kernel on one segment: the same stack,
+    merge test and running sums, advanced one column at a time for all
+    rows, so each row matches the scalar kernel bit for bit. A pooled
     block of two is its running sum halved (what fsum of two values gives);
     longer blocks keep ``math.fsum``.
     """
@@ -134,9 +142,10 @@ def isotonic_fit(
         raise ValueError(f"direction must be one of {_DIRECTIONS}, got {direction!r}")
     if y.size == 0:
         return y.copy()
+    segments = ((0, y.size),)
     if direction == NON_DECREASING:
-        return _pava_non_decreasing(y, w)
-    return -_pava_non_decreasing(-y, w)
+        return _pava_non_decreasing(y, w, segments)
+    return -_pava_non_decreasing(-y, w, segments)
 
 
 def isotonic_project_indexed(scores: np.ndarray, order: np.ndarray, blend: float) -> np.ndarray:
@@ -148,9 +157,21 @@ def isotonic_project_indexed(scores: np.ndarray, order: np.ndarray, blend: float
     """
     scores = np.asarray(scores, dtype=float)
     order = np.asarray(order)
+    n = len(scores)
     if not 0.0 <= blend <= 1.0:
         raise ValueError(f"blend must lie in [0, 1], got {blend}")
-    if sorted(order.tolist()) != list(range(len(scores))):
+    # a 1-d integer array of length n with values in [0, n), each exactly once
+    if not (
+        order.ndim == 1
+        and order.dtype.kind in "iu"
+        and len(order) == n
+        and (
+            n == 0
+            or 0 <= order.min()
+            and order.max() < n
+            and (np.bincount(order.astype(np.intp), minlength=n) == 1).all()
+        )
+    ):
         raise ValueError("order is not a permutation of the score indices")
     fitted = np.empty_like(scores)
     fitted[order] = isotonic_fit(scores[order])

@@ -6,8 +6,9 @@ ranking-probability oracle evaluates the sequential-choice product with
 unshifted exponentials, the tier oracle rebuilds the comparison graph
 from scratch every round, the score-simulation reference runs the
 sequential-choice sampler and the scalar isotonic projection reviewer by
-reviewer, and the conference references check and invert the JSON
-assignment lists list by list.
+reviewer, the author-projection reference fits one owner at a time, and
+the conference references check and invert the JSON assignment lists list
+by list.
 
 The rank-centrality chain (loss-driven transitions whose stationary
 distribution orders the papers) is a cross-check of tier peeling, not a
@@ -358,6 +359,23 @@ def generate_final_scores_reference(conf, case, rng):
         final_values[lo:hi] = adjusted
     final = ScoreTable.for_conference(conf, final_values)
     return final, raw, rankings
+
+
+def calibrate_author_reference(scores, owners, blend=1.0):
+    """Per-owner author projection: one scalar PAVA call per owner.
+
+    ``isotonic_fit`` with unit weights runs the scalar stack PAVA on the
+    negated values, the projection the loop used.
+    """
+    if not 0.0 <= blend <= 1.0:
+        raise ValueError(f"blend must lie in [0, 1], got {blend}")
+    out = np.asarray(scores, dtype=float).copy()
+    if not np.isfinite(out).all():
+        raise ValueError("scores must be finite")
+    for papers in owners.owners.values():
+        fitted = isotonic_fit(out[papers], direction=NON_INCREASING)
+        out[papers] = blend * fitted + (1.0 - blend) * out[papers]
+    return out
 
 
 def two_state_stationary(a, b):

@@ -131,12 +131,17 @@ _BAD_CONFIGS = {
     "blend-string": {"blend": "half"},
     "cases-not-a-list": {"cases": 5},
     "config-not-an-object": [1, 2],
+    "output-path-number": {"output_path": 5},
+    "output-path-list": {"output_path": ["a"]},
+    "output-format-number": {"output_format": 5},
+    "output-format-list": {"output_format": ["csv"]},
 }
 
 
 @pytest.mark.parametrize("case", sorted(_BAD_CONFIGS))
 def test_malformed_config_value_is_config_error(case, tmp_path, monkeypatch, capsys):
     monkeypatch.delenv("REVIEW_CALIB_SEED", raising=False)
+    monkeypatch.chdir(tmp_path)  # an accepted output path must not land in the working directory
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(_BAD_CONFIGS[case]))
     assert main(["--config", str(path)]) == EXIT_CONFIG

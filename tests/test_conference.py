@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import hashlib
+import json
 from dataclasses import replace
 
 import numpy as np
@@ -222,6 +223,34 @@ def test_genconfig_validation():
     for slack in (0.9, float("inf"), float("nan")):
         with pytest.raises(ConfigurationError, match="capacity_slack"):
             GenConfig(capacity_slack=slack)
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        pytest.param("n_papers", 80.7, id="n-papers-fractional"),
+        pytest.param("n_papers", "80", id="n-papers-string"),
+        pytest.param("n_papers", True, id="n-papers-bool"),
+        pytest.param("n_papers", None, id="n-papers-none"),
+        pytest.param("n_authors", np.float64(33.5), id="n-authors-numpy-fractional"),
+        pytest.param("n_reviewers", "60", id="n-reviewers-string"),
+        pytest.param("n_reviewers", False, id="n-reviewers-bool"),
+    ],
+)
+def test_python_built_genconfig_rejects_untyped_count(field, value):
+    with pytest.raises(ConfigurationError, match=f"{field} must be an integer"):
+        replace(scaled_config(GenConfig(), 80), **{field: value})
+
+
+@pytest.mark.parametrize(
+    "value", [np.int64(80), np.int32(80), np.uint16(80), 80.0], ids=["int64", "int32", "uint16", "float"]
+)
+def test_python_built_genconfig_accepts_integral_count(value):
+    base = scaled_config(GenConfig(), 80)
+    config = replace(base, n_papers=value)
+    assert type(config.n_papers) is int and config == base
+    assert json.dumps(config.to_json()) == json.dumps(base.to_json())
+    assert gen_conference(config).to_json_str() == gen_conference(base).to_json_str()
 
 
 # --- golden conferences

@@ -2,15 +2,20 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from oracles import conference_from_lists
+from oracles import calibrate_author_reference, conference_from_lists
 from review_calib import (
     NOISE_CASES,
+    DiscreteDistribution,
+    GenConfig,
     OwnerPartition,
     avg_scores,
     build_owner_partition,
     calibrate_author,
     calibrate_reviewer,
+    gen_conference,
     generate_final_scores,
     rmse,
 )
@@ -184,6 +189,77 @@ def test_author_blend_is_exposed():
     assert np.allclose(half, [4.5, 5.5], atol=1e-12)
     with pytest.raises(ValueError, match="blend"):
         calibrate_author(scores, owners, blend=-0.1)
+
+
+def _assert_bitwise_equal(got, want):
+    assert got.dtype == want.dtype == np.float64
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+@st.composite
+def _author_instances(draw):
+    n = draw(st.integers(0, 40))
+    if draw(st.booleans()):
+        # a small grid, so ties and equal-mean blocks are common
+        values = st.integers(-4, 4).map(lambda v: v / 2)
+    else:
+        values = st.floats(-10, 10, allow_nan=False)
+    scores = np.asarray(draw(st.lists(values, min_size=n, max_size=n)), dtype=float)
+    papers = np.asarray(draw(st.permutations(range(n))), dtype=np.int64)
+    owners = {}
+    lo = 0
+    while n - lo >= 2:
+        size = draw(st.integers(2, min(8, n - lo)))
+        group = papers[lo : lo + size]
+        lo += size
+        shape = draw(st.sampled_from(("unowned", "random", "ordered", "reversed")))
+        if shape == "unowned":
+            continue
+        if shape == "ordered":
+            scores[group] = np.sort(scores[group])[::-1]
+        elif shape == "reversed":
+            scores[group] = np.sort(scores[group])
+        owners[draw(st.integers(0, 10**6).filter(lambda a: a not in owners))] = group
+    blend = draw(st.one_of(st.sampled_from((0.0, 0.5, 1.0)), st.floats(0.0, 1.0)))
+    return scores, OwnerPartition(owners=owners), blend
+
+
+@settings(max_examples=400, deadline=None, database=None)
+@given(_author_instances())
+def test_author_projection_matches_per_owner_reference_property(instance):
+    scores, owners, blend = instance
+    owners.validate()
+    _assert_bitwise_equal(
+        calibrate_author(scores, owners, blend), calibrate_author_reference(scores, owners, blend)
+    )
+
+
+@pytest.mark.parametrize("capacity", [2, 6])
+def test_author_projection_matches_per_owner_reference_on_generated_conference(capacity):
+    conf = gen_conference(GenConfig(reviewer_capacity_dist=DiscreteDistribution.point_mass(capacity)))
+    owners = build_owner_partition(conf)
+    rng = np.random.default_rng(83)
+    for case in NOISE_CASES.values():
+        final, _, rankings = generate_final_scores(conf, case, rng)
+        avg = avg_scores(final, conf)
+        for scores in (avg, calibrate_reviewer(avg, rankings, 0.5)):
+            # both kinds of owner occur: already in order (skipped) and rising somewhere
+            rising = sum(bool(np.any(np.diff(scores[p]) > 0)) for p in owners.owners.values())
+            assert 0 < rising < len(owners.owners)
+            for blend in (1.0, 0.5):
+                _assert_bitwise_equal(
+                    calibrate_author(scores, owners, blend),
+                    calibrate_author_reference(scores, owners, blend),
+                )
+
+
+def test_empty_partition_returns_a_copy():
+    owners = OwnerPartition(owners={})
+    assert owners.n_owned == 0
+    for scores in (np.array([3.0, -0.0, 1.5]), [3.0, -0.0, 1.5]):
+        out = calibrate_author(scores, owners)
+        _assert_bitwise_equal(out, np.array([3.0, -0.0, 1.5]))
+        assert not np.shares_memory(out, scores)
 
 
 # --- combined calibration

@@ -9,6 +9,7 @@ from oracles import isotonic_qp_oracle
 from review_calib.isotonic import (
     NON_DECREASING,
     NON_INCREASING,
+    _pava_non_decreasing,
     isotonic_fit,
     isotonic_project_indexed,
     project_rows_non_increasing,
@@ -167,6 +168,51 @@ def test_project_indexed_rejects_bad_blend_and_order():
         isotonic_project_indexed(scores, np.array([0, 1]), blend=1.5)
     with pytest.raises(ValueError, match="permutation"):
         isotonic_project_indexed(scores, np.array([0, 0]), blend=0.5)
+
+
+@pytest.mark.parametrize(
+    "order",
+    [
+        pytest.param(np.array([0, 2, 2]), id="repeated-index"),
+        pytest.param(np.array([0, 1, 3]), id="index-past-the-end"),
+        pytest.param(np.array([0, -1, 2]), id="negative-index"),
+        pytest.param(np.array([0, 2]), id="missing-index"),
+        pytest.param(np.array([2, 0, 1, 1]), id="wrong-length"),
+        pytest.param(np.array([[0, 1, 2]]), id="two-dimensional"),
+        pytest.param(np.array([0.0, 1.0, 2.0]), id="float-dtype"),
+        pytest.param(np.array([True, False, True]), id="bool-dtype"),
+        pytest.param(np.array(["0", "1", "2"]), id="string-dtype"),
+    ],
+)
+def test_project_indexed_rejects_non_permutation(order):
+    scores = np.array([1.0, 3.0, 2.0])
+    with pytest.raises(ValueError, match="^order is not a permutation of the score indices$"):
+        isotonic_project_indexed(scores, order, blend=0.5)
+
+
+def test_project_indexed_accepts_any_integer_permutation():
+    scores = np.array([1.0, 3.0, 2.0])
+    want = isotonic_project_indexed(scores, np.array([2, 0, 1]), blend=0.5)
+    for order in ([2, 0, 1], np.array([2, 0, 1], dtype=np.int32), np.array([2, 0, 1], dtype=np.uint8)):
+        assert isotonic_project_indexed(scores, order, 0.5).tobytes() == want.tobytes()
+    assert isotonic_project_indexed(np.array([]), np.array([], dtype=np.int64), 0.5).size == 0
+
+
+def test_segments_are_fitted_independently_bitwise():
+    # one kernel call over many [lo, hi) slices equals one call per slice;
+    # entries outside every slice keep their input
+    rng = np.random.default_rng(37)
+    for k in range(200):
+        n = int(rng.integers(0, 80))
+        y = rng.integers(0, 5, n).astype(float) if k % 2 else rng.normal(5, 2, n)
+        w = rng.uniform(0.1, 5.0, n) if k % 3 else None
+        cuts = np.unique(rng.integers(0, n + 1, int(rng.integers(0, 12))))
+        segments = [(lo, hi) for lo, hi in zip(cuts[:-1].tolist(), cuts[1:].tolist()) if rng.random() < 0.7]
+        got = _pava_non_decreasing(y, w, segments)
+        want = y.copy()
+        for lo, hi in segments:
+            want[lo:hi] = _pava_non_decreasing(y[lo:hi], None if w is None else w[lo:hi], [(0, hi - lo)])
+        assert got.tobytes() == want.tobytes()
 
 
 def test_row_kernel_matches_scalar_fit_bitwise():
