@@ -53,20 +53,27 @@ class ExperimentConfig:
     output_format: str = "table"
 
     def __post_init__(self):
+        object.__setattr__(self, "repetitions", config_int(self.repetitions, "repetitions"))
+        object.__setattr__(self, "blend", config_float(self.blend, "blend"))
+        if self.master_seed is not None:
+            object.__setattr__(self, "master_seed", config_int(self.master_seed, "master_seed"))
+            check_master_seed(self.master_seed)
         if self.repetitions < 1:
             raise ConfigurationError(f"repetitions must be >= 1, got {self.repetitions}")
+        if not isinstance(self.cases, tuple) or not all(isinstance(c, str) for c in self.cases):
+            raise ConfigurationError(f"cases must be a tuple of names, got {self.cases!r}")
         if not self.cases:
             raise ConfigurationError("at least one noise case is required")
         for name in self.cases:
             get_noise_case(name)
         if not 0.0 <= self.blend <= 1.0:
             raise ConfigurationError(f"blend must lie in [0, 1], got {self.blend}")
+        if not isinstance(self.output_path, (str, type(None))):
+            raise ConfigurationError(f"output_path must be a string, got {self.output_path!r}")
         if self.output_format not in FORMATS:
             raise ConfigurationError(
                 f"output_format must be one of {FORMATS}, got {self.output_format!r}"
             )
-        if self.master_seed is not None:
-            check_master_seed(self.master_seed)
 
     @property
     def effective_seed(self) -> int:
@@ -95,17 +102,9 @@ class ExperimentConfig:
             elif key == "cases":
                 if not isinstance(value, list):
                     raise ConfigurationError(f"cases must be a list of names, got {value!r}")
-                kwargs["cases"] = tuple(str(c) for c in value)
-            elif key == "repetitions":
-                kwargs["repetitions"] = config_int(value, key)
-            elif key == "blend":
-                kwargs["blend"] = config_float(value, key)
-            elif key == "master_seed":
-                kwargs["master_seed"] = None if value is None else config_int(value, key)
-            elif key in ("output_path", "output_format"):
-                if not isinstance(value, str) and not (value is None and key == "output_path"):
-                    raise ConfigurationError(f"{key} must be a string, got {value!r}")
-                kwargs[key] = value
+                kwargs["cases"] = tuple(value)
+            elif key in ("repetitions", "blend", "master_seed", "output_path", "output_format"):
+                kwargs[key] = value  # typed by __post_init__
             else:
                 raise ConfigurationError(f"unknown experiment option {key!r}")
         return cls(**kwargs)

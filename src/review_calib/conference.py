@@ -16,6 +16,8 @@ from __future__ import annotations
 
 import functools
 import json
+import operator
+from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -37,6 +39,16 @@ DEFAULT_MASTER_SEED = 42
 
 _MATCHING_RETRIES = 20
 
+# the number fields of GenConfig and how each is typed; only n_reviewers may be None
+_NUMBER_FIELDS = {
+    "n_papers": config_int,
+    "n_authors": config_int,
+    "n_reviewers": config_int,
+    "capacity_slack": config_float,
+    "true_score_mean": config_float,
+    "true_score_sd": config_float,
+}
+
 
 @dataclass(frozen=True)
 class GenConfig:
@@ -54,19 +66,19 @@ class GenConfig:
     true_score_sd: float = 0.88
 
     def __post_init__(self):
-        # a count may be a Python or numpy integer or an integral float; it is stored as int
-        for name in ("n_papers", "n_authors", "n_reviewers"):
+        # counts are stored as int (an integral float is accepted), the rest as finite floats
+        for name, typed in _NUMBER_FIELDS.items():
             value = getattr(self, name)
             if value is not None or name != "n_reviewers":
-                object.__setattr__(self, name, config_int(value, name))
+                object.__setattr__(self, name, typed(value, name))
         if self.n_papers < 1:
             raise ConfigurationError(f"n_papers must be >= 1, got {self.n_papers}")
         if self.n_authors < 1:
             raise ConfigurationError(f"n_authors must be >= 1, got {self.n_authors}")
         if self.true_score_sd <= 0:
             raise ConfigurationError(f"true_score_sd must be > 0, got {self.true_score_sd}")
-        if not 1.0 <= self.capacity_slack < float("inf"):
-            raise ConfigurationError(f"capacity_slack must be finite and >= 1, got {self.capacity_slack}")
+        if self.capacity_slack < 1.0:
+            raise ConfigurationError(f"capacity_slack must be >= 1, got {self.capacity_slack}")
         if self.n_reviewers is not None and self.n_reviewers < 1:
             raise ConfigurationError(f"n_reviewers must be >= 1, got {self.n_reviewers}")
         validate_multiplicity_targets(self.author_multiplicity_targets, self.n_authors)
@@ -89,18 +101,10 @@ class GenConfig:
     def from_json(cls, obj: dict) -> "GenConfig":
         if not isinstance(obj, dict):
             raise ConfigurationError(f"gen must be a JSON object, got {obj!r}")
-        known = {
-            "n_papers": config_int,
-            "n_authors": config_int,
-            "n_reviewers": lambda v, name: None if v is None else config_int(v, name),
-            "capacity_slack": config_float,
-            "true_score_mean": config_float,
-            "true_score_sd": config_float,
-        }
         kwargs = {}
         for key, value in obj.items():
-            if key in known:
-                kwargs[key] = known[key](value, key)
+            if key in _NUMBER_FIELDS:
+                kwargs[key] = value  # typed by __post_init__
             elif key == "author_multiplicity_targets":
                 if not isinstance(value, list) or not all(isinstance(t, list) and len(t) == 2 for t in value):
                     raise ConfigurationError(f"{key} must list [threshold, count] pairs, got {value!r}")
@@ -210,31 +214,90 @@ def gen_true_scores(n: int, mean: float, sd: float, rng: np.random.Generator) ->
     return rng.normal(mean, sd, size=n)
 
 
+@dataclass(frozen=True, eq=False)
+class Ragged(Sequence):
+    """Rows of ids stored flat, CSR style: row i is ``flat[ptr[i]:ptr[i + 1]]``.
+
+    ``flat`` and ``ptr`` are int64 arrays; indexing and iteration give
+    views of ``flat``.
+    """
+
+    flat: np.ndarray
+    ptr: np.ndarray
+
+    @classmethod
+    def of(cls, rows) -> "Ragged":
+        """``rows`` flattened; a Ragged is returned as it is.
+
+        Raises ValueError, rather than converting, unless every row is a 1-d
+        run of integers; an empty row may have any dtype.
+        """
+        if isinstance(rows, Ragged):
+            return rows
+        arrays = [np.asarray(row) for row in rows]
+        for row in arrays:
+            if row.ndim != 1 or (row.size and row.dtype.kind not in "iu"):
+                raise ValueError(f"rows must be integer ids, got a {row.ndim}-d row of {row.dtype}")
+        sizes = np.fromiter(map(len, arrays), dtype=np.int64, count=len(arrays))
+        flat = [np.empty(0, dtype=np.int64), *(row.astype(np.int64, copy=False) for row in arrays)]
+        return cls(np.concatenate(flat), np.concatenate(([0], np.cumsum(sizes))))
+
+    def __len__(self) -> int:
+        return len(self.ptr) - 1
+
+    def __getitem__(self, i: int) -> np.ndarray:
+        i = range(len(self))[operator.index(i)]  # a negative index counts from the end
+        return self.flat[self.ptr[i] : self.ptr[i + 1]]
+
+    def __iter__(self):
+        bounds = self.ptr.tolist()
+        return (self.flat[lo:hi] for lo, hi in zip(bounds[:-1], bounds[1:]))
+
+    @property
+    def sizes(self) -> np.ndarray:
+        return np.diff(self.ptr)
+
+    def row_of(self) -> np.ndarray:
+        """The row index of every entry of ``flat``."""
+        return np.repeat(np.arange(len(self), dtype=np.int64), self.sizes)
+
+
+def _rows(rows, name: str) -> Ragged:
+    try:
+        return Ragged.of(rows)
+    except ValueError as err:
+        raise GenerationError(f"{name}: {err}") from None
+
+
 @dataclass
 class Conference:
     """A generated conference: quality scores, authorship, review assignment.
 
-    The assignment is stored once, as review slots in CSR layout: reviewer
-    r holds papers ``slot_papers[reviewer_ptr[r]:reviewer_ptr[r + 1]]``,
-    and ``slot_reviewers`` (derived) names the reviewer of every slot.
-    Slots run reviewer by reviewer; a generated conference lists each
-    reviewer's papers in increasing order, a hand-built one keeps the order
-    it was given.
+    ``authorship`` holds each author's paper ids as one ``Ragged`` row
+    (a list of rows is converted). The assignment is stored once, as
+    review slots in CSR layout: reviewer r holds papers
+    ``slot_papers[reviewer_ptr[r]:reviewer_ptr[r + 1]]``, and
+    ``slot_reviewers`` (derived) names the reviewer of every slot. Slots
+    run reviewer by reviewer; a generated conference lists each reviewer's
+    papers in increasing order, a hand-built one keeps the order it was
+    given. Per-slot data, such as scores, are arrays aligned with
+    ``slot_papers``.
     """
 
     true_scores: np.ndarray
-    authorship: list[np.ndarray]
+    authorship: Ragged
     slot_papers: np.ndarray
     reviewer_ptr: np.ndarray
     slot_reviewers: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
+        self.authorship = _rows(self.authorship, "authorship")
         self.slot_papers = np.asarray(self.slot_papers, dtype=np.int64)
         ptr = self.reviewer_ptr = np.asarray(self.reviewer_ptr, dtype=np.int64)
         csr = ptr.ndim == 1 and len(ptr) > 0 and ptr[0] == 0 and ptr[-1] == self.n_slots
         if not csr or np.any(ptr[1:] < ptr[:-1]):
             raise GenerationError("reviewer_ptr is not a CSR pointer over slot_papers")
-        self.slot_reviewers = np.repeat(np.arange(self.n_reviewers, dtype=np.int64), np.diff(ptr))
+        self.slot_reviewers = Ragged(self.slot_papers, ptr).row_of()
 
     @property
     def n_papers(self) -> int:
@@ -265,10 +328,10 @@ class Conference:
         checks in the order above.
         """
         n = self.n_papers
-        papers, author_of, author_sizes = _flatten(self.authorship)
+        papers, author_of = self.authorship.flat, self.authorship.row_of()
         unknown = (papers < 0) | (papers >= n)
         _raise_first(
-            (author_sizes == 0, lambda a: "author with an empty paper list"),
+            (self.authorship.sizes == 0, lambda a: "author with an empty paper list"),
             (
                 _mask(author_of[unknown], self.n_authors),
                 lambda a: "authorship references an unknown paper id",
@@ -294,18 +357,18 @@ class Conference:
         )
         _raise_first((np.bincount(slot_papers, minlength=n) == 0, lambda p: f"paper {p} has no reviewer"))
 
-    def _paper_reviewers(self) -> list[np.ndarray]:
+    def _paper_reviewers(self) -> Ragged:
         """Per paper, the reviewers holding it in increasing order (the reverse assignment)."""
         # slot_reviewers never decreases, so a stable sort by paper keeps it increasing per paper
         order = np.argsort(self.slot_papers, kind="stable")
         counts = np.bincount(self.slot_papers, minlength=self.n_papers)
-        return _split(self.slot_reviewers[order], np.concatenate(([0], np.cumsum(counts))))
+        return Ragged(self.slot_reviewers[order], np.concatenate(([0], np.cumsum(counts))))
 
     def to_json(self) -> dict:
         return {
             "true_scores": self.true_scores.tolist(),
             "authorship": [a.tolist() for a in self.authorship],
-            "assignment": [a.tolist() for a in _split(self.slot_papers, self.reviewer_ptr)],
+            "assignment": [a.tolist() for a in Ragged(self.slot_papers, self.reviewer_ptr)],
             "reverse_assignment": [a.tolist() for a in self._paper_reviewers()],
         }
 
@@ -317,36 +380,24 @@ class Conference:
         """Read what ``to_json`` writes; raises GenerationError for an invalid conference.
 
         After ``validate``, paper p's stored reverse list must name the
-        reviewers holding p, each once, in any order.
+        reviewers holding p, each once, in any order. An id that is not an
+        integer is refused, not converted.
         """
-        slot_papers, _, sizes = _flatten([np.asarray(a, dtype=np.int64) for a in obj["assignment"]])
+        assignment = _rows(obj["assignment"], "assignment")
         conf = cls(
             true_scores=np.asarray(obj["true_scores"], dtype=float),
-            authorship=[np.asarray(a, dtype=np.int64) for a in obj["authorship"]],
-            slot_papers=slot_papers,
-            reviewer_ptr=np.concatenate(([0], np.cumsum(sizes))),
+            authorship=obj["authorship"],
+            slot_papers=assignment.flat,
+            reviewer_ptr=assignment.ptr,
         )
         conf.validate()
-        listed = obj["reverse_assignment"]
+        listed = _rows(obj["reverse_assignment"], "reverse_assignment")
         if len(listed) != conf.n_papers:
             raise GenerationError("reverse_assignment length != n_papers")
         for p, (given, held) in enumerate(zip(listed, conf._paper_reviewers())):
-            if sorted(given) != held.tolist():
+            if np.sort(given).tolist() != held.tolist():
                 raise GenerationError(f"reverse_assignment inconsistent for paper {p}")
         return conf
-
-
-def _flatten(lists: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The lists concatenated, the list index of each element, and the list sizes."""
-    sizes = np.fromiter((len(a) for a in lists), dtype=np.int64, count=len(lists))
-    flat = np.concatenate(lists).astype(np.int64, copy=False) if lists else np.empty(0, dtype=np.int64)
-    return flat, np.repeat(np.arange(len(lists), dtype=np.int64), sizes), sizes
-
-
-def _split(flat: np.ndarray, ptr: np.ndarray) -> list[np.ndarray]:
-    """Views of ``flat`` between consecutive CSR pointers."""
-    bounds = ptr.tolist()
-    return [flat[lo:hi] for lo, hi in zip(bounds[:-1], bounds[1:])]
 
 
 def _repeats(owner: np.ndarray, values: np.ndarray) -> np.ndarray:
@@ -409,7 +460,7 @@ def _deal_authorship(
     multiplicities: np.ndarray,
     dist: DiscreteDistribution,
     rng: np.random.Generator,
-) -> list[np.ndarray]:
+) -> Ragged:
     """Match authors to papers: author a gets multiplicities[a] distinct papers.
 
     A shuffled deck holds each paper once per target author slot; authors are
@@ -447,7 +498,7 @@ def _deal_authorship(
             owner = np.repeat(deal_order, multiplicities[deal_order])
             dealt = np.asarray(deck[:ptr], dtype=np.int64)
             dealt = dealt[np.lexsort((dealt, owner))]
-            return _split(dealt, np.concatenate(([0], np.cumsum(multiplicities))))
+            return Ragged(dealt, np.concatenate(([0], np.cumsum(multiplicities))))
     raise GenerationError(
         f"authorship dealing failed after {_MATCHING_RETRIES} retries; "
         "multiplicity targets are too tight for this paper count"

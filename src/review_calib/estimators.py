@@ -17,38 +17,42 @@ from typing import Sequence
 
 import numpy as np
 
-from .conference import Conference
+from .conference import Conference, Ragged
 from .isotonic import _pava_non_decreasing, isotonic_project_indexed
 from .ranking import full_ranking, hierarchical_tiers
-from .scoring import ReviewerRanking, ScoreTable
 
 EstimateVector = np.ndarray
 """Per-paper quality estimates, indexed by paper id."""
 
 
-def avg_scores(final: ScoreTable, conf: Conference) -> EstimateVector:
+def avg_scores(final: np.ndarray, conf: Conference) -> EstimateVector:
     """Mean final score per paper; every paper must have at least one review.
 
-    Raises ValueError for an empty table, a paper id outside the conference
-    or a non-finite score.
+    ``final`` holds one score per review slot, aligned with
+    ``conf.slot_papers``. Raises ValueError for empty scores, a length
+    other than ``conf.n_slots``, a slot paper id outside the conference or
+    a non-finite score.
     """
-    papers = final.papers
-    if len(papers) == 0:
-        raise ValueError("score table is empty")
+    final = np.asarray(final, dtype=float)
+    papers = conf.slot_papers
+    if len(final) == 0:
+        raise ValueError("scores are empty")
+    if final.shape != papers.shape:
+        raise ValueError(f"expected {conf.n_slots} slot scores, got shape {final.shape}")
     if papers.min() < 0 or papers.max() >= conf.n_papers:
-        raise ValueError(f"score table references a paper id outside [0, {conf.n_papers})")
-    if not np.isfinite(final.values).all():
+        raise ValueError(f"slot_papers references a paper id outside [0, {conf.n_papers})")
+    if not np.isfinite(final).all():
         raise ValueError("review scores must be finite")
     counts = np.bincount(papers, minlength=conf.n_papers)
     if np.any(counts == 0):
         missing = int(np.flatnonzero(counts == 0)[0])
         raise ValueError(f"paper {missing} has no review score")
-    sums = np.bincount(papers, weights=final.values, minlength=conf.n_papers)
+    sums = np.bincount(papers, weights=final, minlength=conf.n_papers)
     return sums / counts
 
 
 def calibrate_reviewer(
-    avg: EstimateVector, rankings: Sequence[ReviewerRanking], blend: float = 0.5
+    avg: EstimateVector, rankings: Sequence[np.ndarray], blend: float = 0.5
 ) -> EstimateVector:
     """Calibrate averages along the reviewer-derived global ranking.
 
@@ -70,30 +74,21 @@ class OwnerPartition:
     quality; ownership sets never overlap and each has >= 2 papers.
 
     Construction also derives a flat layout of ``owners`` in insertion
-    order, which ``calibrate_author`` reads: the concatenated paper ids,
-    CSR pointers (owner k holds ``_papers[_ptr[k]:_ptr[k + 1]]``) and a
-    mask that is true where an entry has the same owner as the entry
-    before it. The layout is not refreshed, so ``owners`` must not be
+    order, which ``calibrate_author`` reads: one ``Ragged`` row of paper
+    ids per owner. Owned papers must be integer ids (ValueError
+    otherwise). The layout is not refreshed, so ``owners`` must not be
     mutated after construction.
     """
 
     owners: dict[int, np.ndarray]
-    _papers: np.ndarray = field(init=False, repr=False, compare=False)
-    _ptr: np.ndarray = field(init=False, repr=False, compare=False)
-    _same_owner: np.ndarray = field(init=False, repr=False, compare=False)
+    _owned: Ragged = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        owned = [np.asarray(p) for p in self.owners.values()]
-        lengths = np.array([len(p) for p in owned], dtype=np.int64)
-        self._papers = np.concatenate([np.zeros(0, dtype=np.int64), *owned])
-        self._ptr = np.concatenate(([0], np.cumsum(lengths)))
-        owner_of = np.repeat(np.arange(len(owned)), lengths)
-        self._same_owner = np.zeros(len(owner_of), dtype=bool)
-        self._same_owner[1:] = owner_of[1:] == owner_of[:-1]
+        self._owned = Ragged.of(self.owners.values())
 
     @property
     def n_owned(self) -> int:
-        return sum(len(v) for v in self.owners.values())
+        return len(self._owned.flat)
 
     def validate(self) -> None:
         seen: set[int] = set()
@@ -114,9 +109,7 @@ def build_owner_partition(conf: Conference) -> OwnerPartition:
     is kept only if at least two remain. Owned papers are ordered by
     descending true score (smaller id first on exact ties).
     """
-    multiplicities = np.fromiter(
-        (len(p) for p in conf.authorship), dtype=np.int64, count=conf.n_authors
-    )
+    multiplicities = conf.authorship.sizes
     order = np.lexsort((np.arange(conf.n_authors), -multiplicities))
     theta = conf.true_scores
     claimed = np.zeros(conf.n_papers, dtype=bool)
@@ -153,11 +146,13 @@ def calibrate_author(
     out = np.asarray(scores, dtype=float).copy()
     if not np.isfinite(out).all():
         raise ValueError("scores must be finite")
-    papers, ptr = owners._papers, owners._ptr
+    papers, ptr = owners._owned.flat, owners._owned.ptr
     y = out[papers]
-    # the first entry of each strict rise; it shares its owner with the next entry
-    rises = np.flatnonzero(owners._same_owner[1:] & (y[1:] > y[:-1]))
-    rising = np.unique(np.searchsorted(ptr, rises, side="right") - 1)
+    # the first entry of each strict rise, and its owner; a rise counts when
+    # the next entry has the same owner
+    rises = np.flatnonzero(y[1:] > y[:-1])
+    owner = np.searchsorted(ptr, rises, side="right") - 1
+    rising = np.unique(owner[ptr[owner + 1] > rises + 1])
     segments = zip(ptr[rising].tolist(), ptr[rising + 1].tolist())
     # isotonic_fit's unit-weight non-increasing fit; the check above covers every owner
     fitted = -_pava_non_decreasing(-y, None, segments)
@@ -167,7 +162,7 @@ def calibrate_author(
 
 def calibrate_combined(
     avg: EstimateVector,
-    rankings: Sequence[ReviewerRanking],
+    rankings: Sequence[np.ndarray],
     owners: OwnerPartition,
     blend: float = 0.5,
 ) -> EstimateVector:

@@ -11,6 +11,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from .conference import Ragged
+
 
 @dataclass
 class TierDecomposition:
@@ -25,9 +27,8 @@ class TierDecomposition:
         problem: an empty tier or one that shares a paper with an earlier
         tier. A paper repeated inside one tier is not an overlap.
         """
-        sizes = np.fromiter(map(len, self.tiers), dtype=np.int64, count=len(self.tiers))
-        ids = _concat_ids(self.tiers)
-        tier_of = np.repeat(np.arange(len(sizes)), sizes)
+        tiers = Ragged.of(self.tiers)
+        sizes, ids, tier_of = tiers.sizes, tiers.flat, tiers.row_of()
         order = np.lexsort((tier_of, ids))
         ids_sorted, tier_sorted = ids[order], tier_of[order]
         again = (ids_sorted[1:] == ids_sorted[:-1]) & (tier_sorted[1:] != tier_sorted[:-1])
@@ -44,12 +45,6 @@ class TierDecomposition:
 
     def to_json(self) -> list[list[int]]:
         return [tier.tolist() for tier in self.tiers]
-
-
-def _concat_ids(arrays: Sequence) -> np.ndarray:
-    if len(arrays) == 0:
-        return np.empty(0, dtype=np.int64)
-    return np.concatenate(arrays).astype(np.int64, copy=False)
 
 
 def _sorted_unique(ids: np.ndarray) -> np.ndarray:
@@ -70,33 +65,28 @@ def hierarchical_tiers(
     the same result by decrementing loss counters as winners leave, since
     dropping a removed paper's comparisons only affects counts it won.
     The final tier is whatever remains when no paper is loss-free.
-    Papers outside ``all_papers`` are dropped from the rankings; a paper
-    repeated within a ranking raises ValueError.
+    ``rankings`` is a ``Ragged`` or a list of rows, each most preferred
+    first. A ranking that is not integer ids, names a paper outside
+    ``all_papers`` or repeats a paper raises ValueError.
     """
     papers = _sorted_unique(np.fromiter(all_papers, dtype=np.int64))
     n = len(papers)
-    if n == 0:
-        return TierDecomposition(tiers=[])
-    lengths = np.fromiter(map(len, rankings), dtype=np.int64, count=len(rankings))
-    flat = _concat_ids(rankings)
-    owner = np.repeat(np.arange(len(rankings)), lengths)
-    pos = np.searchsorted(papers, flat)
-    kept = pos < n
-    kept[kept] = papers[pos[kept]] == flat[kept]
-    ids, owner = pos[kept], owner[kept]
+    rankings = Ragged.of(rankings)
+    ids = np.searchsorted(papers, rankings.flat)
+    known = ids < n
+    known[known] = papers[ids[known]] == rankings.flat[known]
+    if not known.all():
+        raise ValueError("ranking names a paper outside all_papers")
 
-    kept_len = np.bincount(owner, minlength=len(rankings))
-    kept_start = np.cumsum(kept_len) - kept_len
-    winner_parts, loser_parts = [], []
-    for size in np.flatnonzero(np.bincount(kept_len)).tolist():
+    sizes, start = rankings.sizes, rankings.ptr[:-1]
+    winners = losers = np.empty(0, dtype=np.int64)
+    for size in np.flatnonzero(np.bincount(sizes)).tolist():
         if size < 2:
             continue
-        first = kept_start[kept_len == size][:, None]
+        first = start[sizes == size][:, None]
         a, b = np.triu_indices(size, k=1)
-        winner_parts.append(ids[first + a].ravel())
-        loser_parts.append(ids[first + b].ravel())
-    winners = _concat_ids(winner_parts)
-    losers = _concat_ids(loser_parts)
+        winners = np.concatenate((winners, ids[first + a].ravel()))
+        losers = np.concatenate((losers, ids[first + b].ravel()))
     # every pair of positions is expanded, so a repeat shows up as a self-pair
     if np.any(winners == losers):
         raise ValueError("ranking contains a repeated paper")

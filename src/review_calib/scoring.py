@@ -25,12 +25,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .conference import Conference
+from .conference import Conference, Ragged
 from .errors import ConfigurationError
 from .isotonic import project_rows_non_increasing
-
-ReviewerRanking = np.ndarray
-"""Paper ids of one reviewer's bundle, most preferred first."""
 
 
 @dataclass(frozen=True)
@@ -69,40 +66,6 @@ def get_noise_case(name: str) -> NoiseCase:
     raise ConfigurationError(
         f"unknown noise case {name!r}; expected one of {sorted(NOISE_CASES)}"
     )
-
-
-@dataclass
-class ScoreTable:
-    """Sparse (reviewer, paper) -> score map on the assignment support.
-
-    Slot-aligned with the conference: entry k is reviewer
-    ``reviewers[k]``'s score for paper ``papers[k]``, slots in the
-    conference's order (reviewer by reviewer). ``reviewer_ptr`` is the CSR
-    pointer per reviewer.
-    """
-
-    reviewers: np.ndarray
-    papers: np.ndarray
-    values: np.ndarray
-    reviewer_ptr: np.ndarray
-
-    @classmethod
-    def for_conference(cls, conf: Conference, values: np.ndarray) -> "ScoreTable":
-        if len(values) != conf.n_slots:
-            raise ValueError(f"expected {conf.n_slots} slot values, got {len(values)}")
-        return cls(
-            reviewers=conf.slot_reviewers,
-            papers=conf.slot_papers,
-            values=np.asarray(values, dtype=float),
-            reviewer_ptr=conf.reviewer_ptr,
-        )
-
-    def to_json(self) -> dict:
-        return {
-            "reviewers": self.reviewers.tolist(),
-            "papers": self.papers.tolist(),
-            "values": self.values.tolist(),
-        }
 
 
 def _draw_reviewer_params(
@@ -191,25 +154,28 @@ def _sample_pl_rows(theta: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
 
 def generate_final_scores(
     conf: Conference, case: NoiseCase, rng: np.random.Generator
-) -> tuple[ScoreTable, ScoreTable, list[ReviewerRanking]]:
+) -> tuple[np.ndarray, np.ndarray, Ragged]:
     """Full three-step simulation for every reviewer.
 
-    Returns (final table, raw table, rankings); rankings[r] holds reviewer
-    r's bundle as paper ids, most preferred first (empty for reviewers
-    without assignments). The three sub-streams (parameters, raw scores,
-    rankings) are spawned from ``rng``; rankings are sampled in reviewer-id
-    order, so the output is independent of any outer parallelism.
+    Returns (final, raw, rankings). ``final`` and ``raw`` hold one score
+    per review slot, aligned with ``conf.slot_papers``. ``rankings`` has
+    one row per reviewer, on ``conf.reviewer_ptr``: rankings[r] holds
+    reviewer r's bundle as paper ids, most preferred first (empty for
+    reviewers without assignments). The three sub-streams (parameters, raw
+    scores, rankings) are spawned from ``rng``; rankings are sampled in
+    reviewer-id order, so the output is independent of any outer
+    parallelism.
     """
     params_rng, scores_rng, ranking_rng = rng.spawn(3)
     bias, noise_sd = _draw_reviewer_params(case, conf.n_reviewers, params_rng)
-    raw = ScoreTable.for_conference(conf, _raw_values(conf, bias, noise_sd, scores_rng))
+    raw = _raw_values(conf, bias, noise_sd, scores_rng)
     ptr = conf.reviewer_ptr
     sizes = np.diff(ptr)
     # a bundle of s papers takes s - 1 uniforms, reviewer after reviewer
     draw_ptr = np.concatenate(([0], np.cumsum(np.maximum(sizes - 1, 0))))
     uniforms = ranking_rng.random(int(draw_ptr[-1]))
     ranked = np.empty(conf.n_slots, dtype=np.int64)
-    final_values = np.empty(conf.n_slots)
+    final = np.empty(conf.n_slots)
     for s in np.flatnonzero(np.bincount(sizes)).tolist():
         if s == 0:
             continue
@@ -221,8 +187,5 @@ def generate_final_scores(
         )
         ranked_slots = np.take_along_axis(slots, perm, axis=1)
         ranked[slots] = conf.slot_papers[ranked_slots]
-        final_values[ranked_slots] = project_rows_non_increasing(raw.values[ranked_slots])
-    bounds = ptr.tolist()
-    rankings = [ranked[lo:hi] for lo, hi in zip(bounds[:-1], bounds[1:])]
-    final = ScoreTable.for_conference(conf, final_values)
-    return final, raw, rankings
+        final[ranked_slots] = project_rows_non_increasing(raw[ranked_slots])
+    return final, raw, Ragged(ranked, ptr)

@@ -29,7 +29,8 @@ from scipy.sparse.csgraph import connected_components
 
 from review_calib import Conference, GenerationError
 from review_calib.isotonic import NON_INCREASING, isotonic_fit
-from review_calib.scoring import NoiseCase, ScoreTable, _draw_reviewer_params, _raw_values
+from review_calib.conference import Ragged
+from review_calib.scoring import NoiseCase, _draw_reviewer_params, _raw_values
 
 
 def isotonic_qp_oracle(values, weights=None, direction="non-increasing"):
@@ -293,7 +294,7 @@ def gen_reviewer_params(
 
 def raw_scores(
     conf: Conference, params: list[ReviewerParams], rng: np.random.Generator
-) -> ScoreTable:
+) -> np.ndarray:
     """Step-1 raw scores: Normal(theta + bias, noise_sd) per assigned pair.
 
     Draws are independent across (reviewer, paper) pairs and consumed from
@@ -304,7 +305,7 @@ def raw_scores(
         raise ValueError(f"expected {conf.n_reviewers} reviewer params, got {len(params)}")
     bias = np.fromiter((p.bias for p in params), dtype=float, count=len(params))
     noise_sd = np.fromiter((p.noise_sd for p in params), dtype=float, count=len(params))
-    return ScoreTable.for_conference(conf, _raw_values(conf, bias, noise_sd, rng))
+    return _raw_values(conf, bias, noise_sd, rng)
 
 
 def sample_pl_ranking(theta: np.ndarray, rng: np.random.Generator) -> np.ndarray:
@@ -342,7 +343,7 @@ def generate_final_scores_reference(conf, case, rng):
     params = gen_reviewer_params(case, conf.n_reviewers, params_rng)
     raw = raw_scores(conf, params, scores_rng)
     theta = conf.true_scores
-    final_values = np.empty(conf.n_slots)
+    final = np.empty(conf.n_slots)
     rankings = []
     ptr = conf.reviewer_ptr
     empty = np.empty(0, dtype=np.int64)
@@ -355,9 +356,8 @@ def generate_final_scores_reference(conf, case, rng):
         perm = sample_pl_ranking(theta[bundle], ranking_rng)
         rankings.append(bundle[perm])
         adjusted = np.empty(hi - lo)
-        adjusted[perm] = isotonic_fit(raw.values[lo:hi][perm], direction=NON_INCREASING)
-        final_values[lo:hi] = adjusted
-    final = ScoreTable.for_conference(conf, final_values)
+        adjusted[perm] = isotonic_fit(raw[lo:hi][perm], direction=NON_INCREASING)
+        final[lo:hi] = adjusted
     return final, raw, rankings
 
 
@@ -385,11 +385,12 @@ def two_state_stationary(a, b):
 
 def conference_from_lists(true_scores, authorship, assignment):
     """An unvalidated Conference from per-author and per-reviewer paper lists."""
+    assignment = Ragged.of(assignment)
     return Conference(
         true_scores=np.asarray(true_scores, dtype=float),
-        authorship=[np.asarray(a, dtype=np.int64) for a in authorship],
-        slot_papers=np.concatenate([np.asarray(a, dtype=np.int64) for a in assignment]),
-        reviewer_ptr=np.cumsum([0, *map(len, assignment)]),
+        authorship=authorship,
+        slot_papers=assignment.flat,
+        reviewer_ptr=assignment.ptr,
     )
 
 

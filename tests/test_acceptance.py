@@ -185,10 +185,10 @@ def test_criterion_6_score_generation_invariants(default_conference, default_bas
         papers = conf.slot_papers[lo:hi]
         position = {int(p): k for k, p in enumerate(rankings[r])}
         order = np.argsort([position[int(p)] for p in papers])
-        if np.any(np.diff(final.values[lo:hi][order]) > 1e-12):
+        if np.any(np.diff(final[lo:hi][order]) > 1e-12):
             monotone = False
-        total_raw = raw.values[lo:hi].sum()
-        drift = abs(final.values[lo:hi].sum() - total_raw) / max(1.0, abs(total_raw))
+        total_raw = raw[lo:hi].sum()
+        drift = abs(final[lo:hi].sum() - total_raw) / max(1.0, abs(total_raw))
         max_rel_drift = max(max_rel_drift, drift)
     ok = monotone and max_rel_drift <= 1e-9
     _report(6, "final scores obey rankings and preserve totals", ok,

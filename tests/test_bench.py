@@ -133,6 +133,32 @@ def test_config_validation_errors():
         ExperimentConfig(output_format="xml")
 
 
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        pytest.param("repetitions", 2.5, "repetitions must be an integer", id="repetitions-fractional"),
+        pytest.param("repetitions", "3", "repetitions must be an integer", id="repetitions-string"),
+        pytest.param("blend", "0.5", "blend must be a finite number", id="blend-string"),
+        pytest.param("blend", None, "blend must be a finite number", id="blend-none"),
+        pytest.param("output_path", 5, "output_path must be a string", id="output-path-number"),
+        pytest.param("output_format", 5, "output_format must be one of", id="output-format-number"),
+        pytest.param("cases", ["Base"], "cases must be a tuple of names", id="cases-list"),
+        pytest.param("cases", ("Base", 5), "cases must be a tuple of names", id="cases-non-string"),
+        pytest.param("cases", "Base", "cases must be a tuple of names", id="cases-string"),
+    ],
+)
+def test_python_built_experiment_config_is_typed(field, value, message):
+    with pytest.raises(ConfigurationError, match=message):
+        ExperimentConfig(**{field: value})
+
+
+def test_python_built_experiment_config_stores_typed_values():
+    config = ExperimentConfig(repetitions=np.int64(3), blend=1, master_seed=np.uint32(7))
+    assert type(config.repetitions) is int and config.repetitions == 3
+    assert type(config.blend) is float and config.blend == 1.0
+    assert type(config.master_seed) is int and config.master_seed == 7
+
+
 def test_experiment_config_json_round_trip():
     config = ExperimentConfig(
         gen=scaled_config(GenConfig(), 100),

@@ -21,6 +21,7 @@ from review_calib import (
 )
 from review_calib.conference import (
     DEFAULT_MASTER_SEED,
+    Ragged,
     fit_multiplicity_distribution,
     gen_true_scores,
     sample_author_multiplicities,
@@ -243,6 +244,28 @@ def test_python_built_genconfig_rejects_untyped_count(field, value):
 
 
 @pytest.mark.parametrize(
+    "field, value",
+    [
+        pytest.param("true_score_sd", "0.88", id="sd-string"),
+        pytest.param("true_score_mean", "5", id="mean-string"),
+        pytest.param("true_score_mean", None, id="mean-none"),
+        pytest.param("capacity_slack", "1.05", id="slack-string"),
+        pytest.param("capacity_slack", True, id="slack-bool"),
+        pytest.param("true_score_sd", float("nan"), id="sd-nan"),
+    ],
+)
+def test_python_built_genconfig_rejects_untyped_float(field, value):
+    with pytest.raises(ConfigurationError, match=f"{field} must be a finite number"):
+        replace(scaled_config(GenConfig(), 80), **{field: value})
+
+
+def test_python_built_genconfig_stores_floats():
+    config = replace(scaled_config(GenConfig(), 80), true_score_mean=5, capacity_slack=np.float32(1.5))
+    assert type(config.true_score_mean) is float and type(config.capacity_slack) is float
+    assert config.true_score_mean == 5.0 and config.capacity_slack == 1.5
+
+
+@pytest.mark.parametrize(
     "value", [np.int64(80), np.int32(80), np.uint16(80), 80.0], ids=["int64", "int32", "uint16", "float"]
 )
 def test_python_built_genconfig_accepts_integral_count(value):
@@ -323,6 +346,66 @@ def _from_json_message(message):
 def test_small_conference_is_valid():
     Conference.from_json(_small_conf()).validate()
     validate_conference_reference(_small_conf())
+
+
+@pytest.mark.parametrize(
+    "field, rows",
+    [
+        pytest.param("assignment", [[0, 1], [1, 10.5], [0, 2]], id="fractional-assignment-id"),
+        pytest.param("assignment", [[0, 1], [1.0, 2], [0, 2]], id="float-assignment-id"),
+        pytest.param("assignment", [[[0, 1]], [1, 2], [0, 2]], id="nested-assignment-row"),
+        pytest.param("authorship", [["0", 1], [2]], id="string-authorship-id"),
+        pytest.param("authorship", [[0, 1], ["23"]], id="string-only-authorship-row"),
+        pytest.param("authorship", [[True, False], [2]], id="bool-authorship-row"),
+        pytest.param("reverse_assignment", [[0, "2"], [0, 1], [1, 2]], id="string-reverse-id"),
+        pytest.param("reverse_assignment", [[0, 2.0], [0, 1], [1, 2]], id="float-reverse-id"),
+    ],
+)
+def test_from_json_refuses_non_integer_ids(field, rows):
+    with pytest.raises(GenerationError, match=f"{field}: rows must be integer ids"):
+        Conference.from_json({**_small_conf(), field: rows})
+
+
+# --- the ragged rows type
+
+
+def test_ragged_of_lists_arrays_and_empty_rows():
+    rows = [[3, 1], [], np.array([2], dtype=np.int32), np.array([], dtype=float)]
+    ragged = Ragged.of(rows)
+    assert ragged.flat.dtype == ragged.ptr.dtype == np.int64
+    assert ragged.flat.tolist() == [3, 1, 2] and ragged.ptr.tolist() == [0, 2, 2, 3, 3]
+    assert len(ragged) == 4
+    assert [row.tolist() for row in ragged] == [[3, 1], [], [2], []]
+    assert all(row.dtype == np.int64 for row in ragged)
+    assert ragged.sizes.tolist() == [2, 0, 1, 0]
+    assert ragged.row_of().tolist() == [0, 0, 2]
+    assert Ragged.of(ragged) is ragged
+    empty = Ragged.of([])
+    assert len(empty) == 0 and list(empty) == [] and empty.ptr.tolist() == [0]
+    assert empty.row_of().tolist() == [] and empty.sizes.tolist() == []
+
+
+def test_ragged_indexing():
+    ragged = Ragged(np.array([5, 6, 7]), np.array([0, 1, 1, 3]))
+    assert ragged[0].tolist() == [5] and ragged[1].tolist() == [] and ragged[2].tolist() == [6, 7]
+    assert ragged[-1].tolist() == [6, 7] and ragged[-3].tolist() == [5]
+    assert ragged[np.int64(2)].tolist() == [6, 7]
+    for i in (3, -4, 10):
+        with pytest.raises(IndexError):
+            ragged[i]
+    with pytest.raises(IndexError):
+        Ragged.of([])[0]
+    # a row is a view of the flat array
+    assert ragged[2].base is ragged.flat
+
+
+@pytest.mark.parametrize(
+    "rows", [[[0.5]], [[1.0, 2.0]], [["1"]], [[False]], [[[1, 2]]], [3], [[2**70]]],
+    ids=["fractional", "integral-float", "string", "bool", "2-d-row", "scalar-row", "beyond-int64"],
+)
+def test_ragged_refuses_non_integer_rows(rows):
+    with pytest.raises(ValueError, match="rows must be integer ids"):
+        Ragged.of(rows)
 
 
 _INVALID = {

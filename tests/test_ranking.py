@@ -208,8 +208,12 @@ def _peel_inputs(draw):
             st.builds(range, st.integers(0, 12)),
         )
     )
-    # ids run past both ends of all_papers, so some get dropped
+    # ids from all_papers, or ids that run past both ends of it, so that some
+    # rankings name unknown papers
+    known = sorted(all_papers)
     paper_ids = st.integers(-2, 33)
+    if known and draw(st.booleans()):
+        paper_ids = st.sampled_from(known)
     rankings = draw(st.lists(st.lists(paper_ids, unique=True, max_size=6), max_size=12))
     as_arrays = draw(st.booleans())
     if as_arrays:
@@ -221,6 +225,10 @@ def _peel_inputs(draw):
 @given(_peel_inputs())
 def test_peel_matches_rebuild_oracle_property(inputs):
     rankings, all_papers = inputs
+    if not {int(p) for r in rankings for p in r} <= set(all_papers):
+        with pytest.raises(ValueError, match="outside"):
+            hierarchical_tiers(rankings, all_papers)
+        return
     fast = hierarchical_tiers(rankings, all_papers)
     assert fast.to_json() == naive_hierarchical_tiers(rankings, all_papers)
     assert all(t.dtype == np.int64 for t in fast.tiers)
@@ -231,9 +239,44 @@ def test_tiers_reject_repeated_paper():
         hierarchical_tiers(_rankings([0, 1], [1, 1]), range(3))
     with pytest.raises(ValueError, match="repeated"):
         hierarchical_tiers(_rankings([2, 0, 1, 0]), range(3))
-    # as in extract_pairwise, only papers kept in the comparison set count
-    tiers = hierarchical_tiers(_rankings([0, 7, 1, 7]), range(3))
-    assert tiers.to_json() == [[0, 2], [1]]
+    # a paper outside the comparison set is an error, not dropped as extract_pairwise drops it
+    with pytest.raises(ValueError, match="outside"):
+        hierarchical_tiers(_rankings([0, 7, 1, 7]), range(3))
+
+
+@pytest.mark.parametrize(
+    "rankings",
+    [[[0.0, 1.0]], [np.array([0.5, 1.5])], [[0, 1], np.array([2.0])], [["0", "1"]], [[[0, 1]]]],
+    ids=["float-list", "fractional-array", "float-row", "string-row", "2-d-row"],
+)
+def test_tiers_reject_non_integer_rankings(rankings):
+    with pytest.raises(ValueError, match="integer ids"):
+        hierarchical_tiers(rankings, range(3))
+
+
+@st.composite
+def _bundle_rankings(draw):
+    """Rankings of distinct papers of range(n), every id known."""
+    n = draw(st.integers(1, 14))
+    bundle = st.lists(st.integers(0, n - 1), unique=True, max_size=min(n, 6))
+    return draw(st.lists(bundle, max_size=30)), n
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(_bundle_rankings())
+def test_never_loser_invariant_property(inputs):
+    # every paper of a non-final tier loses no comparison among the papers still remaining
+    rankings, n = inputs
+    tiers = hierarchical_tiers(rankings, range(n))
+    remaining = set(range(n))
+    for tier in tiers.tiers[:-1]:
+        members = {int(p) for p in tier}
+        for ranking in rankings:
+            kept = [int(p) for p in ranking if int(p) in remaining]
+            losers = {p for k, p in enumerate(kept) if k > 0}
+            assert not members & losers
+        remaining -= members
+    assert remaining == {int(p) for p in tiers.tiers[-1]}
 
 
 def test_tiers_partition_and_cross_tier_dominance():

@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import (
     ReviewerParams,
@@ -20,13 +22,14 @@ from review_calib import (
     DiscreteDistribution,
     GenConfig,
     NOISE_CASES,
+    avg_scores,
     generate_final_scores,
     gen_conference,
     get_noise_case,
     scaled_config,
 )
 from review_calib.isotonic import project_rows_non_increasing
-from review_calib.scoring import NoiseCase, ScoreTable, pl_ranking_prob
+from review_calib.scoring import NoiseCase, pl_ranking_prob
 
 
 def _rng(seed=0):
@@ -93,19 +96,19 @@ def test_raw_scores_zero_noise_is_exact_shift(tiny_conf):
     params = [ReviewerParams(bias=0.75, noise_sd=0.0) for _ in range(tiny_conf.n_reviewers)]
     table = raw_scores(tiny_conf, params, _rng())
     expected = tiny_conf.true_scores[tiny_conf.slot_papers] + 0.75
-    assert np.array_equal(table.values, expected)
+    assert np.array_equal(table, expected)
 
 
 def test_raw_scores_identity_case(tiny_conf):
     params = [ReviewerParams(0.0, 0.0) for _ in range(tiny_conf.n_reviewers)]
     table = raw_scores(tiny_conf, params, _rng())
-    assert np.array_equal(table.values, tiny_conf.true_scores[tiny_conf.slot_papers])
+    assert np.array_equal(table, tiny_conf.true_scores[tiny_conf.slot_papers])
 
 
 def test_raw_scores_moments():
     conf = _single_paper_conference(10**5, theta=5.0)
     params = [ReviewerParams(1.0, 2.0) for _ in range(conf.n_reviewers)]
-    values = raw_scores(conf, params, _rng(21)).values
+    values = raw_scores(conf, params, _rng(21))
     assert float(values.mean()) == pytest.approx(6.0, abs=0.02)
     assert float(values.std()) == pytest.approx(2.0, abs=0.02)
 
@@ -223,7 +226,7 @@ def test_projection_preserves_sum():
 def test_single_review_final_equals_raw():
     conf = _single_paper_conference(3)
     final, raw, rankings = generate_final_scores(conf, NOISE_CASES["Base"], _rng(53))
-    assert np.array_equal(final.values, raw.values)
+    assert np.array_equal(final, raw)
     assert all(np.array_equal(r, [0]) for r in rankings)
 
 
@@ -231,14 +234,14 @@ def test_zero_noise_consistent_rankings_recover_theta(tiny_conf):
     silent = NoiseCase("Silent", 0.0, 1.0, 0.0)
     final, raw, rankings = generate_final_scores(tiny_conf, silent, _rng(59))
     theta = tiny_conf.true_scores
-    assert np.array_equal(raw.values, theta[tiny_conf.slot_papers])
+    assert np.array_equal(raw, theta[tiny_conf.slot_papers])
     checked = 0
     for r, ranking in enumerate(rankings):
         if len(ranking) < 2:
             continue
         if np.all(np.diff(theta[ranking]) <= 0):  # sampled order agrees with quality
             lo, hi = tiny_conf.reviewer_ptr[r], tiny_conf.reviewer_ptr[r + 1]
-            assert np.array_equal(final.values[lo:hi], theta[tiny_conf.slot_papers[lo:hi]])
+            assert np.array_equal(final[lo:hi], theta[tiny_conf.slot_papers[lo:hi]])
             checked += 1
     assert checked > 0
 
@@ -252,18 +255,18 @@ def test_final_scores_obey_rankings_and_preserve_totals(tiny_conf):
         papers = tiny_conf.slot_papers[lo:hi]
         position = {int(p): k for k, p in enumerate(rankings[r])}
         order = np.argsort([position[int(p)] for p in papers])
-        ranked_values = final.values[lo:hi][order]
+        ranked_values = final[lo:hi][order]
         assert np.all(np.diff(ranked_values) <= 1e-12)
-        assert final.values[lo:hi].sum() == pytest.approx(
-            raw.values[lo:hi].sum(), rel=1e-9
+        assert final[lo:hi].sum() == pytest.approx(
+            raw[lo:hi].sum(), rel=1e-9
         )
 
 
 def test_generation_deterministic(tiny_conf):
     a = generate_final_scores(tiny_conf, NOISE_CASES["Base"], _rng(67))
     b = generate_final_scores(tiny_conf, NOISE_CASES["Base"], _rng(67))
-    assert np.array_equal(a[0].values, b[0].values)
-    assert np.array_equal(a[1].values, b[1].values)
+    assert np.array_equal(a[0], b[0])
+    assert np.array_equal(a[1], b[1])
     assert all(np.array_equal(x, y) for x, y in zip(a[2], b[2]))
 
 
@@ -278,8 +281,8 @@ def _mixed_bundle_conference(theta, seed=3):
 def _assert_matches_reference(conf, case, seed):
     fast = generate_final_scores(conf, case, _rng(seed))
     slow = generate_final_scores_reference(conf, case, _rng(seed))
-    assert fast[0].values.tobytes() == slow[0].values.tobytes()
-    assert fast[1].values.tobytes() == slow[1].values.tobytes()
+    assert fast[0].tobytes() == slow[0].tobytes()
+    assert fast[1].tobytes() == slow[1].tobytes()
     assert len(fast[2]) == len(slow[2]) == conf.n_reviewers
     for got, want in zip(fast[2], slow[2]):
         assert got.dtype == want.dtype == np.int64
@@ -302,6 +305,23 @@ def test_batched_simulation_matches_reference_bitwise(case, theta):
         _assert_matches_reference(conf, NOISE_CASES[case], seed)
 
 
+@st.composite
+def _hand_built_conferences(draw):
+    """Up to 12 papers with spread or tied qualities, and up to 10 bundles of 0-8 of them."""
+    n = draw(st.integers(1, 12))
+    quality = st.one_of(st.floats(0.0, 10.0), st.sampled_from([4.0, 5.0]))
+    theta = draw(st.lists(quality, min_size=n, max_size=n))
+    bundle = st.lists(st.integers(0, n - 1), unique=True, max_size=min(n, 8))
+    assignment = draw(st.lists(bundle, max_size=10))
+    return conference_from_lists(theta, [list(range(n))], assignment)
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(_hand_built_conferences(), st.sampled_from(list(NOISE_CASES)), st.integers(0, 2**32 - 1))
+def test_batched_simulation_matches_reference_property(conf, case, seed):
+    _assert_matches_reference(conf, NOISE_CASES[case], seed)
+
+
 def test_reference_check_covers_long_pooled_blocks():
     # zero noise keeps raw scores in quality order, so any sampled ranking
     # that reverses a run of three or more papers pools them into one block
@@ -310,7 +330,7 @@ def test_reference_check_covers_long_pooled_blocks():
     ptr = conf.reviewer_ptr
     longest = 0
     for lo, hi in zip(ptr[:-1], ptr[1:]):
-        f, r = final.values[lo:hi], raw.values[lo:hi]
+        f, r = final[lo:hi], raw[lo:hi]
         for pooled_value in set(f[f != r].tolist()):
             longest = max(longest, int(np.sum(f == pooled_value)))
     assert longest >= 3
@@ -334,9 +354,12 @@ def test_reviewers_without_papers_get_empty_rankings():
     assert all(r.dtype == np.int64 for r in rankings)
 
 
-# --- score table
+# --- slot-aligned scores
 
 
 def test_score_table_length_checked(tiny_conf):
-    with pytest.raises(ValueError, match="slot values"):
-        ScoreTable.for_conference(tiny_conf, np.zeros(tiny_conf.n_slots + 1))
+    final, _, _ = generate_final_scores(tiny_conf, NOISE_CASES["Base"], _rng(83))
+    assert final.shape == (tiny_conf.n_slots,)
+    for wrong in (np.zeros(tiny_conf.n_slots + 1), final[:-1], final[None, :]):
+        with pytest.raises(ValueError, match="slot scores"):
+            avg_scores(wrong, tiny_conf)
