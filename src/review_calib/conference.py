@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import functools
 import json
+import math
 import operator
 from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
@@ -262,6 +263,23 @@ class Ragged(Sequence):
         return np.repeat(np.arange(len(self), dtype=np.int64), self.sizes)
 
 
+@dataclass(frozen=True)
+class _BundleGroup:
+    """The reviewers whose bundle holds the same number s >= 2 of papers.
+
+    Row i is one reviewer: ``slots[i]`` are their s review slots in
+    conference order, ``draws[i]`` the positions of their s - 1 uniforms in
+    a ranking pass's draws, ``weights[i]`` their papers' Plackett-Luce
+    weights exp(theta - row max), by ``math.exp``, and ``total[i]`` the
+    left-to-right sum of those weights.
+    """
+
+    slots: np.ndarray
+    draws: np.ndarray
+    weights: np.ndarray
+    total: np.ndarray
+
+
 def _rows(rows, name: str) -> Ragged:
     try:
         return Ragged.of(rows)
@@ -282,6 +300,10 @@ class Conference:
     papers in increasing order, a hand-built one keeps the order it was
     given. Per-slot data, such as scores, are arrays aligned with
     ``slot_papers``.
+
+    Derived data (``slot_reviewers``, and the bundle batches that score
+    simulation reads, built on first use) is not refreshed, so the arrays
+    must not be mutated after construction.
     """
 
     true_scores: np.ndarray
@@ -298,6 +320,35 @@ class Conference:
         if not csr or np.any(ptr[1:] < ptr[:-1]):
             raise GenerationError("reviewer_ptr is not a CSR pointer over slot_papers")
         self.slot_reviewers = Ragged(self.slot_papers, ptr).row_of()
+
+    @functools.cached_property
+    def _bundle_plan(self) -> tuple[int, list[_BundleGroup]]:
+        """The draw-independent part of one score simulation.
+
+        Returns the number of uniforms a ranking pass draws (s - 1 per
+        bundle of s papers, reviewer after reviewer) and the bundles of two
+        or more papers grouped by size, smallest size first.
+        """
+        ptr = self.reviewer_ptr
+        sizes = np.diff(ptr)
+        draw_ptr = np.concatenate(([0], np.cumsum(np.maximum(sizes - 1, 0))))
+        groups = []
+        for s in np.flatnonzero(np.bincount(sizes)).tolist():
+            if s < 2:
+                continue
+            group = np.flatnonzero(sizes == s)
+            slots = ptr[group][:, None] + np.arange(s)
+            theta = np.asarray(self.true_scores[self.slot_papers[slots]], dtype=float)
+            shifted = theta - theta.max(axis=1, keepdims=True)
+            # math.exp, not np.exp, which may differ in the last bit
+            weights = np.fromiter(map(math.exp, memoryview(shifted.ravel())), dtype=float)
+            weights = weights.reshape(shifted.shape)
+            total = weights[:, 0].copy()
+            for q in range(1, s):
+                total += weights[:, q]
+            draws = draw_ptr[group][:, None] + np.arange(s - 1)
+            groups.append(_BundleGroup(slots, draws, weights, total))
+        return int(draw_ptr[-1]), groups
 
     @property
     def n_papers(self) -> int:
@@ -381,11 +432,12 @@ class Conference:
 
         After ``validate``, paper p's stored reverse list must name the
         reviewers holding p, each once, in any order. An id that is not an
-        integer is refused, not converted.
+        integer is refused, not converted, and so is a true score that is
+        not a finite number.
         """
         assignment = _rows(obj["assignment"], "assignment")
         conf = cls(
-            true_scores=np.asarray(obj["true_scores"], dtype=float),
+            true_scores=_finite_scores(obj["true_scores"]),
             authorship=obj["authorship"],
             slot_papers=assignment.flat,
             reviewer_ptr=assignment.ptr,
@@ -398,6 +450,19 @@ class Conference:
             if np.sort(given).tolist() != held.tolist():
                 raise GenerationError(f"reverse_assignment inconsistent for paper {p}")
         return conf
+
+
+def _finite_scores(values) -> np.ndarray:
+    """``values`` as a 1-d float array; GenerationError unless each is a finite number."""
+    scores = np.asarray(values)
+    if (
+        scores.ndim != 1
+        or scores.dtype.kind not in "iuf"
+        or any(isinstance(v, (bool, np.bool_)) for v in values)
+        or not np.isfinite(scores).all()
+    ):
+        raise GenerationError("true_scores must be a list of finite numbers")
+    return scores.astype(float)
 
 
 def _repeats(owner: np.ndarray, values: np.ndarray) -> np.ndarray:

@@ -25,7 +25,8 @@ class TierDecomposition:
 
         Tiers are checked best first, so the message names the first
         problem: an empty tier or one that shares a paper with an earlier
-        tier. A paper repeated inside one tier is not an overlap.
+        tier. A paper repeated inside one tier is not an overlap. A
+        non-integer id in ``all_papers`` also raises ValueError.
         """
         tiers = Ragged.of(self.tiers)
         sizes, ids, tier_of = tiers.sizes, tiers.flat, tiers.row_of()
@@ -39,12 +40,43 @@ class TierDecomposition:
             raise ValueError("empty tier")
         if first_overlap < len(sizes):
             raise ValueError("tiers overlap")
-        expected = _sorted_unique(np.fromiter(all_papers, dtype=np.int64))
-        if not np.array_equal(_sorted_unique(ids), expected):
+        if not np.array_equal(_sorted_unique(ids), _paper_set(all_papers)):
             raise ValueError("tiers do not partition the paper set")
 
     def to_json(self) -> list[list[int]]:
         return [tier.tolist() for tier in self.tiers]
+
+
+def _paper_set(all_papers: Iterable[int]) -> np.ndarray:
+    """``all_papers`` as sorted, distinct int64 ids; ValueError unless each is an integer."""
+    if isinstance(all_papers, range):
+        ids = np.arange(all_papers.start, all_papers.stop, all_papers.step, dtype=np.int64)
+        return ids if all_papers.step > 0 else ids[::-1]
+    ids = np.asarray(all_papers if isinstance(all_papers, np.ndarray) else list(all_papers))
+    if ids.ndim != 1 or (ids.size and ids.dtype.kind not in "iu"):
+        raise ValueError(f"all_papers must be integer ids, got a {ids.ndim}-d array of {ids.dtype}")
+    return _sorted_unique(ids.astype(np.int64, copy=False))
+
+
+def _positions(papers: np.ndarray, ids: np.ndarray) -> np.ndarray:
+    """The index of every id in the sorted, distinct ``papers``; ValueError for an unknown id.
+
+    Each id is first looked up at ``id - papers[0]``, where a contiguous id
+    range keeps it; only ids not found there are binary-searched.
+    """
+    n = len(papers)
+    if n == 0:
+        if len(ids):
+            raise ValueError("ranking names a paper outside all_papers")
+        return np.empty(0, dtype=np.int64)
+    pos = np.clip(ids - papers[0], 0, n - 1)
+    miss = np.flatnonzero(papers[pos] != ids)
+    if len(miss):
+        found = np.minimum(np.searchsorted(papers, ids[miss]), n - 1)
+        if np.any(papers[found] != ids[miss]):
+            raise ValueError("ranking names a paper outside all_papers")
+        pos[miss] = found
+    return pos
 
 
 def _sorted_unique(ids: np.ndarray) -> np.ndarray:
@@ -66,17 +98,14 @@ def hierarchical_tiers(
     dropping a removed paper's comparisons only affects counts it won.
     The final tier is whatever remains when no paper is loss-free.
     ``rankings`` is a ``Ragged`` or a list of rows, each most preferred
-    first. A ranking that is not integer ids, names a paper outside
-    ``all_papers`` or repeats a paper raises ValueError.
+    first. ``all_papers`` must be integer ids. A ranking that is not
+    integer ids, names a paper outside ``all_papers`` or repeats a paper
+    raises ValueError.
     """
-    papers = _sorted_unique(np.fromiter(all_papers, dtype=np.int64))
+    papers = _paper_set(all_papers)
     n = len(papers)
     rankings = Ragged.of(rankings)
-    ids = np.searchsorted(papers, rankings.flat)
-    known = ids < n
-    known[known] = papers[ids[known]] == rankings.flat[known]
-    if not known.all():
-        raise ValueError("ranking names a paper outside all_papers")
+    ids = _positions(papers, rankings.flat)
 
     sizes, start = rankings.sizes, rankings.ptr[:-1]
     winners = losers = np.empty(0, dtype=np.int64)

@@ -7,8 +7,12 @@ qualities, and (3) a least-squares isotonic adjustment of the raw scores
 so the final scores respect the sampled ranking.
 
 Steps 2 and 3 run batched: reviewers are grouped by bundle size and each
-group is ranked and adjusted with whole-array operations. The batch
-consumes the same uniforms in the same order, and performs the same
+group is ranked and adjusted with whole-array operations. What does not
+depend on the draws (the size groups, their slots and the Plackett-Luce
+weights) is computed once per conference, on first use; a cell only draws
+and gathers. Bundles of two papers, the default, take a closed form of the
+sampler's single choice and of the projection's single merge test. The
+batch consumes the same uniforms in the same order, and performs the same
 floating-point operations, as a sequential-choice sampler followed by the
 scalar isotonic projection run reviewer by reviewer, so its output is
 bit-identical to that loop.
@@ -20,7 +24,6 @@ Gamma draw (``noise_sd`` is its square root).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -111,26 +114,20 @@ def pl_ranking_prob(theta: np.ndarray, perm: np.ndarray) -> float:
     return float(prob)
 
 
-def _sample_pl_rows(theta: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
-    """The scalar sequential-choice sampler run on every row of ``theta`` at once.
+def _sample_pl_rows(weights: np.ndarray, total: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
+    """The scalar sequential-choice sampler run on every row of ``weights`` at once.
 
     The scalar sampler (``sample_pl_ranking`` in ``tests/oracles.py``) picks
     by a cumulative scan of the remaining weights against one
     ``rng.random() * total`` per position; ``uniforms[:, k]`` is the k-th
-    uniform it would draw for the row. Weights use ``math.exp`` (as the scalar sampler
-    does; ``np.exp`` may differ in the last bit), the running total is the
+    uniform it would draw for the row. ``weights`` and ``total`` are the
+    sampler's (see ``Conference._bundle_plan``); the running total is the
     same left-to-right sum less each pick, and the cumulative scan visits
     only the papers still unranked, so the returned permutations are the
     scalar sampler's.
     """
-    theta = np.asarray(theta, dtype=float)
-    m, s = theta.shape
-    shifted = theta - theta.max(axis=1, keepdims=True)
-    weights = np.fromiter(map(math.exp, memoryview(shifted.ravel())), dtype=float, count=m * s)
-    weights = weights.reshape(m, s)
-    total = weights[:, 0].copy()
-    for q in range(1, s):
-        total += weights[:, q]
+    m, s = weights.shape
+    total = total.copy()
     rows = np.arange(m)
     remaining = np.ones((m, s), dtype=bool)
     perm = np.empty((m, s), dtype=np.int64)
@@ -152,6 +149,32 @@ def _sample_pl_rows(theta: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
     return perm
 
 
+def _sample_pl_pairs(weights: np.ndarray, total: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
+    """``_sample_pl_rows`` on two-column rows, in closed form.
+
+    The scan's one step picks the first paper iff ``u * total <= w0``;
+    otherwise, whether the second weight reaches ``u`` or not, it picks
+    the second. The test is written as the scan's, so a NaN also picks the
+    second paper.
+    """
+    second_first = ~(uniforms[:, 0] * total <= weights[:, 0])
+    return np.column_stack((second_first, ~second_first)).astype(np.int64)
+
+
+def _project_pairs(y: np.ndarray) -> np.ndarray:
+    """``project_rows_non_increasing`` on two-column rows, in closed form.
+
+    With ``z = -y`` the stack merges the two entries iff ``z0 > z1`` and
+    then holds ``(z0 + z1) / 2.0``; an unmerged entry is ``-(-y)``, which
+    is ``y`` exactly.
+    """
+    z = -y
+    pooled = np.flatnonzero(z[:, 0] > z[:, 1])
+    out = y.copy()
+    out[pooled] = -((z[pooled, 0] + z[pooled, 1]) / 2.0)[:, None]
+    return out
+
+
 def generate_final_scores(
     conf: Conference, case: NoiseCase, rng: np.random.Generator
 ) -> tuple[np.ndarray, np.ndarray, Ragged]:
@@ -169,23 +192,18 @@ def generate_final_scores(
     params_rng, scores_rng, ranking_rng = rng.spawn(3)
     bias, noise_sd = _draw_reviewer_params(case, conf.n_reviewers, params_rng)
     raw = _raw_values(conf, bias, noise_sd, scores_rng)
-    ptr = conf.reviewer_ptr
-    sizes = np.diff(ptr)
-    # a bundle of s papers takes s - 1 uniforms, reviewer after reviewer
-    draw_ptr = np.concatenate(([0], np.cumsum(np.maximum(sizes - 1, 0))))
-    uniforms = ranking_rng.random(int(draw_ptr[-1]))
-    ranked = np.empty(conf.n_slots, dtype=np.int64)
-    final = np.empty(conf.n_slots)
-    for s in np.flatnonzero(np.bincount(sizes)).tolist():
-        if s == 0:
-            continue
-        group = np.flatnonzero(sizes == s)
-        slots = ptr[group][:, None] + np.arange(s)
-        perm = _sample_pl_rows(
-            conf.true_scores[conf.slot_papers[slots]],
-            uniforms[draw_ptr[group][:, None] + np.arange(s - 1)],
-        )
-        ranked_slots = np.take_along_axis(slots, perm, axis=1)
-        ranked[slots] = conf.slot_papers[ranked_slots]
-        final[ranked_slots] = project_rows_non_increasing(raw[ranked_slots])
-    return final, raw, Ragged(ranked, ptr)
+    n_draws, groups = conf._bundle_plan
+    uniforms = ranking_rng.random(n_draws)
+    # a bundle of one paper is its own ranking and keeps its raw score
+    ranked = conf.slot_papers.copy()
+    final = raw.copy()
+    for group in groups:
+        if group.slots.shape[1] == 2:
+            sample, project = _sample_pl_pairs, _project_pairs
+        else:
+            sample, project = _sample_pl_rows, project_rows_non_increasing
+        perm = sample(group.weights, group.total, uniforms[group.draws])
+        ranked_slots = np.take_along_axis(group.slots, perm, axis=1)
+        ranked[group.slots] = conf.slot_papers[ranked_slots]
+        final[ranked_slots] = project(raw[ranked_slots])
+    return final, raw, Ragged(ranked, conf.reviewer_ptr)

@@ -366,6 +366,30 @@ def test_from_json_refuses_non_integer_ids(field, rows):
         Conference.from_json({**_small_conf(), field: rows})
 
 
+@pytest.mark.parametrize(
+    "scores",
+    [
+        pytest.param(["1.5", 0.0, 0.0], id="string"),
+        pytest.param([True, 0.0, 0.0], id="bool"),
+        pytest.param([True, False, True], id="all-bool"),
+        pytest.param([float("nan"), 0.0, 0.0], id="nan"),
+        pytest.param([0.0, float("inf"), 0.0], id="inf"),
+        pytest.param([0.0, 0.0, -float("inf")], id="minus-inf"),
+        pytest.param([None, 0.0, 0.0], id="none"),
+        pytest.param([[0.0], [0.0], [0.0]], id="nested"),
+    ],
+)
+def test_from_json_refuses_non_finite_or_non_numeric_true_scores(scores):
+    with pytest.raises(GenerationError, match="true_scores must be a list of finite numbers"):
+        Conference.from_json({**_small_conf(), "true_scores": scores})
+
+
+def test_from_json_reads_integer_true_scores_as_floats():
+    conf = Conference.from_json({**_small_conf(), "true_scores": [1, 0, 2]})
+    assert conf.true_scores.dtype == np.float64
+    assert conf.true_scores.tolist() == [1.0, 0.0, 2.0]
+
+
 # --- the ragged rows type
 
 

@@ -202,16 +202,19 @@ def test_peel_matches_rebuild_oracle():
 
 @st.composite
 def _peel_inputs(draw):
+    # a range starting at 0 is the direct lookup's case; a set with gaps,
+    # and ranges starting elsewhere, also reach its binary-search fallback
     all_papers = draw(
         st.one_of(
             st.sets(st.integers(0, 30), max_size=15),
             st.builds(range, st.integers(0, 12)),
+            st.builds(range, st.integers(-5, 8), st.integers(-2, 20), st.sampled_from([1, 2, -1])),
         )
     )
     # ids from all_papers, or ids that run past both ends of it, so that some
     # rankings name unknown papers
     known = sorted(all_papers)
-    paper_ids = st.integers(-2, 33)
+    paper_ids = st.integers(-7, 33)
     if known and draw(st.booleans()):
         paper_ids = st.sampled_from(known)
     rankings = draw(st.lists(st.lists(paper_ids, unique=True, max_size=6), max_size=12))
@@ -252,6 +255,18 @@ def test_tiers_reject_repeated_paper():
 def test_tiers_reject_non_integer_rankings(rankings):
     with pytest.raises(ValueError, match="integer ids"):
         hierarchical_tiers(rankings, range(3))
+
+
+@pytest.mark.parametrize(
+    "all_papers",
+    [[0.5, 1.7], np.array([0.0, 1.0]), [0, 1.0], [True, False], ["0", "1"], [[0, 1]]],
+    ids=["fractional-list", "float-array", "mixed-list", "bool-list", "string-list", "2-d"],
+)
+def test_tiers_reject_non_integer_paper_set(all_papers):
+    with pytest.raises(ValueError, match="all_papers must be integer ids"):
+        hierarchical_tiers(_rankings([0, 1]), all_papers)
+    with pytest.raises(ValueError, match="all_papers must be integer ids"):
+        TierDecomposition([np.array([0, 1])]).validate(all_papers)
 
 
 @st.composite

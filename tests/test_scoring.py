@@ -29,7 +29,13 @@ from review_calib import (
     scaled_config,
 )
 from review_calib.isotonic import project_rows_non_increasing
-from review_calib.scoring import NoiseCase, pl_ranking_prob
+from review_calib.scoring import (
+    NoiseCase,
+    _project_pairs,
+    _sample_pl_pairs,
+    _sample_pl_rows,
+    pl_ranking_prob,
+)
 
 
 def _rng(seed=0):
@@ -220,6 +226,89 @@ def test_projection_preserves_sum():
         assert np.all(np.diff(out[perm]) <= 1e-12)
 
 
+# --- closed forms for bundles of two papers, against the general kernels
+
+
+def _pair_weights(w0, w1):
+    weights = np.array([[w0, w1]], dtype=float)
+    return weights, weights[:, 0] + weights[:, 1]
+
+
+_ALMOST_ONE = np.nextafter(1.0, 0.0)
+_PAIR_DRAWS = {
+    # equal qualities: both weights are exp(0) = 1.0
+    "equal-weights": (1.0, 1.0, 0.5),
+    "equal-weights-high-u": (1.0, 1.0, _ALMOST_ONE),
+    # 0.8 * 1.25 rounds to 1.0: u * total equals w0, which still picks the first paper
+    "u-total-equals-w0": (1.0, 0.25, 0.8),
+    "u-almost-one": (1.0, math.exp(-3.0), _ALMOST_ONE),
+    "u-almost-one-light-first": (math.exp(-3.0), 1.0, _ALMOST_ONE),
+    "u-zero": (math.exp(-0.5), 1.0, 0.0),
+    "tiny-second": (1.0, 5e-324, _ALMOST_ONE),
+    "nan-weights": (math.nan, math.nan, 0.5),
+}
+
+
+@pytest.mark.parametrize("draw", sorted(_PAIR_DRAWS))
+def test_pair_sampler_matches_general_sampler_on_edge_draws(draw):
+    w0, w1, u = _PAIR_DRAWS[draw]
+    weights, total = _pair_weights(w0, w1)
+    if draw == "u-total-equals-w0":
+        assert u * total[0] == w0
+    uniforms = np.array([[u]])
+    closed = _sample_pl_pairs(weights, total, uniforms)
+    assert closed.dtype == np.int64
+    assert closed.tobytes() == _sample_pl_rows(weights, total, uniforms).tobytes()
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(
+    st.lists(
+        st.tuples(st.floats(-8.0, 0.0), st.floats(-8.0, 0.0), st.floats(0.0, _ALMOST_ONE)),
+        min_size=1,
+        max_size=20,
+    )
+)
+def test_pair_sampler_matches_general_sampler_property(rows):
+    shifted = np.array([[a, b] for a, b, _ in rows])
+    weights = np.exp(shifted - shifted.max(axis=1, keepdims=True))
+    total = weights[:, 0] + weights[:, 1]
+    uniforms = np.array([[u] for _, _, u in rows])
+    closed = _sample_pl_pairs(weights, total, uniforms)
+    assert closed.tobytes() == _sample_pl_rows(weights, total, uniforms).tobytes()
+
+
+_PAIR_SCORES = [
+    [1.0, 1.0],  # equal raw scores: not pooled
+    [3.0, 3.0],
+    [1.0, 3.0],  # pooled to 2.0
+    [3.0, 1.0],
+    [0.1, 0.2],  # a pooled sum that rounds
+    [0.0, -0.0],
+    [-0.0, 0.0],
+    [-2.5, 7.25],
+    [1e308, 1.7e308],  # the pooled sum overflows to infinity, as in the stack
+    [5e-324, 1e-323],
+    [math.nan, 1.0],
+    [-math.inf, math.inf],
+]
+
+
+def test_pair_projection_matches_general_projection_on_edge_rows():
+    y = np.array(_PAIR_SCORES)
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert _project_pairs(y).tobytes() == project_rows_non_increasing(y).tobytes()
+    assert _project_pairs(y[:0]).shape == (0, 2)
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(st.lists(st.tuples(st.floats(), st.floats()), min_size=1, max_size=20))
+def test_pair_projection_matches_general_projection_property(rows):
+    y = np.array(rows, dtype=float)
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert _project_pairs(y).tobytes() == project_rows_non_increasing(y).tobytes()
+
+
 # --- full generation
 
 
@@ -344,6 +433,19 @@ def test_batched_simulation_matches_reference_on_generated_conference(capacity):
     conf = gen_conference(gen)
     for case in NOISE_CASES.values():
         _assert_matches_reference(conf, case, 73)
+
+
+def test_bundle_plan_is_per_conference_and_built_on_first_use():
+    # same bundles, different qualities: a plan shared between the two would show
+    spread = _mixed_bundle_conference(_THETAS["spread"])
+    tied = _mixed_bundle_conference(_THETAS["tied"])
+    assert np.array_equal(spread.slot_papers, tied.slot_papers)
+    assert "_bundle_plan" not in vars(spread)
+    for case in NOISE_CASES.values():
+        for conf in (spread, tied, spread):
+            _assert_matches_reference(conf, case, 89)
+    assert spread._bundle_plan is spread._bundle_plan
+    assert spread._bundle_plan is not tied._bundle_plan
 
 
 def test_reviewers_without_papers_get_empty_rankings():
