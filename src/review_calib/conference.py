@@ -22,7 +22,6 @@ from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from .distributions import DiscreteDistribution
 from .errors import ConfigurationError, GenerationError, config_float, config_int
@@ -135,6 +134,82 @@ def validate_multiplicity_targets(targets: tuple[tuple[int, int], ...], n_author
         prev_t, prev_c = t, c
 
 
+def _sign(d) -> int:
+    """The sign of d, with +1 for zero; int comparisons, as numpy refuses ``bool - bool``."""
+    return int(d > 0) - int(d < 0) + int(d == 0)
+
+
+def _minimize_bounded(func, lo: float, hi: float) -> tuple[float, float]:
+    """``(x, func(x))`` at a local minimum of ``func`` on ``[lo, hi]``.
+
+    Brent's bounded method (Brent, *Algorithms for Minimization without
+    Derivatives*, 1973, ch. 5) as scipy's ``fminbound`` runs it, with its
+    defaults: an absolute tolerance in x of 1e-5 and at most 500
+    evaluations. The golden-section and parabolic steps and their updates
+    come in scipy's order, so the result is scipy's bit for bit.
+    """
+    xatol, maxfun = 1e-5, 500
+    sqrt_eps = math.sqrt(2.2e-16)
+    golden_mean = 0.5 * (3.0 - math.sqrt(5.0))
+    a, b = lo, hi
+    fulc = a + golden_mean * (b - a)
+    nfc = xf = fulc
+    rat = e = 0.0
+    fx = func(xf)
+    num = 1
+    ffulc = fnfc = fx
+    xm = 0.5 * (a + b)
+    tol1 = sqrt_eps * abs(xf) + xatol / 3.0
+    tol2 = 2.0 * tol1
+    while abs(xf - xm) > tol2 - 0.5 * (b - a):
+        golden = True
+        if abs(e) > tol1:  # try a parabola through the last three points
+            r = (xf - nfc) * (fx - ffulc)
+            q = (xf - fulc) * (fx - fnfc)
+            p = (xf - fulc) * q - (xf - nfc) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            q = abs(q)
+            r, e = e, rat
+            if abs(p) < abs(0.5 * q * r) and q * (a - xf) < p < q * (b - xf):
+                golden = False
+                rat = (p + 0.0) / q
+                x = xf + rat
+                if (x - a) < tol2 or (b - x) < tol2:
+                    rat = tol1 * _sign(xm - xf)
+        if golden:
+            e = (a if xf >= xm else b) - xf
+            rat = golden_mean * e
+        x = xf + _sign(rat) * max(abs(rat), tol1)
+        fu = func(x)
+        num += 1
+        if fu <= fx:
+            if x >= xf:
+                a = xf
+            else:
+                b = xf
+            fulc, ffulc = nfc, fnfc
+            nfc, fnfc = xf, fx
+            xf, fx = x, fu
+        else:
+            if x < xf:
+                a = x
+            else:
+                b = x
+            if fu <= fnfc or nfc == xf:
+                fulc, ffulc = nfc, fnfc
+                nfc, fnfc = x, fu
+            elif fu <= ffulc or fulc == xf or fulc == nfc:
+                fulc, ffulc = x, fu
+        xm = 0.5 * (a + b)
+        tol1 = sqrt_eps * abs(xf) + xatol / 3.0
+        tol2 = 2.0 * tol1
+        if num >= maxfun:
+            break
+    return xf, fx
+
+
 @functools.lru_cache(maxsize=32)
 def fit_multiplicity_distribution(
     targets: tuple[tuple[int, int], ...], n_authors: int
@@ -174,9 +249,9 @@ def fit_multiplicity_distribution(
                 ratios = tail_ratios(alpha, m)
                 return sum((np.log(ratios[t]) - log_targets[t]) ** 2 for t, _ in higher)
 
-            res = minimize_scalar(objective, bounds=(0.1, 12.0), method="bounded")
-            if best is None or res.fun < best[0]:
-                best = (res.fun, float(res.x), m)
+            x, fun = _minimize_bounded(objective, 0.1, 12.0)
+            if best is None or fun < best[0]:
+                best = (fun, float(x), m)
         _, alpha, m = best
     else:
         alpha, m = 2.5, 4 * t1
@@ -299,7 +374,8 @@ class Conference:
     run reviewer by reviewer; a generated conference lists each reviewer's
     papers in increasing order, a hand-built one keeps the order it was
     given. Per-slot data, such as scores, are arrays aligned with
-    ``slot_papers``.
+    ``slot_papers``. A true score that is not finite raises
+    GenerationError at construction.
 
     Derived data (``slot_reviewers``, and the bundle batches that score
     simulation reads, built on first use) is not refreshed, so the arrays
@@ -313,6 +389,9 @@ class Conference:
     slot_reviewers: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
+        non_finite = np.flatnonzero(~np.isfinite(self.true_scores))
+        if len(non_finite):
+            raise GenerationError(f"paper {non_finite[0]} has a non-finite true score")
         self.authorship = _rows(self.authorship, "authorship")
         self.slot_papers = np.asarray(self.slot_papers, dtype=np.int64)
         ptr = self.reviewer_ptr = np.asarray(self.reviewer_ptr, dtype=np.int64)

@@ -131,9 +131,7 @@ def hierarchical_tiers(
         tiers.append(papers[zero])
         active &= ~zero
         loss_count -= np.bincount(losers[zero[winners]], minlength=n)
-    decomposition = TierDecomposition(tiers=tiers)
-    decomposition.validate(papers)
-    return decomposition
+    return TierDecomposition(tiers=tiers)
 
 
 def full_ranking(tiers: TierDecomposition, avg_scores: np.ndarray) -> np.ndarray:

@@ -91,29 +91,6 @@ def _raw_values(
     return rng.normal(loc, noise_sd[conf.slot_reviewers])
 
 
-def pl_ranking_prob(theta: np.ndarray, perm: np.ndarray) -> float:
-    """Plackett-Luce probability of observing the given preference order.
-
-    ``perm`` lists indices into theta from most to least preferred. The
-    probability is the product of sequential softmax choices with weights
-    exp(theta); weights are computed with a max shift, which leaves the
-    result unchanged (the model is translation invariant).
-    """
-    theta = np.asarray(theta, dtype=float)
-    perm = np.asarray(perm)
-    if theta.size == 0:
-        raise ValueError("theta must contain at least one item")
-    if sorted(perm.tolist()) != list(range(theta.size)):
-        raise ValueError("perm is not a permutation of theta's index set")
-    w = np.exp(theta - theta.max())
-    ordered = w[perm]
-    denom = np.cumsum(ordered[::-1])[::-1]
-    prob = 1.0
-    for k in range(theta.size - 1):
-        prob *= ordered[k] / denom[k]
-    return float(prob)
-
-
 def _sample_pl_rows(weights: np.ndarray, total: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
     """The scalar sequential-choice sampler run on every row of ``weights`` at once.
 

@@ -2,13 +2,14 @@
 
 These deliberately avoid the package's algorithms: the isotonic oracle
 enumerates candidate block partitions of the quadratic program, the
-ranking-probability oracle evaluates the sequential-choice product with
-unshifted exponentials, the tier oracle rebuilds the comparison graph
-from scratch every round, the score-simulation reference runs the
-sequential-choice sampler and the scalar isotonic projection reviewer by
-reviewer, the author-projection reference fits one owner at a time, and
-the conference references check and invert the JSON assignment lists list
-by list.
+exact Plackett-Luce probability multiplies the sequential choices (and is
+itself checked against the same product with unshifted exponentials), the
+multiplicity-law reference fits with scipy's bounded minimiser, the tier
+oracle rebuilds the comparison graph from scratch every round, the
+score-simulation reference runs the sequential-choice sampler and the
+scalar isotonic projection reviewer by reviewer, the author-projection
+reference fits one owner at a time, and the conference references check
+and invert the JSON assignment lists list by list.
 
 The rank-centrality chain (loss-driven transitions whose stationary
 distribution orders the papers) is a cross-check of tier peeling, not a
@@ -24,12 +25,13 @@ from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 import numpy as np
+from scipy.optimize import minimize_scalar
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 
-from review_calib import Conference, GenerationError
+from review_calib import Conference, ConfigurationError, DiscreteDistribution, GenerationError
 from review_calib.isotonic import NON_INCREASING, isotonic_fit
-from review_calib.conference import Ragged
+from review_calib.conference import Ragged, validate_multiplicity_targets
 from review_calib.scoring import NoiseCase, _draw_reviewer_params, _raw_values
 
 
@@ -74,6 +76,29 @@ def isotonic_qp_oracle(values, weights=None, direction="non-increasing"):
             best_obj = obj
             best_x = x
     return sign * best_x
+
+
+def pl_ranking_prob(theta: np.ndarray, perm: np.ndarray) -> float:
+    """Plackett-Luce probability of observing the given preference order.
+
+    ``perm`` lists indices into theta from most to least preferred. The
+    probability is the product of sequential softmax choices with weights
+    exp(theta); weights are computed with a max shift, which leaves the
+    result unchanged (the model is translation invariant).
+    """
+    theta = np.asarray(theta, dtype=float)
+    perm = np.asarray(perm)
+    if theta.size == 0:
+        raise ValueError("theta must contain at least one item")
+    if sorted(perm.tolist()) != list(range(theta.size)):
+        raise ValueError("perm is not a permutation of theta's index set")
+    w = np.exp(theta - theta.max())
+    ordered = w[perm]
+    denom = np.cumsum(ordered[::-1])[::-1]
+    prob = 1.0
+    for k in range(theta.size - 1):
+        prob *= ordered[k] / denom[k]
+    return float(prob)
 
 
 def pl_prob_direct(theta, perm):
@@ -446,3 +471,56 @@ def validate_conference_reference(obj):
         for r in reviewers:
             if p not in assignment[r]:
                 raise GenerationError(f"reverse_assignment lists reviewer {r} not holding {p}")
+
+
+def fit_multiplicity_distribution_reference(targets, n_authors):
+    """``conference.fit_multiplicity_distribution`` with scipy's bounded minimiser.
+
+    The exponent is fit by ``scipy.optimize.minimize_scalar`` with
+    ``method="bounded"``, the call the package's own minimiser replaces.
+    """
+    validate_multiplicity_targets(targets, n_authors)
+    targets = tuple((t, c) for t, c in targets if c > 0)
+    if not targets:
+        return DiscreteDistribution.point_mass(1)
+    t1, c1 = targets[0]
+    f1 = c1 / n_authors
+    if f1 >= 1.0 - 1e-12:
+        raise ConfigurationError("tail fraction at the first threshold must be < 1")
+    higher = [(t, c / n_authors) for t, c in targets[1:]]
+
+    def tail_ratios(alpha, m):
+        ks = np.arange(t1, m + 1, dtype=float)
+        p = ks ** (-alpha)
+        total = p.sum()
+        return {t: p[ks >= t].sum() / total for t, _ in higher}
+
+    if higher:
+        log_targets = {t: np.log(f / f1) for t, f in higher}
+        best = None
+        m_lo = targets[-1][0] + 1
+        for m in range(m_lo, max(4 * m_lo, 64)):
+
+            def objective(alpha):
+                ratios = tail_ratios(alpha, m)
+                return sum((np.log(ratios[t]) - log_targets[t]) ** 2 for t, _ in higher)
+
+            res = minimize_scalar(objective, bounds=(0.1, 12.0), method="bounded")
+            if best is None or res.fun < best[0]:
+                best = (res.fun, float(res.x), m)
+        _, alpha, m = best
+    else:
+        alpha, m = 2.5, 4 * t1
+
+    ks = np.arange(t1, m + 1)
+    tail = ks.astype(float) ** (-alpha)
+    tail *= f1 / tail.sum()
+    if t1 == 2:
+        values = (1, *ks.tolist())
+        probs = (1.0 - f1, *tail.tolist())
+    else:
+        low = np.arange(1, t1)
+        low_p = np.full(len(low), (1.0 - f1) / len(low))
+        values = (*low.tolist(), *ks.tolist())
+        probs = (*low_p.tolist(), *tail.tolist())
+    return DiscreteDistribution(values, probs)

@@ -24,6 +24,7 @@ from oracles import (
     TransitionMatrix,
     build_transition_matrix,
     isotonic_qp_oracle,
+    pl_ranking_prob,
     sample_pl_ranking,
     stationary_distribution,
     two_state_stationary,
@@ -40,7 +41,6 @@ from review_calib import (
 from review_calib.cli import main as cli_main
 from review_calib.conference import DEFAULT_MASTER_SEED
 from review_calib.isotonic import NON_DECREASING, NON_INCREASING, isotonic_fit
-from review_calib.scoring import pl_ranking_prob
 from review_calib.seeding import PURPOSE_CONFERENCE, PURPOSE_SCORES, stream
 
 SEEDS = tuple(DEFAULT_MASTER_SEED + k for k in range(5))
@@ -208,13 +208,16 @@ def test_criterion_7_tier_properties(default_base_cell, default_conference):
         _, _, rks = generate_final_scores(
             conf, NOISE_CASES["Base"], stream(seed, PURPOSE_SCORES, 0, 0)
         )
-        g1_sizes.append(len(hierarchical_tiers(rks, range(conf.n_papers)).tiers[0]))
+        seed_tiers = hierarchical_tiers(rks, range(conf.n_papers))
+        seed_tiers.validate(range(conf.n_papers))
+        g1_sizes.append(len(seed_tiers.tiers[0]))
 
     order = [4, 1, 3, 0, 2]
     pair_rankings = [
         np.array([order[i], order[j]]) for i in range(5) for j in range(i + 1, 5)
     ]
     singleton = hierarchical_tiers(pair_rankings, range(5))
+    singleton.validate(range(5))
     acyclic_ok = [t.tolist() for t in singleton.tiers] == [[p] for p in order]
 
     sizes_ok = all(500 <= g for g in g1_sizes) and all(g <= 2000 for g in g1_sizes)

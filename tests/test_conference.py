@@ -2,14 +2,26 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.optimize import minimize_scalar
 
-from oracles import conference_from_lists, reverse_assignment_reference, validate_conference_reference
+import review_calib
+from oracles import (
+    conference_from_lists,
+    fit_multiplicity_distribution_reference,
+    reverse_assignment_reference,
+    validate_conference_reference,
+)
 from review_calib import (
     Conference,
     ConfigurationError,
@@ -21,7 +33,9 @@ from review_calib import (
 )
 from review_calib.conference import (
     DEFAULT_MASTER_SEED,
+    DEFAULT_MULTIPLICITY_TARGETS,
     Ragged,
+    _minimize_bounded,
     fit_multiplicity_distribution,
     gen_true_scores,
     sample_author_multiplicities,
@@ -88,6 +102,94 @@ def test_multiplicity_calibration_over_seeds():
         draws = sample_author_multiplicities(config, _rng(seed))
         fracs.append(float(np.mean(draws >= 2)))
     assert abs(float(np.mean(fracs)) - target) < 0.02
+
+
+# --- the bounded minimiser and the fit it serves, against scipy
+
+
+# objectives of x with a centre c and a width w
+_OBJECTIVES = {
+    "quadratic": lambda x, c, w: w * (x - c) ** 2,
+    "flat-bottom": lambda x, c, w: max(abs(x - c) - w, 0.0),  # zero on [c - w, c + w]
+    "constant": lambda x, c, w: w,
+    "step": lambda x, c, w: 0.0 if x < c else w,  # flat on both sides of a jump
+    "staircase": lambda x, c, w: w * round(x - c) ** 2,  # ties at every level
+    "multimodal": lambda x, c, w: math.sin(w * x) + 0.05 * (x - c) ** 2,
+    "cusp": lambda x, c, w: math.sqrt(abs(x - c)),
+}
+
+
+def _bits(value) -> bytes:
+    return np.float64(value).tobytes()
+
+
+@settings(max_examples=400, deadline=None, database=None)
+@given(
+    kind=st.sampled_from(sorted(_OBJECTIVES)),
+    centre=st.floats(-30.0, 30.0),
+    width=st.floats(0.0, 20.0),
+    lo=st.floats(-20.0, 20.0),
+    # log-uniform widths, so that some intervals are as narrow as the 1e-5 tolerance
+    span=st.one_of(st.just(0.0), st.floats(-7.0, 1.6).map(lambda e: 10.0**e)),
+    as_numpy=st.booleans(),
+)
+# an interval so narrow that the first step is the tolerance; ties on a
+# staircase: a parabolic step landing on the midpoint, and a new point tying
+# the second best
+@example("quadratic", 30.0, 1.0, 0.0, 1.8e-5, False)
+@example("staircase", -10.47, 6.55, -17.25, 26.481, False)
+@example("staircase", 29.34, 13.15, 17.03, 21.414, True)
+def test_bounded_minimiser_is_scipy_bit_for_bit(kind, centre, width, lo, span, as_numpy):
+    # centres run past both bounds, so minima fall inside, at and outside [lo, hi]
+    as_type = np.float64 if as_numpy else float
+
+    def func(x):
+        return as_type(_OBJECTIVES[kind](x, centre, width))
+
+    hi = lo + span
+    x, fun = _minimize_bounded(func, lo, hi)
+    res = minimize_scalar(func, bounds=(lo, hi), method="bounded")
+    assert (_bits(x), _bits(fun)) == (_bits(res.x), _bits(res.fun))
+    assert lo <= x <= hi
+
+
+def _random_targets(rng, count):
+    for _ in range(count):
+        n_authors = int(rng.integers(10, 50_000))
+        k = int(rng.integers(1, 5))
+        # strictly increasing thresholds from 2, non-increasing counts below n_authors
+        thresholds = 2 + np.arange(k) + np.cumsum(rng.integers(0, 6, size=k))
+        counts = np.sort(rng.integers(0, n_authors, size=k))[::-1]
+        yield tuple(zip(thresholds.tolist(), counts.tolist())), n_authors
+
+
+def test_multiplicity_fit_matches_scipy_reference():
+    defaults = (DEFAULT_MULTIPLICITY_TARGETS, GenConfig().n_authors)
+    for targets, n_authors in [defaults, *_random_targets(_rng(2026), 200)]:
+        fitted = fit_multiplicity_distribution(targets, n_authors)
+        reference = fit_multiplicity_distribution_reference(targets, n_authors)
+        assert np.asarray(fitted.values).tobytes() == np.asarray(reference.values).tobytes()
+        assert np.asarray(fitted.probs).tobytes() == np.asarray(reference.probs).tobytes()
+
+
+def test_a_two_worker_run_imports_no_scipy():
+    script = (
+        "import sys\n"
+        "from review_calib import ExperimentConfig, GenConfig, run_experiment, scaled_config\n"
+        "config = ExperimentConfig(gen=scaled_config(GenConfig(), 300), repetitions=2)\n"
+        "run_experiment(config, workers=2)\n"
+        "print(sorted(m for m in sys.modules if m.startswith('scipy')))\n"
+    )
+    src = str(Path(review_calib.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    out = subprocess.run(
+        [sys.executable, "-c", script],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert out.stdout.strip() == "[]"
 
 
 # --- true scores
@@ -388,6 +490,13 @@ def test_from_json_reads_integer_true_scores_as_floats():
     conf = Conference.from_json({**_small_conf(), "true_scores": [1, 0, 2]})
     assert conf.true_scores.dtype == np.float64
     assert conf.true_scores.tolist() == [1.0, 0.0, 2.0]
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "minus-inf"])
+def test_hand_built_conference_refuses_non_finite_true_scores(bad):
+    # the first non-finite paper is named, whatever follows it
+    with pytest.raises(GenerationError, match="^paper 1 has a non-finite true score$"):
+        conference_from_lists([0.0, bad, math.nan], _AUTHORSHIP, _ASSIGNMENT)
 
 
 # --- the ragged rows type

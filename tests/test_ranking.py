@@ -196,6 +196,7 @@ def test_peel_matches_rebuild_oracle():
         n = int(rng.integers(2, 15))
         rankings = _random_rankings(rng, n, int(rng.integers(1, 25)))
         fast = hierarchical_tiers(rankings, range(n))
+        fast.validate(range(n))
         slow = naive_hierarchical_tiers(rankings, range(n))
         assert [t.tolist() for t in fast.tiers] == slow
 
@@ -233,6 +234,7 @@ def test_peel_matches_rebuild_oracle_property(inputs):
             hierarchical_tiers(rankings, all_papers)
         return
     fast = hierarchical_tiers(rankings, all_papers)
+    fast.validate(all_papers)
     assert fast.to_json() == naive_hierarchical_tiers(rankings, all_papers)
     assert all(t.dtype == np.int64 for t in fast.tiers)
 
@@ -283,6 +285,7 @@ def test_never_loser_invariant_property(inputs):
     # every paper of a non-final tier loses no comparison among the papers still remaining
     rankings, n = inputs
     tiers = hierarchical_tiers(rankings, range(n))
+    tiers.validate(range(n))
     remaining = set(range(n))
     for tier in tiers.tiers[:-1]:
         members = {int(p) for p in tier}

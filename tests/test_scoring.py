@@ -14,6 +14,7 @@ from oracles import (
     gen_reviewer_params,
     generate_final_scores_reference,
     pl_prob_direct,
+    pl_ranking_prob,
     raw_scores,
     sample_pl_ranking,
 )
@@ -29,13 +30,7 @@ from review_calib import (
     scaled_config,
 )
 from review_calib.isotonic import project_rows_non_increasing
-from review_calib.scoring import (
-    NoiseCase,
-    _project_pairs,
-    _sample_pl_pairs,
-    _sample_pl_rows,
-    pl_ranking_prob,
-)
+from review_calib.scoring import NoiseCase, _project_pairs, _sample_pl_pairs, _sample_pl_rows
 
 
 def _rng(seed=0):
