@@ -14,7 +14,9 @@ JSON configuration file.
 
 from __future__ import annotations
 
+import bisect
 import functools
+import heapq
 import json
 import math
 import operator
@@ -374,8 +376,9 @@ class Conference:
     run reviewer by reviewer; a generated conference lists each reviewer's
     papers in increasing order, a hand-built one keeps the order it was
     given. Per-slot data, such as scores, are arrays aligned with
-    ``slot_papers``. A true score that is not finite raises
-    GenerationError at construction.
+    ``slot_papers``. ``true_scores`` is stored as a 1-d float array; any
+    other shape, a value that is not a number or one that is not finite
+    raises GenerationError at construction.
 
     Derived data (``slot_reviewers``, and the bundle batches that score
     simulation reads, built on first use) is not refreshed, so the arrays
@@ -389,6 +392,14 @@ class Conference:
     slot_reviewers: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
+        try:
+            scores = np.asarray(self.true_scores)
+            typed = scores.ndim == 1 and scores.dtype.kind in "iuf"
+        except ValueError:  # a ragged nesting
+            typed = False
+        if not typed:
+            raise GenerationError("true_scores must be a 1-d array of numbers")
+        self.true_scores = scores.astype(float, copy=False)
         non_finite = np.flatnonzero(~np.isfinite(self.true_scores))
         if len(non_finite):
             raise GenerationError(f"paper {non_finite[0]} has a non-finite true score")
@@ -610,43 +621,77 @@ def _deal_authorship(
     A shuffled deck holds each paper once per target author slot; authors are
     dealt in descending multiplicity order, skipping papers they already
     hold. A dealing that strands an author restarts with a fresh shuffle.
+
+    Each author dealt moves the deck pointer on by exactly its multiplicity,
+    so the k-th author dealt takes the window ``deck[bounds[k]:bounds[k + 1]]``.
+    A window without a repeated paper is dealt as it lies. One sort of the
+    (author, paper) keys flags the windows that hold a repeat, and only those
+    are scanned, in deal order: a repeated paper is swapped with the next
+    paper further on that the author lacks. A swap that reaches past the
+    window changes a later window, which is then scanned in its turn. The
+    result is that of scanning every author in turn, bit for bit.
     """
     n_authors = len(multiplicities)
     loads = _reconciled_author_loads(n_papers, int(multiplicities.sum()), dist, rng)
     deal_order = np.lexsort((np.arange(n_authors), -multiplicities))
+    window_of = np.empty(n_authors, dtype=np.int64)
+    window_of[deal_order] = np.arange(n_authors)
+    owner = np.repeat(deal_order, multiplicities[deal_order])
+    bounds = np.concatenate(([0], np.cumsum(multiplicities[deal_order]))).tolist()
+    ptr = np.concatenate(([0], np.cumsum(multiplicities)))
     for _ in range(_MATCHING_RETRIES):
         deck = np.repeat(np.arange(n_papers, dtype=np.int64), loads)
         rng.shuffle(deck)
+        # sorted (author, paper) keys: each author's papers in increasing order, authors by id
+        keys = np.sort(owner * n_papers + deck)
+        repeats = keys[1:][keys[1:] == keys[:-1]] // n_papers
+        flagged = np.unique(window_of[repeats]).tolist()
         deck = deck.tolist()
-        ptr = 0
-        stranded = False
-        for a in deal_order:
-            want = int(multiplicities[a])
-            held: set[int] = set()
-            j = ptr
-            while len(held) < want:
-                if j >= len(deck):
-                    stranded = True
-                    break
-                if deck[j] not in held:
-                    deck[ptr], deck[j] = deck[j], deck[ptr]
-                    held.add(deck[ptr])
-                    ptr += 1
-                    j = max(j + 1, ptr)
-                else:
-                    j += 1
-            if stranded:
-                break
-        if not stranded:
-            # deck[:ptr] holds each author's papers in one run, authors in deal order
-            owner = np.repeat(deal_order, multiplicities[deal_order])
-            dealt = np.asarray(deck[:ptr], dtype=np.int64)
-            dealt = dealt[np.lexsort((dealt, owner))]
-            return Ragged(dealt, np.concatenate(([0], np.cumsum(multiplicities))))
+        scanned = _deal_windows(deck, bounds, flagged)
+        if scanned is not None:
+            flat = keys % n_papers
+            for k in scanned:
+                a = deal_order[k]
+                flat[ptr[a] : ptr[a + 1]] = sorted(deck[bounds[k] : bounds[k + 1]])
+            return Ragged(flat, ptr)
     raise GenerationError(
         f"authorship dealing failed after {_MATCHING_RETRIES} retries; "
         "multiplicity targets are too tight for this paper count"
     )
+
+
+def _deal_windows(deck: list[int], bounds: list[int], flagged: list[int]) -> list[int] | None:
+    """Scan the flagged windows of ``deck`` in order, in place; None if an author strands.
+
+    Returns every window scanned, in increasing order: the flagged ones and
+    those a swap wrote into.
+    """
+    pending = list(flagged)  # sorted, so a heap
+    queued = set(flagged)
+    scanned = []
+    while pending:
+        k = heapq.heappop(pending)
+        scanned.append(k)
+        ptr, end = bounds[k], bounds[k + 1]
+        held: set[int] = set()
+        j = ptr
+        while ptr < end:
+            if j >= len(deck):
+                return None
+            paper = deck[j]
+            if paper in held:
+                j += 1
+                continue
+            deck[ptr], deck[j] = paper, deck[ptr]
+            held.add(paper)
+            ptr += 1
+            if j >= end:
+                w = bisect.bisect_right(bounds, j) - 1
+                if w not in queued:
+                    queued.add(w)
+                    heapq.heappush(pending, w)
+            j = max(j + 1, ptr)
+    return scanned
 
 
 def _assign_reviewers(
@@ -659,8 +704,11 @@ def _assign_reviewers(
     Review slots (paper i repeated per_paper[i] times) are shuffled and
     assigned greedily to reviewers with remaining capacity, rejecting
     duplicate (reviewer, paper) pairs; a dead end restarts the matching.
-    Returns ``(slot_papers, reviewer_ptr)``, each reviewer's papers in
-    increasing order.
+    Each slot draws an active reviewer up to 50 times, one bounded integer
+    at a time, each bound the number of reviewers still active; after 50
+    misses it draws among all eligible active reviewers. Returns
+    ``(slot_papers, reviewer_ptr)``, each reviewer's papers in increasing
+    order.
     """
     total_slots = int(per_paper.sum())
     cap_dist = config.reviewer_capacity_dist
@@ -686,39 +734,41 @@ def _assign_reviewers(
 
     n_reviewers = len(capacities)
     slots = np.repeat(np.arange(len(per_paper), dtype=np.int64), per_paper)
+    integers = rng.integers
     for _ in range(_MATCHING_RETRIES):
         rng.shuffle(slots)
-        remaining = capacities.copy()
+        remaining = capacities.tolist()
         active = list(range(n_reviewers))
         held: list[set[int]] = [set() for _ in range(n_reviewers)]
         holder: list[int] = []
-        dead_end = False
-        for paper in slots:
-            paper = int(paper)
-            placed = False
-            for _ in range(50):
-                j = int(rng.integers(0, len(active)))
-                r = active[j]
-                if paper not in held[r]:
-                    placed = True
-                    break
-            if not placed:
-                eligible = [j for j, r in enumerate(active) if paper not in held[r]]
-                if not eligible:
-                    dead_end = True
-                    break
-                j = eligible[int(rng.integers(0, len(eligible)))]
-                r = active[j]
+        for paper in slots.tolist():
+            j = integers(0, len(active))
+            r = active[j]
+            if paper in held[r]:
+                for _ in range(49):
+                    j = integers(0, len(active))
+                    r = active[j]
+                    if paper not in held[r]:
+                        break
+                else:
+                    eligible = [j for j, r in enumerate(active) if paper not in held[r]]
+                    if not eligible:
+                        break  # a dead end: skip the return below and restart
+                    j = eligible[integers(0, len(eligible))]
+                    r = active[j]
             held[r].add(paper)
             holder.append(r)
             remaining[r] -= 1
-            if remaining[r] == 0:
+            if not remaining[r]:
                 active[j] = active[-1]
                 active.pop()
-        if not dead_end:
+        else:
             reviewers = np.asarray(holder, dtype=np.int64)
             counts = np.bincount(reviewers, minlength=n_reviewers)
-            return slots[np.lexsort((slots, reviewers))], np.concatenate(([0], np.cumsum(counts)))
+            # one sort of (reviewer, paper) keys puts each reviewer's papers in order
+            n_papers = len(per_paper)
+            slot_papers = np.sort(reviewers * n_papers + slots) % n_papers
+            return slot_papers, np.concatenate(([0], np.cumsum(counts)))
     raise GenerationError(
         f"review matching failed after {_MATCHING_RETRIES} retries; "
         "reviewer capacities are too tight for a duplicate-free assignment"

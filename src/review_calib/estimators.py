@@ -108,22 +108,31 @@ def build_owner_partition(conf: Conference) -> OwnerPartition:
     smaller author id); each claims their papers that are still unowned and
     is kept only if at least two remain. Owned papers are ordered by
     descending true score (smaller id first on exact ties).
+
+    The claim runs over plain lists; one sort by (owner, -true score, id)
+    then orders every owner's papers at once.
     """
-    multiplicities = conf.authorship.sizes
-    order = np.lexsort((np.arange(conf.n_authors), -multiplicities))
-    theta = conf.true_scores
-    claimed = np.zeros(conf.n_papers, dtype=bool)
-    owners: dict[int, np.ndarray] = {}
-    for a in order:
-        if multiplicities[a] < 2:
-            break
-        papers = conf.authorship[a]
-        mine = papers[~claimed[papers]]
+    sizes = conf.authorship.sizes
+    order = np.lexsort((np.arange(conf.n_authors), -sizes))
+    flat, ptr = conf.authorship.flat.tolist(), conf.authorship.ptr.tolist()
+    claimed = bytearray(conf.n_papers)
+    kept: list[int] = []
+    owned: list[int] = []
+    counts: list[int] = []
+    for a in order[: np.count_nonzero(sizes >= 2)].tolist():
+        mine = [p for p in flat[ptr[a] : ptr[a + 1]] if not claimed[p]]
         if len(mine) < 2:
             continue
-        claimed[mine] = True
-        owners[int(a)] = mine[np.lexsort((mine, -theta[mine]))]
-    return OwnerPartition(owners=owners)
+        for p in mine:
+            claimed[p] = True
+        kept.append(a)
+        owned += mine
+        counts.append(len(mine))
+    papers = np.array(owned, dtype=np.int64)
+    owner = np.repeat(np.arange(len(kept)), counts)
+    papers = papers[np.lexsort((papers, -conf.true_scores[papers], owner))]
+    bounds = np.cumsum([0, *counts]).tolist()
+    return OwnerPartition(owners={a: papers[lo:hi] for a, lo, hi in zip(kept, bounds, bounds[1:])})
 
 
 def calibrate_author(

@@ -9,7 +9,10 @@ oracle rebuilds the comparison graph from scratch every round, the
 score-simulation reference runs the sequential-choice sampler and the
 scalar isotonic projection reviewer by reviewer, the author-projection
 reference fits one owner at a time, and the conference references check
-and invert the JSON assignment lists list by list.
+and invert the JSON assignment lists list by list. The set-up references
+deal authorship author by author over the whole deck, match review slots
+with per-slot numpy scalars and claim owners with one sort per owner; each
+can count the branches its run takes.
 
 The rank-centrality chain (loss-driven transitions whose stationary
 distribution orders the papers) is a cross-check of tier peeling, not a
@@ -31,7 +34,13 @@ from scipy.sparse.csgraph import connected_components
 
 from review_calib import Conference, ConfigurationError, DiscreteDistribution, GenerationError
 from review_calib.isotonic import NON_INCREASING, isotonic_fit
-from review_calib.conference import Ragged, validate_multiplicity_targets
+from review_calib.conference import (
+    _MATCHING_RETRIES,
+    Ragged,
+    _reconciled_author_loads,
+    validate_multiplicity_targets,
+)
+from review_calib.estimators import OwnerPartition
 from review_calib.scoring import NoiseCase, _draw_reviewer_params, _raw_values
 
 
@@ -524,3 +533,145 @@ def fit_multiplicity_distribution_reference(targets, n_authors):
         values = (*low.tolist(), *ks.tolist())
         probs = (*low_p.tolist(), *tail.tolist())
     return DiscreteDistribution(values, probs)
+
+
+def deal_authorship_reference(n_papers, multiplicities, dist, rng, events=None):
+    """``conference._deal_authorship`` as one scan of every author over the deck.
+
+    ``events``, a ``Counter`` when given, counts the branches taken:
+    ``repeat`` (a paper skipped inside the author's window), ``swap_past_window``
+    (a paper swapped in from beyond that window) and ``strand`` (a dealing
+    that ran out of deck and restarted).
+    """
+    events = Counter() if events is None else events
+    n_authors = len(multiplicities)
+    loads = _reconciled_author_loads(n_papers, int(multiplicities.sum()), dist, rng)
+    deal_order = np.lexsort((np.arange(n_authors), -multiplicities))
+    for _ in range(_MATCHING_RETRIES):
+        deck = np.repeat(np.arange(n_papers, dtype=np.int64), loads)
+        rng.shuffle(deck)
+        deck = deck.tolist()
+        ptr = 0
+        stranded = False
+        for a in deal_order:
+            want = int(multiplicities[a])
+            end = ptr + want
+            held: set[int] = set()
+            j = ptr
+            while len(held) < want:
+                if j >= len(deck):
+                    stranded = True
+                    break
+                if deck[j] not in held:
+                    events["swap_past_window"] += j >= end
+                    deck[ptr], deck[j] = deck[j], deck[ptr]
+                    held.add(deck[ptr])
+                    ptr += 1
+                    j = max(j + 1, ptr)
+                else:
+                    events["repeat"] += j < end
+                    j += 1
+            if stranded:
+                events["strand"] += 1
+                break
+        if not stranded:
+            owner = np.repeat(deal_order, multiplicities[deal_order])
+            dealt = np.asarray(deck[:ptr], dtype=np.int64)
+            dealt = dealt[np.lexsort((dealt, owner))]
+            return Ragged(dealt, np.concatenate(([0], np.cumsum(multiplicities))))
+    raise GenerationError(
+        f"authorship dealing failed after {_MATCHING_RETRIES} retries; "
+        "multiplicity targets are too tight for this paper count"
+    )
+
+
+def assign_reviewers_reference(per_paper, config, rng, events=None):
+    """``conference._assign_reviewers`` over numpy scalars, one slot at a time.
+
+    ``events``, a ``Counter`` when given, counts ``fallback`` (50 draws all
+    hit reviewers holding the paper, so every active reviewer was scanned)
+    and ``dead_end`` (no active reviewer could take the paper).
+    """
+    events = Counter() if events is None else events
+    total_slots = int(per_paper.sum())
+    cap_dist = config.reviewer_capacity_dist
+    if config.n_reviewers is not None:
+        capacities = cap_dist.sample(rng, config.n_reviewers)
+        total_capacity = int(capacities.sum())
+        if total_capacity < total_slots:
+            raise GenerationError(
+                f"total reviewer capacity {total_capacity} < {total_slots} review slots "
+                f"(deficit {total_slots - total_capacity})"
+            )
+    else:
+        target = config.capacity_slack * total_slots
+        chunks = []
+        total_capacity = 0
+        while total_capacity < target:
+            chunk = cap_dist.sample(rng, 512)
+            chunks.append(chunk)
+            total_capacity += int(chunk.sum())
+        capacities = np.concatenate(chunks)
+        cut = int(np.searchsorted(np.cumsum(capacities), target)) + 1
+        capacities = capacities[:cut]
+
+    n_reviewers = len(capacities)
+    slots = np.repeat(np.arange(len(per_paper), dtype=np.int64), per_paper)
+    for _ in range(_MATCHING_RETRIES):
+        rng.shuffle(slots)
+        remaining = capacities.copy()
+        active = list(range(n_reviewers))
+        held = [set() for _ in range(n_reviewers)]
+        holder = []
+        dead_end = False
+        for paper in slots:
+            paper = int(paper)
+            placed = False
+            for _ in range(50):
+                j = int(rng.integers(0, len(active)))
+                r = active[j]
+                if paper not in held[r]:
+                    placed = True
+                    break
+            if not placed:
+                events["fallback"] += 1
+                eligible = [j for j, r in enumerate(active) if paper not in held[r]]
+                if not eligible:
+                    events["dead_end"] += 1
+                    dead_end = True
+                    break
+                j = eligible[int(rng.integers(0, len(eligible)))]
+                r = active[j]
+            held[r].add(paper)
+            holder.append(r)
+            remaining[r] -= 1
+            if remaining[r] == 0:
+                active[j] = active[-1]
+                active.pop()
+        if not dead_end:
+            reviewers = np.asarray(holder, dtype=np.int64)
+            counts = np.bincount(reviewers, minlength=n_reviewers)
+            return slots[np.lexsort((slots, reviewers))], np.concatenate(([0], np.cumsum(counts)))
+    raise GenerationError(
+        f"review matching failed after {_MATCHING_RETRIES} retries; "
+        "reviewer capacities are too tight for a duplicate-free assignment"
+    )
+
+
+def build_owner_partition_reference(conf):
+    """``estimators.build_owner_partition`` with one claim and one sort per author."""
+    multiplicities = conf.authorship.sizes
+    order = np.lexsort((np.arange(conf.n_authors), -multiplicities))
+    theta = conf.true_scores
+    claimed = np.zeros(conf.n_papers, dtype=bool)
+    owners = {}
+    for a in order:
+        if multiplicities[a] < 2:
+            break
+        papers = conf.authorship[a]
+        mine = papers[~claimed[papers]]
+        if len(mine) < 2:
+            continue
+        claimed[mine] = True
+        owners[int(a)] = mine[np.lexsort((mine, -theta[mine]))]
+    return OwnerPartition(owners=owners)

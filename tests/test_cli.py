@@ -85,6 +85,23 @@ def test_generation_infeasibility_exit_code(tmp_path, monkeypatch):
     assert main(["--config", str(path)]) == EXIT_GENERATION
 
 
+def test_dealing_exhaustion_exit_code(tmp_path, monkeypatch, capsys):
+    # seed 0 draws multiplicities [2, 1, 2] and paper loads [4, 1]: two authors want
+    # both papers, but paper 1 has one authorship slot, so every dealing strands
+    monkeypatch.delenv("REVIEW_CALIB_SEED", raising=False)
+    gen = {
+        "n_papers": 2,
+        "n_authors": 3,
+        "author_multiplicity_targets": [[2, 2]],
+        "authors_per_paper_dist": {"values": [1, 4], "probs": [0.5, 0.5]},
+    }
+    config = {"gen": gen, "cases": ["Base"], "repetitions": 1, "master_seed": 0}
+    path = tmp_path / "tight.json"
+    path.write_text(json.dumps(config))
+    assert main(["--config", str(path)]) == EXIT_GENERATION
+    assert "authorship dealing failed after 20 retries" in capsys.readouterr().err
+
+
 def test_unwritable_output_exit_code(config_path, monkeypatch):
     monkeypatch.delenv("REVIEW_CALIB_SEED", raising=False)
     code = main(["--config", config_path, "--reps", "1",

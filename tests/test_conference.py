@@ -6,7 +6,9 @@ import math
 import os
 import subprocess
 import sys
+from collections import Counter
 from dataclasses import replace
+from datetime import timedelta
 from pathlib import Path
 
 import numpy as np
@@ -16,8 +18,11 @@ from hypothesis import strategies as st
 from scipy.optimize import minimize_scalar
 
 import review_calib
+import review_calib.conference as conference_module
 from oracles import (
+    assign_reviewers_reference,
     conference_from_lists,
+    deal_authorship_reference,
     fit_multiplicity_distribution_reference,
     reverse_assignment_reference,
     validate_conference_reference,
@@ -35,11 +40,14 @@ from review_calib.conference import (
     DEFAULT_MASTER_SEED,
     DEFAULT_MULTIPLICITY_TARGETS,
     Ragged,
+    _assign_reviewers,
+    _deal_authorship,
     _minimize_bounded,
     fit_multiplicity_distribution,
     gen_true_scores,
     sample_author_multiplicities,
 )
+from review_calib.estimators import build_owner_partition
 from review_calib.seeding import PURPOSE_CONFERENCE, stream
 
 
@@ -416,6 +424,220 @@ def test_reverse_assignment_matches_double_loop(golden_conference, tiny_conf):
         assert lists["reverse_assignment"] == [want.tolist() for want in expected]
 
 
+# --- set-up loops against their bitwise references
+
+_pm = DiscreteDistribution.point_mass
+
+
+def _twin_calls(new, reference, args, seed):
+    """Run ``new`` and ``reference`` on equal generators.
+
+    Returns each call's outcome (the dtype and bytes of every returned
+    array, or the GenerationError message) paired with the generator state
+    after it, and the reference's branch counts.
+    """
+    events = Counter()
+    outcomes = []
+    for call in (new, lambda *a: reference(*a, events=events)):
+        rng = np.random.default_rng(seed)
+        try:
+            result = call(*args, rng)
+            arrays = (result.flat, result.ptr) if isinstance(result, Ragged) else result
+            outcome = [(a.dtype.str, a.tobytes()) for a in arrays]
+        except GenerationError as err:
+            outcome = str(err)
+        outcomes.append((outcome, rng.bit_generator.state))
+    return outcomes[0], outcomes[1], events
+
+
+@pytest.fixture()
+def dealt_windows(monkeypatch):
+    """Record ``(flagged, scanned)`` of every windowed dealing pass."""
+    calls = []
+    real = conference_module._deal_windows
+
+    def spy(deck, bounds, flagged):
+        scanned = real(deck, bounds, flagged)
+        calls.append((list(flagged), scanned))
+        return scanned
+
+    monkeypatch.setattr(conference_module, "_deal_windows", spy)
+    return calls
+
+
+_DEALING_EXHAUSTED = (
+    "authorship dealing failed after 20 retries; multiplicity targets are too tight for this paper count"
+)
+
+# (n_papers, multiplicities, authors-per-paper law, seed) and what the run must show
+_DEAL_BRANCHES = {
+    "repeat-in-window": (
+        (6, [3, 2, 2, 1, 1, 1], _pm(2), 0),
+        lambda events, calls: events["repeat"] > 0 and calls[-1][0] != [],
+    ),
+    "swap-into-later-window": (
+        (4, [2, 2, 2, 2], _pm(2), 3),
+        lambda events, calls: events["swap_past_window"] > 0 and set(calls[-1][1]) > set(calls[-1][0]),
+    ),
+    "strand-then-restart": (
+        (3, [2, 2, 2], _pm(2), 7),
+        lambda events, calls: events["strand"] > 0 and calls[0][1] is None and calls[-1][1] is not None,
+    ),
+    "retries-exhausted": (
+        (3, [3, 3], DiscreteDistribution.uniform((1, 4)), 0),
+        lambda events, calls: events["strand"] == 20 and all(scanned is None for _, scanned in calls),
+    ),
+}
+
+
+@pytest.mark.parametrize("branch", sorted(_DEAL_BRANCHES))
+def test_dealing_matches_reference_on_each_branch(branch, dealt_windows):
+    (n_papers, multiplicities, dist, seed), reached = _DEAL_BRANCHES[branch]
+    args = (n_papers, np.array(multiplicities, dtype=np.int64), dist)
+    new, ref, events = _twin_calls(_deal_authorship, deal_authorship_reference, args, seed)
+    assert new == ref
+    assert reached(events, dealt_windows)
+    if branch == "retries-exhausted":
+        assert new[0] == _DEALING_EXHAUSTED
+    else:
+        assert not isinstance(new[0], str)
+
+
+@st.composite
+def _deal_inputs(draw):
+    n_papers = draw(st.integers(1, 8))
+    multiplicities = draw(st.lists(st.integers(1, n_papers), min_size=1, max_size=12))
+    loads = draw(st.sampled_from(((1,), (2,), (3,), (1, 4), (1, 2, 6))))
+    return n_papers, np.array(multiplicities, dtype=np.int64), DiscreteDistribution.uniform(loads)
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(_deal_inputs(), st.integers(0, 2**32 - 1))
+def test_dealing_matches_reference_property(args, seed):
+    new, ref, _ = _twin_calls(_deal_authorship, deal_authorship_reference, args, seed)
+    assert new == ref
+
+
+def _matching_config(n_reviewers, capacity, slack=1.05):
+    return GenConfig(
+        n_papers=1,
+        n_authors=1,
+        author_multiplicity_targets=(),
+        reviewer_capacity_dist=capacity,
+        n_reviewers=n_reviewers,
+        capacity_slack=slack,
+    )
+
+
+_MATCHING_EXHAUSTED = (
+    "review matching failed after 20 retries; "
+    "reviewer capacities are too tight for a duplicate-free assignment"
+)
+
+# (review slots per paper, config, seed) and what the run must show
+_MATCHING_BRANCHES = {
+    # 50 draws miss, and the scan over the active reviewers finds several that can take
+    # the paper, so one more draw picks among them
+    "fallback-scan": (
+        ([60] + [1] * 60, _matching_config(64, _pm(3)), 0),
+        lambda events: events["fallback"] > events["dead_end"],
+    ),
+    "dead-end-then-restart": (
+        ([3, 1, 1], _matching_config(3, _pm(2)), 1),
+        lambda events: events["dead_end"] > 0,
+    ),
+    "retries-exhausted": (
+        ([3], _matching_config(2, _pm(3)), 0),
+        lambda events: events["dead_end"] == 20,
+    ),
+}
+
+
+@pytest.mark.parametrize("branch", sorted(_MATCHING_BRANCHES))
+def test_matching_matches_reference_on_each_branch(branch):
+    (per_paper, config, seed), reached = _MATCHING_BRANCHES[branch]
+    args = (np.array(per_paper, dtype=np.int64), config)
+    new, ref, events = _twin_calls(_assign_reviewers, assign_reviewers_reference, args, seed)
+    assert new == ref
+    assert reached(events)
+    if branch == "retries-exhausted":
+        assert new[0] == _MATCHING_EXHAUSTED
+    else:
+        assert not isinstance(new[0], str)
+
+
+@st.composite
+def _matching_inputs(draw):
+    n_papers = draw(st.integers(1, 10))
+    per_paper = draw(st.lists(st.integers(1, 4), min_size=n_papers, max_size=n_papers))
+    capacities = draw(st.sets(st.integers(1, 4), min_size=1))
+    config = _matching_config(
+        draw(st.none() | st.integers(1, 12)),
+        DiscreteDistribution.uniform(tuple(sorted(capacities))),
+        draw(st.floats(1.0, 1.5)),
+    )
+    return np.array(per_paper, dtype=np.int64), config
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(_matching_inputs(), st.integers(0, 2**32 - 1))
+def test_matching_matches_reference_property(args, seed):
+    new, ref, _ = _twin_calls(_assign_reviewers, assign_reviewers_reference, args, seed)
+    assert new == ref
+
+
+@pytest.mark.parametrize("capacity", [2, 6])
+def test_set_up_matches_references_on_a_full_conference(capacity, monkeypatch):
+    config = GenConfig(reviewer_capacity_dist=_pm(capacity))
+    fast_rng = stream(11, PURPOSE_CONFERENCE)
+    fast = gen_conference(config, fast_rng)
+    monkeypatch.setattr(conference_module, "_deal_authorship", deal_authorship_reference)
+    monkeypatch.setattr(conference_module, "_assign_reviewers", assign_reviewers_reference)
+    slow_rng = stream(11, PURPOSE_CONFERENCE)
+    slow = gen_conference(config, slow_rng)
+    assert fast.to_json_str() == slow.to_json_str()
+    assert fast_rng.bit_generator.state == slow_rng.bit_generator.state
+
+
+def _small_laws(hi):
+    return st.sets(st.integers(1, hi), min_size=1, max_size=3).map(
+        lambda values: DiscreteDistribution.uniform(tuple(sorted(values)))
+    )
+
+
+@st.composite
+def _tight_configs(draw):
+    """Small conferences with tight author multiplicities and reviewer capacities."""
+    n_authors = draw(st.integers(1, 24))
+    targets = ()
+    if draw(st.booleans()):
+        first = draw(st.integers(0, n_authors))
+        targets = ((2, first),)
+        if draw(st.booleans()):
+            targets += ((draw(st.integers(3, 6)), draw(st.integers(0, first))),)
+    return dict(
+        n_papers=draw(st.integers(1, 8)),
+        n_authors=n_authors,
+        author_multiplicity_targets=targets,
+        authors_per_paper_dist=draw(_small_laws(6)),
+        reviewers_per_paper_dist=draw(_small_laws(4)),
+        reviewer_capacity_dist=draw(_small_laws(4)),
+        n_reviewers=draw(st.none() | st.integers(1, 12)),
+        capacity_slack=draw(st.floats(1.0, 2.0)),
+    )
+
+
+@settings(max_examples=200, deadline=timedelta(seconds=1), database=None)
+@given(_tight_configs(), st.integers(0, 2**32 - 1))
+def test_tight_small_configs_fail_only_with_typed_errors(fields, seed):
+    # set-up either succeeds or raises one of the two errors the CLI maps to exit 2 and 3
+    try:
+        conf = gen_conference(GenConfig(**fields), stream(seed, PURPOSE_CONFERENCE))
+    except (ConfigurationError, GenerationError):
+        return
+    build_owner_partition(conf).validate()
+
+
 # --- Conference.from_json and validate, one case per message
 
 # three papers; authors {0, 1} and {2}; reviewers {0, 1}, {1, 2}, {0, 2}
@@ -497,6 +719,27 @@ def test_hand_built_conference_refuses_non_finite_true_scores(bad):
     # the first non-finite paper is named, whatever follows it
     with pytest.raises(GenerationError, match="^paper 1 has a non-finite true score$"):
         conference_from_lists([0.0, bad, math.nan], _AUTHORSHIP, _ASSIGNMENT)
+
+
+def test_hand_built_true_scores_become_a_float_array():
+    assignment = Ragged.of(_ASSIGNMENT)
+    conf = Conference([0, 1.5, 2], _AUTHORSHIP, assignment.flat, assignment.ptr)
+    assert isinstance(conf.true_scores, np.ndarray)
+    assert conf.true_scores.dtype == np.float64
+    assert conf.true_scores.tolist() == [0.0, 1.5, 2.0]
+    final, _, _ = review_calib.generate_final_scores(conf, review_calib.get_noise_case("Base"), _rng())
+    assert final.shape == (conf.n_slots,)
+
+
+@pytest.mark.parametrize(
+    "scores",
+    [np.zeros((3, 1)), [0.0, "1.5", 2.0], [[0.0], [1.0, 2.0], [3.0]], 1.0, [True, False, True]],
+    ids=["column", "string-entry", "ragged", "scalar", "bool"],
+)
+def test_hand_built_true_scores_must_be_a_1d_array_of_numbers(scores):
+    assignment = Ragged.of(_ASSIGNMENT)
+    with pytest.raises(GenerationError, match="^true_scores must be a 1-d array of numbers$"):
+        Conference(scores, _AUTHORSHIP, assignment.flat, assignment.ptr)
 
 
 # --- the ragged rows type

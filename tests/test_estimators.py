@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import calibrate_author_reference, conference_from_lists
+from oracles import build_owner_partition_reference, calibrate_author_reference, conference_from_lists
 from review_calib import (
     NOISE_CASES,
     DiscreteDistribution,
@@ -135,6 +135,38 @@ def test_tie_break_prefers_smaller_author_id():
     )
     owners = build_owner_partition(conf)
     assert list(owners.owners) == [0]  # author 1 left with only paper 2
+
+
+def _assert_same_owners(got, want):
+    # same owners in the same insertion order, each with the same int64 bytes
+    assert list(got.owners) == list(want.owners)
+    for a, papers in want.owners.items():
+        assert got.owners[a].dtype == papers.dtype == np.int64
+        assert got.owners[a].tobytes() == papers.tobytes()
+
+
+@st.composite
+def _authored_conferences(draw):
+    n = draw(st.integers(1, 30))
+    # a small grid, so equal true scores (and the id tie-break) are common
+    theta = draw(st.lists(st.integers(-3, 3).map(lambda v: v / 2), min_size=n, max_size=n))
+    rows = draw(st.lists(st.lists(st.integers(0, n - 1), max_size=8, unique=True), max_size=20))
+    return conference_from_lists(theta, rows, [list(range(n))])
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(_authored_conferences())
+def test_owner_partition_matches_reference_property(conf):
+    _assert_same_owners(build_owner_partition(conf), build_owner_partition_reference(conf))
+
+
+@pytest.mark.parametrize("capacity", [2, 6])
+def test_owner_partition_matches_reference_on_generated_conference(capacity):
+    conf = gen_conference(GenConfig(reviewer_capacity_dist=DiscreteDistribution.point_mass(capacity)))
+    want = build_owner_partition_reference(conf)
+    # the greedy claim drops some prolific authors
+    assert 0 < len(want.owners) < int(np.sum(conf.authorship.sizes >= 2))
+    _assert_same_owners(build_owner_partition(conf), want)
 
 
 # --- author-ranking calibration
