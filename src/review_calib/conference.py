@@ -14,7 +14,6 @@ JSON configuration file.
 
 from __future__ import annotations
 
-import bisect
 import functools
 import heapq
 import json
@@ -636,31 +635,30 @@ def _deal_authorship(
     deal_order = np.lexsort((np.arange(n_authors), -multiplicities))
     window_of = np.empty(n_authors, dtype=np.int64)
     window_of[deal_order] = np.arange(n_authors)
-    owner = np.repeat(deal_order, multiplicities[deal_order])
-    bounds = np.concatenate(([0], np.cumsum(multiplicities[deal_order]))).tolist()
+    owner_key = np.repeat(deal_order * n_papers, multiplicities[deal_order])
+    bounds = np.concatenate(([0], np.cumsum(multiplicities[deal_order])))
     ptr = np.concatenate(([0], np.cumsum(multiplicities)))
     for _ in range(_MATCHING_RETRIES):
         deck = np.repeat(np.arange(n_papers, dtype=np.int64), loads)
         rng.shuffle(deck)
         # sorted (author, paper) keys: each author's papers in increasing order, authors by id
-        keys = np.sort(owner * n_papers + deck)
+        keys = owner_key + deck
+        keys.sort()
         repeats = keys[1:][keys[1:] == keys[:-1]] // n_papers
-        flagged = np.unique(window_of[repeats]).tolist()
-        deck = deck.tolist()
-        scanned = _deal_windows(deck, bounds, flagged)
+        scanned = _deal_windows(deck, bounds, np.unique(window_of[repeats]).tolist())
         if scanned is not None:
-            flat = keys % n_papers
+            keys %= n_papers
             for k in scanned:
                 a = deal_order[k]
-                flat[ptr[a] : ptr[a + 1]] = sorted(deck[bounds[k] : bounds[k + 1]])
-            return Ragged(flat, ptr)
+                keys[ptr[a] : ptr[a + 1]] = np.sort(deck[bounds[k] : bounds[k + 1]])
+            return Ragged(keys, ptr)
     raise GenerationError(
         f"authorship dealing failed after {_MATCHING_RETRIES} retries; "
         "multiplicity targets are too tight for this paper count"
     )
 
 
-def _deal_windows(deck: list[int], bounds: list[int], flagged: list[int]) -> list[int] | None:
+def _deal_windows(deck: np.ndarray, bounds: np.ndarray, flagged: list[int]) -> list[int] | None:
     """Scan the flagged windows of ``deck`` in order, in place; None if an author strands.
 
     Returns every window scanned, in increasing order: the flagged ones and
@@ -672,13 +670,13 @@ def _deal_windows(deck: list[int], bounds: list[int], flagged: list[int]) -> lis
     while pending:
         k = heapq.heappop(pending)
         scanned.append(k)
-        ptr, end = bounds[k], bounds[k + 1]
+        ptr, end = int(bounds[k]), int(bounds[k + 1])
         held: set[int] = set()
         j = ptr
         while ptr < end:
             if j >= len(deck):
                 return None
-            paper = deck[j]
+            paper = int(deck[j])
             if paper in held:
                 j += 1
                 continue
@@ -686,7 +684,7 @@ def _deal_windows(deck: list[int], bounds: list[int], flagged: list[int]) -> lis
             held.add(paper)
             ptr += 1
             if j >= end:
-                w = bisect.bisect_right(bounds, j) - 1
+                w = int(np.searchsorted(bounds, j, side="right")) - 1
                 if w not in queued:
                     queued.add(w)
                     heapq.heappush(pending, w)
