@@ -109,12 +109,13 @@ def build_owner_partition(conf: Conference) -> OwnerPartition:
     is kept only if at least two remain. Owned papers are ordered by
     descending true score (smaller id first on exact ties).
 
-    The claim runs over plain lists; one sort by (owner, -true score, id)
-    then orders every owner's papers at once.
+    The claim runs over Python ints and a bytearray; one sort by (owner,
+    -true score, id) then orders every owner's papers at once.
     """
     sizes = conf.authorship.sizes
     order = np.lexsort((np.arange(conf.n_authors), -sizes))
-    flat, ptr = conf.authorship.flat.tolist(), conf.authorship.ptr.tolist()
+    # memoryviews give Python ints without copying the whole authorship into lists
+    flat, ptr = memoryview(conf.authorship.flat), memoryview(conf.authorship.ptr)
     claimed = bytearray(conf.n_papers)
     kept: list[int] = []
     owned: list[int] = []
