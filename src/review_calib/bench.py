@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .conference import DEFAULT_MASTER_SEED, Conference, GenConfig, gen_conference
-from .errors import ConfigurationError, config_float, config_int
+from .errors import ConfigurationError, config_float, config_int, config_json
 from .estimators import (
     OwnerPartition,
     avg_scores,
@@ -81,15 +81,7 @@ class ExperimentConfig:
         return self.master_seed if self.master_seed is not None else DEFAULT_MASTER_SEED
 
     def to_json(self) -> dict:
-        return {
-            "gen": self.gen.to_json(),
-            "cases": list(self.cases),
-            "repetitions": self.repetitions,
-            "blend": self.blend,
-            "master_seed": self.master_seed,
-            "output_path": self.output_path,
-            "output_format": self.output_format,
-        }
+        return config_json(self)
 
     @classmethod
     def from_json(cls, obj: dict) -> "ExperimentConfig":
@@ -201,7 +193,7 @@ def _init_worker(conference: Conference, owners: OwnerPartition, seed: int, blen
     _WORKER["blend"] = blend
 
 
-def _run_cell(task: tuple[str, int, int]) -> tuple[tuple[str, int], list[float]]:
+def _run_cell(task: tuple[str, int, int]) -> list[float]:
     case_name, case_idx, rep = task
     conference: Conference = _WORKER["conference"]
     owners: OwnerPartition = _WORKER["owners"]
@@ -212,15 +204,18 @@ def _run_cell(task: tuple[str, int, int]) -> tuple[tuple[str, int], list[float]]
     author_est = calibrate_author(avg, owners)
     combined_est = calibrate_author(reviewer_est, owners)  # == calibrate_combined
     truth = conference.true_scores
-    return (case_name, rep), [rmse(e, truth) for e in (avg, reviewer_est, author_est, combined_est)]
+    return [rmse(e, truth) for e in (avg, reviewer_est, author_est, combined_est)]
 
 
 def run_experiment(config: ExperimentConfig, workers: int = 1) -> ResultsTable:
     """Run every (case, repetition) cell and aggregate mean/sd RMSEs.
 
-    The standard deviation is the population sd across repetitions (zero
-    for a single repetition). Output is fully determined by the config and
-    seed, for any worker count.
+    Cells run in task order, case by case and repetition by repetition,
+    and each returns one RMSE per method, so their results reshape into
+    one (case, repetition, method) array. The standard deviation is the
+    population sd across repetitions (zero for a single repetition).
+    Output is fully determined by the config and seed, for any worker
+    count.
     """
     if workers < 1:
         raise ConfigurationError(f"workers must be >= 1, got {workers}")
@@ -234,31 +229,22 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> ResultsTable:
         for case_name in case_names
         for rep in range(config.repetitions)
     ]
-    results: dict[tuple[str, int], list[float]] = {}
     if workers == 1:
         _init_worker(conference, owners, seed, config.blend)
-        for task in tasks:
-            key, value = _run_cell(task)
-            results[key] = value
+        rows = list(map(_run_cell, tasks))
     else:
         with ProcessPoolExecutor(
             max_workers=workers,
             initializer=_init_worker,
             initargs=(conference, owners, seed, config.blend),
         ) as pool:
-            for key, value in pool.map(_run_cell, tasks):
-                results[key] = value
-    mean = np.zeros((len(case_names), len(METHODS)))
-    sd = np.zeros_like(mean)
-    for i, case_name in enumerate(case_names):
-        cells = np.asarray([results[(case_name, rep)] for rep in range(config.repetitions)])
-        mean[i] = cells.mean(axis=0)
-        sd[i] = cells.std(axis=0, ddof=0)
+            rows = list(pool.map(_run_cell, tasks))
+    cells = np.asarray(rows).reshape(len(case_names), config.repetitions, len(METHODS))
     return ResultsTable(
         cases=tuple(case_names),
         methods=METHODS,
-        mean_rmse=mean,
-        sd_rmse=sd,
+        mean_rmse=cells.mean(axis=1),
+        sd_rmse=cells.std(axis=1, ddof=0),
         repetitions=config.repetitions,
         master_seed=seed,
     )

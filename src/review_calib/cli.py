@@ -83,8 +83,6 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         config = _apply_overrides(_load_config(args.config), args)
-        if args.workers < 1:
-            raise ConfigurationError(f"workers must be >= 1, got {args.workers}")
     except ConfigurationError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

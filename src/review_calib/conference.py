@@ -25,7 +25,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .distributions import DiscreteDistribution
-from .errors import ConfigurationError, GenerationError, config_float, config_int
+from .errors import ConfigurationError, GenerationError, config_float, config_int, config_json
 from .seeding import PURPOSE_CONFERENCE, stream
 
 DEFAULT_MULTIPLICITY_TARGETS = ((2, 4505), (5, 508), (10, 74), (15, 26))
@@ -85,18 +85,7 @@ class GenConfig:
         validate_multiplicity_targets(self.author_multiplicity_targets, self.n_authors)
 
     def to_json(self) -> dict:
-        return {
-            "n_papers": self.n_papers,
-            "n_authors": self.n_authors,
-            "author_multiplicity_targets": [list(t) for t in self.author_multiplicity_targets],
-            "authors_per_paper_dist": self.authors_per_paper_dist.to_json(),
-            "reviewers_per_paper_dist": self.reviewers_per_paper_dist.to_json(),
-            "reviewer_capacity_dist": self.reviewer_capacity_dist.to_json(),
-            "n_reviewers": self.n_reviewers,
-            "capacity_slack": self.capacity_slack,
-            "true_score_mean": self.true_score_mean,
-            "true_score_sd": self.true_score_sd,
-        }
+        return config_json(self)
 
     @classmethod
     def from_json(cls, obj: dict) -> "GenConfig":
@@ -260,14 +249,10 @@ def fit_multiplicity_distribution(
     ks = np.arange(t1, m + 1)
     tail = ks.astype(float) ** (-alpha)
     tail *= f1 / tail.sum()
-    if t1 == 2:
-        values = (1, *ks.tolist())
-        probs = (1.0 - f1, *tail.tolist())
-    else:
-        low = np.arange(1, t1)
-        low_p = np.full(len(low), (1.0 - f1) / len(low))
-        values = (*low.tolist(), *ks.tolist())
-        probs = (*low_p.tolist(), *tail.tolist())
+    low = np.arange(1, t1)
+    low_p = np.full(len(low), (1.0 - f1) / len(low))
+    values = (*low.tolist(), *ks.tolist())
+    probs = (*low_p.tolist(), *tail.tolist())
     return DiscreteDistribution(values, probs)
 
 

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, config_float, config_int
+from .errors import ConfigurationError, config_float, config_int, config_json
 
 
 @dataclass(frozen=True)
@@ -55,7 +55,7 @@ class DiscreteDistribution:
         return rng.choice(np.asarray(self.values, dtype=np.int64), size=size, p=self._prob_array())
 
     def to_json(self) -> dict:
-        return {"values": list(self.values), "probs": list(self.probs)}
+        return config_json(self)
 
     @classmethod
     def from_json(cls, obj: dict) -> "DiscreteDistribution":

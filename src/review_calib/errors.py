@@ -1,6 +1,7 @@
-"""Exception types shared across the toolkit, and the number checks used
-when reading a JSON configuration."""
+"""Exception types shared across the toolkit, and the number checks and
+field walk used when reading and writing a JSON configuration."""
 
+import dataclasses
 import math
 import numbers
 
@@ -36,3 +37,20 @@ def config_float(value, name: str) -> float:
     if not ok:
         raise ConfigurationError(f"{name} must be a finite number, got {value!r}")
     return float(value)
+
+
+def config_json(config) -> dict:
+    """The dataclass ``config`` as a JSON object, one key per field in declaration order.
+
+    Tuples become lists, nested ones too, and a value with a ``to_json``
+    method is written by it.
+    """
+    return {f.name: _json_value(getattr(config, f.name)) for f in dataclasses.fields(config)}
+
+
+def _json_value(value):
+    if isinstance(value, (tuple, list)):
+        return [_json_value(v) for v in value]
+    if hasattr(value, "to_json"):
+        return value.to_json()
+    return value

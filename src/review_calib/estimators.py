@@ -12,7 +12,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -66,39 +66,28 @@ def calibrate_reviewer(
     return isotonic_project_indexed(avg, order, blend)
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class OwnerPartition:
     """Disjoint paper ownership by prolific authors.
 
-    ``owners`` maps author id -> owned papers ordered by descending true
-    quality; ownership sets never overlap and each has >= 2 papers.
-
-    Construction also derives a flat layout of ``owners`` in insertion
-    order, which ``calibrate_author`` reads: one ``Ragged`` row of paper
-    ids per owner. Owned papers must be integer ids (ValueError
-    otherwise). The layout is not refreshed, so ``owners`` must not be
-    mutated after construction.
+    Row k of ``owners`` holds the papers of author ``authors[k]``, ordered
+    by descending true quality; ownership sets never overlap and each has
+    >= 2 papers. ``owners`` is a ``Ragged`` or a list of rows; owned papers
+    must be integer ids, and there must be one row per author (ValueError
+    otherwise).
     """
 
-    owners: dict[int, np.ndarray]
-    _owned: Ragged = field(init=False, repr=False, compare=False)
+    authors: np.ndarray
+    owners: Ragged
 
     def __post_init__(self):
-        self._owned = Ragged.of(self.owners.values())
+        object.__setattr__(self, "owners", Ragged.of(self.owners))
+        if len(self.authors) != len(self.owners):
+            raise ValueError(f"{len(self.authors)} authors for {len(self.owners)} owner rows")
 
     @property
     def n_owned(self) -> int:
-        return len(self._owned.flat)
-
-    def validate(self) -> None:
-        seen: set[int] = set()
-        for author, papers in self.owners.items():
-            ids = set(int(p) for p in papers)
-            if len(ids) != len(papers) or len(ids) < 2:
-                raise ValueError(f"owner {author} must own >= 2 distinct papers")
-            if ids & seen:
-                raise ValueError(f"owner {author} overlaps a previous owner")
-            seen |= ids
+        return len(self.owners.flat)
 
 
 def build_owner_partition(conf: Conference) -> OwnerPartition:
@@ -132,8 +121,7 @@ def build_owner_partition(conf: Conference) -> OwnerPartition:
     papers = np.array(owned, dtype=np.int64)
     owner = np.repeat(np.arange(len(kept)), counts)
     papers = papers[np.lexsort((papers, -conf.true_scores[papers], owner))]
-    bounds = np.cumsum([0, *counts]).tolist()
-    return OwnerPartition(owners={a: papers[lo:hi] for a, lo, hi in zip(kept, bounds, bounds[1:])})
+    return OwnerPartition(np.array(kept, dtype=np.int64), Ragged(papers, np.cumsum([0, *counts])))
 
 
 def calibrate_author(
@@ -145,18 +133,19 @@ def calibrate_author(
     is exact, so no regularisation toward the input is needed); papers
     without an owner pass through unchanged.
 
-    All owners run as one flat pass over the partition's layout. An owner
-    whose scores never rise along its order is already non-increasing, so
-    the projection passes it through untouched and PAVA skips it; the other
-    owners are fitted as segments of a single PAVA call. The result equals
-    the per-owner projection bit for bit.
+    All owners run as one flat pass over ``owners.owners.flat``, cut into
+    rows by ``owners.owners.ptr``. An owner whose scores never rise along
+    its order is already non-increasing, so the projection passes it
+    through untouched and PAVA skips it; the other owners are fitted as
+    segments of a single PAVA call. The result equals the per-owner
+    projection bit for bit.
     """
     if not 0.0 <= blend <= 1.0:
         raise ValueError(f"blend must lie in [0, 1], got {blend}")
     out = np.asarray(scores, dtype=float).copy()
     if not np.isfinite(out).all():
         raise ValueError("scores must be finite")
-    papers, ptr = owners._owned.flat, owners._owned.ptr
+    papers, ptr = owners.owners.flat, owners.owners.ptr
     y = out[papers]
     # the first entry of each strict rise, and its owner; a rise counts when
     # the next entry has the same owner

@@ -14,34 +14,20 @@ import numpy as np
 from .conference import Ragged
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class TierDecomposition:
-    """Ordered partition of papers from best tier to worst."""
+    """Ordered partition of papers from best tier to worst.
 
-    tiers: list[np.ndarray]
+    ``tiers`` holds one row of paper ids per tier, best first. A list of
+    rows is flattened into a ``Ragged`` on construction; a tier that is not
+    a 1-d run of integer ids raises ValueError (an empty tier may have any
+    dtype).
+    """
 
-    def validate(self, all_papers: Iterable[int]) -> None:
-        """Raise ValueError unless the tiers partition ``all_papers``.
+    tiers: Ragged
 
-        Tiers are checked best first, so the message names the first
-        problem: an empty tier or one that shares a paper with an earlier
-        tier. A paper repeated inside one tier is not an overlap. A
-        non-integer id in ``all_papers`` also raises ValueError.
-        """
-        tiers = Ragged.of(self.tiers)
-        sizes, ids, tier_of = tiers.sizes, tiers.flat, tiers.row_of()
-        order = np.lexsort((tier_of, ids))
-        ids_sorted, tier_sorted = ids[order], tier_of[order]
-        again = (ids_sorted[1:] == ids_sorted[:-1]) & (tier_sorted[1:] != tier_sorted[:-1])
-        first_overlap = int(tier_sorted[1:][again].min(initial=len(sizes)))
-        empty = np.flatnonzero(sizes == 0)
-        first_empty = int(empty[0]) if len(empty) else len(sizes)
-        if first_empty < first_overlap:
-            raise ValueError("empty tier")
-        if first_overlap < len(sizes):
-            raise ValueError("tiers overlap")
-        if not np.array_equal(_sorted_unique(ids), _paper_set(all_papers)):
-            raise ValueError("tiers do not partition the paper set")
+    def __post_init__(self):
+        object.__setattr__(self, "tiers", Ragged.of(self.tiers))
 
     def to_json(self) -> list[list[int]]:
         return [tier.tolist() for tier in self.tiers]
@@ -131,7 +117,7 @@ def hierarchical_tiers(
         tiers.append(papers[zero])
         active &= ~zero
         loss_count -= np.bincount(losers[zero[winners]], minlength=n)
-    return TierDecomposition(tiers=tiers)
+    return TierDecomposition(tiers)
 
 
 def full_ranking(tiers: TierDecomposition, avg_scores: np.ndarray) -> np.ndarray:
@@ -141,10 +127,7 @@ def full_ranking(tiers: TierDecomposition, avg_scores: np.ndarray) -> np.ndarray
     deterministic.
     """
     avg_scores = np.asarray(avg_scores, dtype=float)
-    pieces = []
+    pieces = [np.empty(0, dtype=np.int64)]
     for tier in tiers.tiers:
-        tier = np.asarray(tier, dtype=np.int64)
         pieces.append(tier[np.lexsort((tier, -avg_scores[tier]))])
-    if not pieces:
-        return np.empty(0, dtype=np.int64)
     return np.concatenate(pieces)

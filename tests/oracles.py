@@ -12,7 +12,9 @@ reference fits one owner at a time, and the conference references check
 and invert the JSON assignment lists list by list. The set-up references
 deal authorship author by author over the whole deck, match review slots
 with per-slot numpy scalars and claim owners with one sort per owner; each
-can count the branches its run takes.
+can count the branches its run takes. ``validate_tiers`` and
+``validate_owner_partition`` check the partition properties of the tier
+decomposition and the owner partition.
 
 The rank-centrality chain (loss-driven transitions whose stationary
 distribution orders the papers) is a cross-check of tier peeling, not a
@@ -41,6 +43,7 @@ from review_calib.conference import (
     validate_multiplicity_targets,
 )
 from review_calib.estimators import OwnerPartition
+from review_calib.ranking import TierDecomposition, _paper_set, _sorted_unique
 from review_calib.scoring import NoiseCase, _draw_reviewer_params, _raw_values
 
 
@@ -306,6 +309,30 @@ def naive_hierarchical_tiers(rankings, papers):
     return tiers
 
 
+def validate_tiers(tiers: TierDecomposition, all_papers: Iterable[int]) -> None:
+    """Raise ValueError unless the tiers partition ``all_papers``.
+
+    Tiers are checked best first, so the message names the first
+    problem: an empty tier or one that shares a paper with an earlier
+    tier. A paper repeated inside one tier is not an overlap. A
+    non-integer id in ``all_papers`` also raises ValueError.
+    """
+    tiers = tiers.tiers
+    sizes, ids, tier_of = tiers.sizes, tiers.flat, tiers.row_of()
+    order = np.lexsort((tier_of, ids))
+    ids_sorted, tier_sorted = ids[order], tier_of[order]
+    again = (ids_sorted[1:] == ids_sorted[:-1]) & (tier_sorted[1:] != tier_sorted[:-1])
+    first_overlap = int(tier_sorted[1:][again].min(initial=len(sizes)))
+    empty = np.flatnonzero(sizes == 0)
+    first_empty = int(empty[0]) if len(empty) else len(sizes)
+    if first_empty < first_overlap:
+        raise ValueError("empty tier")
+    if first_overlap < len(sizes):
+        raise ValueError("tiers overlap")
+    if not np.array_equal(_sorted_unique(ids), _paper_set(all_papers)):
+        raise ValueError("tiers do not partition the paper set")
+
+
 @dataclass(frozen=True)
 class ReviewerParams:
     """Additive bias and noise level of a single reviewer."""
@@ -406,10 +433,25 @@ def calibrate_author_reference(scores, owners, blend=1.0):
     out = np.asarray(scores, dtype=float).copy()
     if not np.isfinite(out).all():
         raise ValueError("scores must be finite")
-    for papers in owners.owners.values():
+    for papers in owners.owners:
         fitted = isotonic_fit(out[papers], direction=NON_INCREASING)
         out[papers] = blend * fitted + (1.0 - blend) * out[papers]
     return out
+
+
+def validate_owner_partition(partition: OwnerPartition) -> None:
+    """Raise ValueError unless every owner owns >= 2 distinct papers and no two owners share one.
+
+    Owners are checked in order, so the message names the first owner at fault.
+    """
+    seen: set[int] = set()
+    for author, papers in zip(partition.authors, partition.owners):
+        ids = set(int(p) for p in papers)
+        if len(ids) != len(papers) or len(ids) < 2:
+            raise ValueError(f"owner {author} must own >= 2 distinct papers")
+        if ids & seen:
+            raise ValueError(f"owner {author} overlaps a previous owner")
+        seen |= ids
 
 
 def two_state_stationary(a, b):
@@ -664,7 +706,7 @@ def build_owner_partition_reference(conf):
     order = np.lexsort((np.arange(conf.n_authors), -multiplicities))
     theta = conf.true_scores
     claimed = np.zeros(conf.n_papers, dtype=bool)
-    owners = {}
+    authors, rows = [], []
     for a in order:
         if multiplicities[a] < 2:
             break
@@ -673,5 +715,6 @@ def build_owner_partition_reference(conf):
         if len(mine) < 2:
             continue
         claimed[mine] = True
-        owners[int(a)] = mine[np.lexsort((mine, -theta[mine]))]
-    return OwnerPartition(owners=owners)
+        authors.append(int(a))
+        rows.append(mine[np.lexsort((mine, -theta[mine]))])
+    return OwnerPartition(np.array(authors, dtype=np.int64), rows)

@@ -28,6 +28,7 @@ from oracles import (
     sample_pl_ranking,
     stationary_distribution,
     two_state_stationary,
+    validate_tiers,
 )
 from review_calib import (
     ExperimentConfig,
@@ -201,7 +202,7 @@ def test_criterion_7_tier_properties(default_base_cell, default_conference):
     _, _, rankings = default_base_cell
     n = default_conference.n_papers
     tiers = hierarchical_tiers(rankings, range(n))
-    tiers.validate(range(n))
+    validate_tiers(tiers, range(n))
     g1_sizes = [len(tiers.tiers[0])]
     for seed in SEEDS[1:]:
         conf = gen_conference(GenConfig(), stream(seed, PURPOSE_CONFERENCE))
@@ -209,7 +210,7 @@ def test_criterion_7_tier_properties(default_base_cell, default_conference):
             conf, NOISE_CASES["Base"], stream(seed, PURPOSE_SCORES, 0, 0)
         )
         seed_tiers = hierarchical_tiers(rks, range(conf.n_papers))
-        seed_tiers.validate(range(conf.n_papers))
+        validate_tiers(seed_tiers, range(conf.n_papers))
         g1_sizes.append(len(seed_tiers.tiers[0]))
 
     order = [4, 1, 3, 0, 2]
@@ -217,7 +218,7 @@ def test_criterion_7_tier_properties(default_base_cell, default_conference):
         np.array([order[i], order[j]]) for i in range(5) for j in range(i + 1, 5)
     ]
     singleton = hierarchical_tiers(pair_rankings, range(5))
-    singleton.validate(range(5))
+    validate_tiers(singleton, range(5))
     acyclic_ok = [t.tolist() for t in singleton.tiers] == [[p] for p in order]
 
     sizes_ok = all(500 <= g for g in g1_sizes) and all(g <= 2000 for g in g1_sizes)

@@ -65,7 +65,7 @@ def test_repetition_streams_are_isolated(small_experiment, small_table):
     seed = config.effective_seed
     conference = gen_conference(config.gen, stream(seed, PURPOSE_CONFERENCE))
     _init_worker(conference, build_owner_partition(conference), seed, config.blend)
-    cells = np.asarray([_run_cell(("Base", 0, rep))[1] for rep in range(config.repetitions)])
+    cells = np.asarray([_run_cell(("Base", 0, rep)) for rep in range(config.repetitions)])
     assert np.allclose(cells.mean(axis=0), small_table.mean_rmse[0], atol=1e-12)
     from dataclasses import replace
 

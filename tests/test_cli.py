@@ -124,9 +124,12 @@ def test_negative_seed_is_config_error(config_path, monkeypatch):
     assert main(["--config", config_path, "--seed", "-1"]) == EXIT_CONFIG
 
 
-def test_zero_workers_is_config_error(config_path, monkeypatch):
+def test_zero_workers_is_config_error(config_path, monkeypatch, capsys):
     monkeypatch.delenv("REVIEW_CALIB_SEED", raising=False)
     assert main(["--config", config_path, "--workers", "0"]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.err == "configuration error: workers must be >= 1, got 0\n"
+    assert captured.out == ""
 
 
 _BAD_CONFIGS = {

@@ -26,6 +26,7 @@ from oracles import (
     fit_multiplicity_distribution_reference,
     reverse_assignment_reference,
     validate_conference_reference,
+    validate_owner_partition,
 )
 from review_calib import (
     Conference,
@@ -635,7 +636,7 @@ def test_tight_small_configs_fail_only_with_typed_errors(fields, seed):
         conf = gen_conference(GenConfig(**fields), stream(seed, PURPOSE_CONFERENCE))
     except (ConfigurationError, GenerationError):
         return
-    build_owner_partition(conf).validate()
+    validate_owner_partition(build_owner_partition(conf))
 
 
 # --- Conference.from_json and validate, one case per message

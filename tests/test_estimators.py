@@ -1,11 +1,18 @@
 from __future__ import annotations
 
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import build_owner_partition_reference, calibrate_author_reference, conference_from_lists
+from oracles import (
+    build_owner_partition_reference,
+    calibrate_author_reference,
+    conference_from_lists,
+    validate_owner_partition,
+)
 from review_calib import (
     NOISE_CASES,
     DiscreteDistribution,
@@ -19,6 +26,7 @@ from review_calib import (
     generate_final_scores,
     rmse,
 )
+from review_calib.conference import Ragged
 from review_calib.estimators import calibrate_combined
 
 
@@ -103,10 +111,10 @@ def test_blend_is_affine_path():
 def test_single_author_owns_both_papers():
     conf = conference_from_lists([1.0, 2.0], [[0, 1]], [[0, 1]])
     owners = build_owner_partition(conf)
-    assert list(owners.owners) == [0]
+    assert owners.authors.tolist() == [0]
     # ordered by descending true score
     assert owners.owners[0].tolist() == [1, 0]
-    owners.validate()
+    validate_owner_partition(owners)
 
 
 def test_greedy_overlap_resolution_drops_starved_author():
@@ -118,13 +126,14 @@ def test_greedy_overlap_resolution_drops_starved_author():
         [[0, 1, 2, 3]],
     )
     owners = build_owner_partition(conf)
-    assert list(owners.owners) == [0]
+    assert owners.authors.tolist() == [0]
     assert owners.owners[0].tolist() == [0, 1, 2]
 
 
 def test_all_single_paper_authors_yield_empty_partition():
     conf = conference_from_lists([1.0, 2.0], [[0], [1]], [[0, 1]])
-    assert build_owner_partition(conf).owners == {}
+    owners = build_owner_partition(conf)
+    assert owners.authors.tolist() == [] and len(owners.owners) == 0
 
 
 def test_tie_break_prefers_smaller_author_id():
@@ -134,15 +143,46 @@ def test_tie_break_prefers_smaller_author_id():
         [[0, 1, 2]],
     )
     owners = build_owner_partition(conf)
-    assert list(owners.owners) == [0]  # author 1 left with only paper 2
+    assert owners.authors.tolist() == [0]  # author 1 left with only paper 2
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [[[0.0, 1.0]], [np.array([0.5, 1.5])], [np.array([0, 1]), np.array([2.0, 3.0])], [[[0, 1]]]],
+    ids=["float-list", "fractional-array", "float-row", "2-d-row"],
+)
+def test_hand_built_owner_rows_must_be_integer_ids(rows):
+    with pytest.raises(ValueError, match="integer ids"):
+        OwnerPartition(np.arange(len(rows)), rows)
+
+
+def test_owner_partition_needs_one_author_per_row():
+    with pytest.raises(ValueError, match="2 authors for 1 owner rows"):
+        OwnerPartition(np.array([0, 1]), [np.array([0, 1])])
+    with pytest.raises(ValueError, match="0 authors for 1 owner rows"):
+        OwnerPartition(np.empty(0, dtype=np.int64), Ragged.of([[0, 1]]))
+
+
+def test_owner_partition_keeps_its_ragged_and_pickles():
+    conf = conference_from_lists([1.0, 2.0, 3.0], [[0, 1], [2]], [[0, 1, 2]])
+    built = build_owner_partition(conf)
+    assert isinstance(built.owners, Ragged)
+    assert OwnerPartition(built.authors, built.owners).owners is built.owners
+    # a hand-built list of rows becomes the same layout
+    by_hand = OwnerPartition(np.array([0]), [[1, 0]])
+    assert by_hand.owners.flat.tobytes() == built.owners.flat.tobytes()
+    assert by_hand.owners.ptr.tobytes() == built.owners.ptr.tobytes()
+    clone = pickle.loads(pickle.dumps(built))
+    _assert_same_owners(clone, built)
 
 
 def _assert_same_owners(got, want):
-    # same owners in the same insertion order, each with the same int64 bytes
-    assert list(got.owners) == list(want.owners)
-    for a, papers in want.owners.items():
-        assert got.owners[a].dtype == papers.dtype == np.int64
-        assert got.owners[a].tobytes() == papers.tobytes()
+    # same owners in the same order, each with the same int64 bytes
+    assert got.authors.tolist() == want.authors.tolist()
+    assert len(got.owners) == len(want.owners)
+    for mine, papers in zip(got.owners, want.owners):
+        assert mine.dtype == papers.dtype == np.int64
+        assert mine.tobytes() == papers.tobytes()
 
 
 @st.composite
@@ -224,7 +264,7 @@ def _author_instances(draw):
         values = st.floats(-10, 10, allow_nan=False)
     scores = np.asarray(draw(st.lists(values, min_size=n, max_size=n)), dtype=float)
     papers = np.asarray(draw(st.permutations(range(n))), dtype=np.int64)
-    owners = {}
+    authors, rows = [], []
     lo = 0
     while n - lo >= 2:
         size = draw(st.integers(2, min(8, n - lo)))
@@ -237,16 +277,17 @@ def _author_instances(draw):
             scores[group] = np.sort(scores[group])[::-1]
         elif shape == "reversed":
             scores[group] = np.sort(scores[group])
-        owners[draw(st.integers(0, 10**6).filter(lambda a: a not in owners))] = group
+        authors.append(draw(st.integers(0, 10**6).filter(lambda a: a not in authors)))
+        rows.append(group)
     blend = draw(st.one_of(st.sampled_from((0.0, 0.5, 1.0)), st.floats(0.0, 1.0)))
-    return scores, OwnerPartition(owners=owners), blend
+    return scores, OwnerPartition(np.array(authors, dtype=np.int64), rows), blend
 
 
 @settings(max_examples=400, deadline=None, database=None)
 @given(_author_instances())
 def test_author_projection_matches_per_owner_reference_property(instance):
     scores, owners, blend = instance
-    owners.validate()
+    validate_owner_partition(owners)
     _assert_bitwise_equal(
         calibrate_author(scores, owners, blend), calibrate_author_reference(scores, owners, blend)
     )
@@ -262,7 +303,7 @@ def test_author_projection_matches_per_owner_reference_on_generated_conference(c
         avg = avg_scores(final, conf)
         for scores in (avg, calibrate_reviewer(avg, rankings, 0.5)):
             # both kinds of owner occur: already in order (skipped) and rising somewhere
-            rising = sum(bool(np.any(np.diff(scores[p]) > 0)) for p in owners.owners.values())
+            rising = sum(bool(np.any(np.diff(scores[p]) > 0)) for p in owners.owners)
             assert 0 < rising < len(owners.owners)
             for blend in (1.0, 0.5):
                 _assert_bitwise_equal(
@@ -272,7 +313,7 @@ def test_author_projection_matches_per_owner_reference_on_generated_conference(c
 
 
 def test_empty_partition_returns_a_copy():
-    owners = OwnerPartition(owners={})
+    owners = OwnerPartition(np.empty(0, dtype=np.int64), [])
     assert owners.n_owned == 0
     for scores in (np.array([3.0, -0.0, 1.5]), [3.0, -0.0, 1.5]):
         out = calibrate_author(scores, owners)
@@ -287,7 +328,7 @@ def test_empty_partition_reduces_to_reviewer_calibration():
     rng = np.random.default_rng(9)
     avg = rng.normal(5, 1, 10)
     rankings = [rng.choice(10, size=3, replace=False) for _ in range(6)]
-    owners = OwnerPartition(owners={})
+    owners = OwnerPartition(np.empty(0, dtype=np.int64), [])
     combined = calibrate_combined(avg, rankings, owners, blend=0.5)
     assert np.array_equal(combined, calibrate_reviewer(avg, rankings, 0.5))
 
@@ -322,7 +363,7 @@ def test_translation_equivariance_of_all_methods(tiny_conf):
 def test_calibrations_reject_non_finite_scores():
     avg = np.array([3.0, np.nan, 1.0])
     rankings = [np.array([0, 1]), np.array([1, 2])]
-    owners = OwnerPartition({0: np.array([0, 2])})
+    owners = OwnerPartition(np.array([0]), [np.array([0, 2])])
     with pytest.raises(ValueError, match="finite"):
         calibrate_reviewer(avg, rankings)
     with pytest.raises(ValueError, match="finite"):

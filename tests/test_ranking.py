@@ -16,8 +16,10 @@ from oracles import (
     naive_hierarchical_tiers,
     stationary_distribution,
     two_state_stationary,
+    validate_tiers,
 )
 from review_calib import full_ranking, hierarchical_tiers
+from review_calib.conference import Ragged
 from review_calib.ranking import TierDecomposition
 
 A, B, C = 0, 1, 2
@@ -196,7 +198,7 @@ def test_peel_matches_rebuild_oracle():
         n = int(rng.integers(2, 15))
         rankings = _random_rankings(rng, n, int(rng.integers(1, 25)))
         fast = hierarchical_tiers(rankings, range(n))
-        fast.validate(range(n))
+        validate_tiers(fast, range(n))
         slow = naive_hierarchical_tiers(rankings, range(n))
         assert [t.tolist() for t in fast.tiers] == slow
 
@@ -234,7 +236,7 @@ def test_peel_matches_rebuild_oracle_property(inputs):
             hierarchical_tiers(rankings, all_papers)
         return
     fast = hierarchical_tiers(rankings, all_papers)
-    fast.validate(all_papers)
+    validate_tiers(fast, all_papers)
     assert fast.to_json() == naive_hierarchical_tiers(rankings, all_papers)
     assert all(t.dtype == np.int64 for t in fast.tiers)
 
@@ -268,7 +270,7 @@ def test_tiers_reject_non_integer_paper_set(all_papers):
     with pytest.raises(ValueError, match="all_papers must be integer ids"):
         hierarchical_tiers(_rankings([0, 1]), all_papers)
     with pytest.raises(ValueError, match="all_papers must be integer ids"):
-        TierDecomposition([np.array([0, 1])]).validate(all_papers)
+        validate_tiers(TierDecomposition([np.array([0, 1])]), all_papers)
 
 
 @st.composite
@@ -285,9 +287,9 @@ def test_never_loser_invariant_property(inputs):
     # every paper of a non-final tier loses no comparison among the papers still remaining
     rankings, n = inputs
     tiers = hierarchical_tiers(rankings, range(n))
-    tiers.validate(range(n))
+    validate_tiers(tiers, range(n))
     remaining = set(range(n))
-    for tier in tiers.tiers[:-1]:
+    for tier in list(tiers.tiers)[:-1]:
         members = {int(p) for p in tier}
         for ranking in rankings:
             kept = [int(p) for p in ranking if int(p) in remaining]
@@ -301,9 +303,9 @@ def test_tiers_partition_and_cross_tier_dominance():
     rng = np.random.default_rng(17)
     rankings = _random_rankings(rng, 25, 60)
     tiers = hierarchical_tiers(rankings, range(25))
-    tiers.validate(range(25))
+    validate_tiers(tiers, range(25))
     remaining = set(range(25))
-    for tier in tiers.tiers[:-1]:
+    for tier in list(tiers.tiers)[:-1]:
         g = extract_pairwise(rankings, remaining)
         losses = g.loss_counts(remaining)
         assert all(losses[int(p)] == 0 for p in tier)
@@ -312,22 +314,50 @@ def test_tiers_partition_and_cross_tier_dominance():
 
 def test_tier_decomposition_validation_errors():
     with pytest.raises(ValueError, match="partition"):
-        TierDecomposition([np.array([0])]).validate({0, 1})
+        validate_tiers(TierDecomposition([np.array([0])]), {0, 1})
     with pytest.raises(ValueError, match="overlap"):
-        TierDecomposition([np.array([0]), np.array([0, 1])]).validate({0, 1})
+        validate_tiers(TierDecomposition([np.array([0]), np.array([0, 1])]), {0, 1})
 
 
 def test_tier_validation_reports_the_first_problem():
     empty = np.empty(0, dtype=np.int64)
     with pytest.raises(ValueError, match="empty tier"):
-        TierDecomposition([np.array([0]), empty, np.array([0, 1])]).validate({0, 1})
+        validate_tiers(TierDecomposition([np.array([0]), empty, np.array([0, 1])]), {0, 1})
     with pytest.raises(ValueError, match="overlap"):
-        TierDecomposition([np.array([0]), np.array([0, 1]), empty]).validate({0, 1})
+        validate_tiers(TierDecomposition([np.array([0]), np.array([0, 1]), empty]), {0, 1})
     with pytest.raises(ValueError, match="partition"):
-        TierDecomposition([np.array([0, 2])]).validate({0, 1})
+        validate_tiers(TierDecomposition([np.array([0, 2])]), {0, 1})
     # a paper listed twice inside one tier is not an overlap
-    TierDecomposition([np.array([1, 1]), np.array([0])]).validate({0, 1})
-    TierDecomposition([]).validate([])
+    validate_tiers(TierDecomposition([np.array([1, 1]), np.array([0])]), {0, 1})
+    validate_tiers(TierDecomposition([]), [])
+
+
+@pytest.mark.parametrize(
+    "tiers",
+    [[[1.7, 0.5]], [np.array([1.0, 2.0])], [np.array([0]), np.array([0.5])], [[[0, 1]]]],
+    ids=["fractional-list", "float-array", "float-tier", "2-d-tier"],
+)
+def test_tiers_must_be_integer_ids(tiers):
+    # a float id was once truncated by full_ranking: [[1.7, 0.5]] ranked as [1, 0]
+    with pytest.raises(ValueError, match="integer ids"):
+        TierDecomposition(tiers)
+
+
+@pytest.mark.parametrize("dtype", [np.int64, np.float64, np.bool_, object])
+def test_empty_tier_of_any_dtype_is_accepted(dtype):
+    tiers = TierDecomposition([np.array([1]), np.empty(0, dtype=dtype), [0]])
+    assert [t.tolist() for t in tiers.tiers] == [[1], [], [0]]
+    assert tiers.tiers.flat.dtype == np.int64
+    assert full_ranking(tiers, np.array([1.0, 2.0])).tolist() == [1, 0]
+
+
+def test_tiers_are_always_ragged():
+    built = hierarchical_tiers(_rankings([A, B]), {A, B, C})
+    assert isinstance(built.tiers, Ragged)
+    assert TierDecomposition(built.tiers).tiers is built.tiers
+    assert isinstance(TierDecomposition([[A], [B, C]]).tiers, Ragged)
+    empty = full_ranking(TierDecomposition([]), np.array([1.0]))
+    assert empty.dtype == np.int64 and empty.size == 0
 
 
 # --- full ranking
