@@ -317,8 +317,8 @@ def validate_tiers(tiers: TierDecomposition, all_papers: Iterable[int]) -> None:
     tier. A paper repeated inside one tier is not an overlap. A
     non-integer id in ``all_papers`` also raises ValueError.
     """
-    tiers = tiers.tiers
-    sizes, ids, tier_of = tiers.sizes, tiers.flat, tiers.row_of()
+    rows = tiers.tiers
+    sizes, ids, tier_of = rows.sizes, rows.flat, rows.row_of()
     order = np.lexsort((tier_of, ids))
     ids_sorted, tier_sorted = ids[order], tier_of[order]
     again = (ids_sorted[1:] == ids_sorted[:-1]) & (tier_sorted[1:] != tier_sorted[:-1])

@@ -159,6 +159,25 @@ def test_python_built_experiment_config_stores_typed_values():
     assert type(config.master_seed) is int and config.master_seed == 7
 
 
+_DEFAULT_CONFIG_JSON = (
+    '{"gen": {"n_papers": 6538, "n_authors": 18535, "author_multiplicity_targets": '
+    '[[2, 4505], [5, 508], [10, 74], [15, 26]], "authors_per_paper_dist": '
+    '{"values": [1, 8], "probs": [0.553, 0.447]}, "reviewers_per_paper_dist": '
+    '{"values": [3, 4], "probs": [0.5, 0.5]}, "reviewer_capacity_dist": '
+    '{"values": [2], "probs": [1.0]}, "n_reviewers": null, "capacity_slack": 1.05, '
+    '"true_score_mean": 5.0, "true_score_sd": 0.88}, "cases": ["Base", "NoBias", '
+    '"NoVariance", "BigBias", "BigVariance"], "repetitions": 10, "blend": 0.5, '
+    '"master_seed": null, "output_path": null, "output_format": "table"}'
+)
+
+
+def test_default_config_json_is_pinned():
+    obj = ExperimentConfig().to_json()
+    assert json.dumps(obj) == _DEFAULT_CONFIG_JSON
+    # plain JSON values throughout: a tuple left in would compare unequal to its list
+    assert obj == json.loads(_DEFAULT_CONFIG_JSON)
+
+
 def test_experiment_config_json_round_trip():
     config = ExperimentConfig(
         gen=scaled_config(GenConfig(), 100),
