@@ -143,31 +143,6 @@ class ResultsTable:
             ],
         }
 
-    @classmethod
-    def from_json_obj(cls, obj: dict) -> "ResultsTable":
-        cases: list[str] = []
-        methods: list[str] = []
-        for row in obj["results"]:
-            if row["case"] not in cases:
-                cases.append(row["case"])
-            if row["method"] not in methods:
-                methods.append(row["method"])
-        mean = np.zeros((len(cases), len(methods)))
-        sd = np.zeros((len(cases), len(methods)))
-        for row in obj["results"]:
-            i = cases.index(row["case"])
-            j = methods.index(row["method"])
-            mean[i, j] = row["mean_rmse"]
-            sd[i, j] = row["sd_rmse"]
-        return cls(
-            cases=tuple(cases),
-            methods=tuple(methods),
-            mean_rmse=mean,
-            sd_rmse=sd,
-            repetitions=int(obj["repetitions"]),
-            master_seed=int(obj["master_seed"]),
-        )
-
     def to_text(self) -> str:
         """Grid with methods as rows and cases as columns; '*' marks column minima."""
         col_min = self.mean_rmse.argmin(axis=1)
@@ -202,7 +177,7 @@ def _run_cell(task: tuple[str, int, int]) -> list[float]:
     avg = avg_scores(final, conference)
     reviewer_est = calibrate_reviewer(avg, rankings, _WORKER["blend"])
     author_est = calibrate_author(avg, owners)
-    combined_est = calibrate_author(reviewer_est, owners)  # == calibrate_combined
+    combined_est = calibrate_author(reviewer_est, owners)  # combined: reviewer, then author
     truth = conference.true_scores
     return [rmse(e, truth) for e in (avg, reviewer_est, author_est, combined_est)]
 

@@ -500,44 +500,6 @@ class Conference:
     def to_json_str(self) -> str:
         return json.dumps(self.to_json(), separators=(",", ":"))
 
-    @classmethod
-    def from_json(cls, obj: dict) -> "Conference":
-        """Read what ``to_json`` writes; raises GenerationError for an invalid conference.
-
-        After ``validate``, paper p's stored reverse list must name the
-        reviewers holding p, each once, in any order. An id that is not an
-        integer is refused, not converted, and so is a true score that is
-        not a finite number.
-        """
-        assignment = _rows(obj["assignment"], "assignment")
-        conf = cls(
-            true_scores=_finite_scores(obj["true_scores"]),
-            authorship=obj["authorship"],
-            slot_papers=assignment.flat,
-            reviewer_ptr=assignment.ptr,
-        )
-        conf.validate()
-        listed = _rows(obj["reverse_assignment"], "reverse_assignment")
-        if len(listed) != conf.n_papers:
-            raise GenerationError("reverse_assignment length != n_papers")
-        for p, (given, held) in enumerate(zip(listed, conf._paper_reviewers())):
-            if np.sort(given).tolist() != held.tolist():
-                raise GenerationError(f"reverse_assignment inconsistent for paper {p}")
-        return conf
-
-
-def _finite_scores(values) -> np.ndarray:
-    """``values`` as a 1-d float array; GenerationError unless each is a finite number."""
-    scores = np.asarray(values)
-    if (
-        scores.ndim != 1
-        or scores.dtype.kind not in "iuf"
-        or any(isinstance(v, (bool, np.bool_)) for v in values)
-        or not np.isfinite(scores).all()
-    ):
-        raise GenerationError("true_scores must be a list of finite numbers")
-    return scores.astype(float)
-
 
 def _repeats(owner: np.ndarray, values: np.ndarray) -> np.ndarray:
     """Indices of elements whose (owner, value) pair occurs more than once, bar one per pair.

@@ -159,16 +159,6 @@ def calibrate_author(
     return out
 
 
-def calibrate_combined(
-    avg: EstimateVector,
-    rankings: Sequence[np.ndarray],
-    owners: OwnerPartition,
-    blend: float = 0.5,
-) -> EstimateVector:
-    """Reviewer calibration first, exact author projection second."""
-    return calibrate_author(calibrate_reviewer(avg, rankings, blend), owners)
-
-
 def rmse(est: EstimateVector, truth: np.ndarray) -> float:
     """Root mean square error between estimates and true scores.
 

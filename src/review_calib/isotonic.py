@@ -10,7 +10,10 @@ long.
 loop fits many disjoint segments of one flat input in a single call, the
 shape of the author projection's owners. ``project_rows_non_increasing``
 advances the same stack over many short rows at once, the shape of a batch
-of reviewer bundles.
+of reviewer bundles. Its stacks are column-major, indexed flat as
+``depth * rows + row``, and its pooled blocks of three or more are summed
+by TwoSum cascades; a sum is used only where it is certified to be
+``math.fsum``'s, and fsum itself sums the rest.
 """
 
 from __future__ import annotations
@@ -65,52 +68,110 @@ def _pava_non_decreasing(
     return np.array(out)
 
 
+_FSUM_SAFE = 2.0**1020
+"""Summands whose magnitudes add up to less than this overflow no partial sum."""
+
+
+def _running_two_sum(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The left-to-right sum of every column of ``x``, and each step's exact TwoSum error."""
+    run = np.empty_like(x)
+    run[0] = x[0]
+    for j in range(1, len(x)):
+        np.add(run[j - 1], x[j], out=run[j])
+    prev, s, v = run[:-1], run[1:], x[1:]
+    sv = s - prev
+    return run[-1], (prev - (s - sv)) + (v - sv)
+
+
+def _fsum_columns(x: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """``math.fsum`` of every column of ``x``, bit for bit.
+
+    Column j holds its ``lengths[j]`` summands, then zeros. Its exact sum
+    is the running sum ``total`` plus the step errors; where the running
+    sum ``rest`` of those errors is itself exact (all its step errors are
+    zero), ``total + rest`` rounds the exact sum to nearest, ties to even,
+    as fsum does. Other columns, zero sums and any column that is not
+    finite or could overflow go through ``math.fsum``, shortest first, so
+    they return or raise what fsum does.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        total, errors = _running_two_sum(x)
+        rest, rest_errors = _running_two_sum(errors)
+        t = total + rest
+        safe = np.abs(x).sum(axis=0) < _FSUM_SAFE
+        certified = (rest_errors == 0.0).all(axis=0) & (t != 0.0) & safe
+    fallback = np.flatnonzero(~certified)
+    for j in fallback[np.argsort(lengths[fallback], kind="stable")].tolist():
+        t[j] = math.fsum(x[: lengths[j], j].tolist())
+    return t
+
+
 def project_rows_non_increasing(y: np.ndarray) -> np.ndarray:
     """Unit-weight projection of every row of ``y`` onto non-increasing vectors.
 
     A row-batched copy of the scalar kernel on one segment: the same stack,
     merge test and running sums, advanced one column at a time for all
-    rows, so each row matches the scalar kernel bit for bit. A pooled
-    block of two is its running sum halved (what fsum of two values gives);
-    longer blocks keep ``math.fsum``.
+    rows, so each row matches the scalar kernel bit for bit. A new entry
+    merges into its row's top block or is pushed above it, and only rows
+    whose top block just grew test the block below again. A pooled block of
+    two is its running sum halved (what fsum of two values gives); longer
+    blocks take fsum's value from ``_fsum_columns``.
     """
     z = -np.asarray(y, dtype=float)
     m, s = z.shape
-    starts = np.zeros((m, s), dtype=np.int64)
-    wsum = np.zeros((m, s))
-    wysum = np.zeros((m, s))
-    depth = np.zeros(m, dtype=np.int64)
+    if s == 0:
+        return z
+    zt = np.ascontiguousarray(z.T)
+    # the stacks, column-major: block b of row r at flat index b * m + r
+    starts = np.zeros(s * m, dtype=np.int64)
+    wsum = np.ones(s * m)
+    wysum = np.zeros(s * m)
+    wysum[:m] = zt[0]
     rows = np.arange(m)
-    for i in range(s):
-        starts[rows, depth] = i
-        wsum[rows, depth] = 1.0
-        wysum[rows, depth] = z[:, i]
-        depth += 1
-        while True:
-            r = np.flatnonzero(depth > 1)
-            t = depth[r] - 1
-            merge = wysum[r, t - 1] * wsum[r, t] > wysum[r, t] * wsum[r, t - 1]
-            if not merge.any():
-                break
-            r, t = r[merge], t[merge]
-            wsum[r, t - 1] += wsum[r, t]
-            wysum[r, t - 1] += wysum[r, t]
-            depth[r] -= 1
-    # unit weights: a live block's wsum is its length, exactly
-    live = np.arange(s) < depth[:, None]
-    opens = np.zeros((m, s), dtype=bool)
-    opens[np.nonzero(live)[0], starts[live]] = True
-    block = np.cumsum(opens, axis=1) - 1
-    out = np.take_along_axis(wysum, block, axis=1) / np.take_along_axis(wsum, block, axis=1)
-    r, b = np.nonzero(live & (wsum >= 3.0))
-    lengths = wsum[r, b].astype(np.int64)
-    for length in np.flatnonzero(np.bincount(lengths)).tolist():
-        sel = lengths == length
-        block_rows = r[sel][:, None]
-        cols = starts[r[sel], b[sel]][:, None] + np.arange(length)
-        sums = np.fromiter(map(math.fsum, z[block_rows, cols].tolist()), dtype=float)
-        out[block_rows, cols] = (sums / length)[:, None]
-    return -out
+    top = rows.copy()  # the flat index of each row's top block
+    for i in range(1, s):
+        zi = zt[i]
+        wt, wyt = wsum[top], wysum[top]
+        # the scalar test wysum[top] * 1.0 > z[i] * wsum[top], for the new entry's weight of 1.0
+        merged = wyt > zi * wt
+        # push onto every row; above a merging row's top the slot stays dead
+        above = top + m
+        starts[above] = i
+        wsum[above] = 1.0
+        wysum[above] = zi
+        top = np.where(merged, top, above)
+        r = np.flatnonzero(merged)
+        t = top[r]
+        wsum[t] = wt[r] + 1.0
+        wysum[t] = wyt[r] + zi[r]
+        while len(deep := np.flatnonzero(t >= m)):
+            r, t = r[deep], t[deep]
+            ws_t, wy_t, ws_p, wy_p = wsum[t], wysum[t], wsum[t - m], wysum[t - m]
+            merge = np.flatnonzero(wy_p * ws_t > wy_t * ws_p)
+            r, t = r[merge], t[merge] - m
+            wsum[t] = ws_p[merge] + ws_t[merge]
+            wysum[t] = wy_p[merge] + wy_t[merge]
+            top[r] = t
+    live = np.arange(s * m).reshape(s, m) <= top
+    blocks = np.flatnonzero(live)
+    # block ids by a running add down the columns: a block's first column moves its row up by m
+    block = np.zeros((s, m), dtype=np.int64)
+    block.ravel()[starts[blocks] * m + blocks % m] = m
+    block[0] = rows
+    for i in range(1, s):
+        block[i] += block[i - 1]
+    value = wysum / wsum
+    # blocks of three or more, row by row, as the scalar kernel visits them;
+    # with unit weights a live block's wsum is its length, exactly
+    r, b = np.nonzero((live & (wsum >= 3.0).reshape(s, m)).T)
+    if len(r):
+        long = b * m + r
+        lengths = wsum[long].astype(np.int64)
+        j = np.arange(lengths.max())[:, None]
+        cols = np.minimum(starts[long] + j, s - 1)
+        x = np.where(j < lengths, zt.ravel()[cols * m + r], 0.0)
+        value[long] = _fsum_columns(x, lengths) / lengths
+    return -value[block].T
 
 
 def isotonic_fit(

@@ -29,9 +29,6 @@ class TierDecomposition:
     def __post_init__(self):
         object.__setattr__(self, "tiers", Ragged.of(self.tiers))
 
-    def to_json(self) -> list[list[int]]:
-        return [tier.tolist() for tier in self.tiers]
-
 
 def _paper_set(all_papers: Iterable[int]) -> np.ndarray:
     """``all_papers`` as sorted, distinct int64 ids; ValueError unless each is an integer."""

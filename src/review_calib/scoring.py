@@ -11,11 +11,14 @@ group is ranked and adjusted with whole-array operations. What does not
 depend on the draws (the size groups, their slots and the Plackett-Luce
 weights) is computed once per conference, on first use; a cell only draws
 and gathers. Bundles of two papers, the default, take a closed form of the
-sampler's single choice and of the projection's single merge test. The
-batch consumes the same uniforms in the same order, and performs the same
-floating-point operations, as a sequential-choice sampler followed by the
-scalar isotonic projection run reviewer by reviewer, so its output is
-bit-identical to that loop.
+sampler's single choice and of the projection's single merge test; larger
+bundles go through row kernels that work column-major, paper q of reviewer
+r at flat index ``q * reviewers + r``, with exact block sums certified
+equal to ``math.fsum`` (see ``isotonic``). The batch consumes the same
+uniforms in the same order, and performs the same floating-point
+operations, as a sequential-choice sampler followed by the scalar isotonic
+projection run reviewer by reviewer, so its output is bit-identical to that
+loop.
 
 A reviewer's bias shifts every score they give by the same amount, so it
 never changes their internal ranking; the per-reviewer noise variance is a
@@ -99,31 +102,42 @@ def _sample_pl_rows(weights: np.ndarray, total: np.ndarray, uniforms: np.ndarray
     ``rng.random() * total`` per position; ``uniforms[:, k]`` is the k-th
     uniform it would draw for the row. ``weights`` and ``total`` are the
     sampler's (see ``Conference._bundle_plan``); the running total is the
-    same left-to-right sum less each pick, and the cumulative scan visits
-    only the papers still unranked, so the returned permutations are the
-    scalar sampler's.
+    same left-to-right sum less each pick. The scan runs column-major, paper
+    q of row r at flat index ``q * m + r``, over the weights with every
+    ranked paper's weight set to 0.0: adding 0.0 leaves each compared
+    partial sum unchanged, so the returned permutations are the scalar
+    sampler's.
     """
     m, s = weights.shape
-    total = total.copy()
+    weight = weights.T.copy()
+    left = weight.copy()
+    remaining = np.ones((s, m), dtype=bool)
     rows = np.arange(m)
-    remaining = np.ones((m, s), dtype=bool)
-    perm = np.empty((m, s), dtype=np.int64)
+    acc = np.empty((s, m))
+    seen = np.empty((s, m), dtype=bool)
+    perm = np.empty((s, m), dtype=np.int64)
     for k in range(s - 1):
         u = uniforms[:, k] * total
-        acc = np.zeros(m)
-        pick = np.full(m, -1, dtype=np.int64)
-        for q in range(s):
-            acc = np.where(remaining[:, q], acc + weights[:, q], acc)
-            pick[(pick < 0) & remaining[:, q] & (u <= acc)] = q
-        unpicked = np.flatnonzero(pick < 0)
+        acc[0] = left[0]
+        for q in range(1, s):
+            np.add(acc[q - 1], left[q], out=acc[q])
+        hit = (u <= acc) & remaining
+        # the first hit of each row is the number of leading columns without one
+        seen[0] = hit[0]
+        for q in range(1, s):
+            np.logical_or(seen[q - 1], hit[q], out=seen[q])
+        pick = s - seen.sum(axis=0)
+        unpicked = np.flatnonzero(pick == s)
         if len(unpicked):
             # no cumulative weight reached u: take the last paper still unranked
-            pick[unpicked] = s - 1 - np.argmax(remaining[unpicked, ::-1], axis=1)
-        perm[:, k] = pick
-        remaining[rows, pick] = False
-        total -= weights[rows, pick]
-    perm[:, s - 1] = np.argmax(remaining, axis=1)
-    return perm
+            pick[unpicked] = s - 1 - np.argmax(remaining[::-1, unpicked], axis=0)
+        perm[k] = pick
+        flat = pick * m + rows
+        remaining.ravel()[flat] = False
+        left.ravel()[flat] = 0.0
+        total = total - weight.ravel()[flat]
+    perm[s - 1] = np.argmax(remaining, axis=0)
+    return perm.T
 
 
 def _sample_pl_pairs(weights: np.ndarray, total: np.ndarray, uniforms: np.ndarray) -> np.ndarray:

@@ -9,12 +9,16 @@ oracle rebuilds the comparison graph from scratch every round, the
 score-simulation reference runs the sequential-choice sampler and the
 scalar isotonic projection reviewer by reviewer, the author-projection
 reference fits one owner at a time, and the conference references check
-and invert the JSON assignment lists list by list. The set-up references
+and invert the JSON assignment lists list by list (``conference_from_json``
+reads those lists back). The set-up references
 deal authorship author by author over the whole deck, match review slots
 with per-slot numpy scalars and claim owners with one sort per owner; each
 can count the branches its run takes. ``validate_tiers`` and
 ``validate_owner_partition`` check the partition properties of the tier
-decomposition and the owner partition.
+decomposition and the owner partition. ``calibrate_combined`` composes the
+combined estimator the way ``bench._run_cell`` does inline, and
+``tiers_to_json`` and ``results_table_from_json`` convert the tiers and the
+results table to and from the JSON forms only tests use.
 
 The rank-centrality chain (loss-driven transitions whose stationary
 distribution orders the papers) is a cross-check of tier peeling, not a
@@ -40,9 +44,11 @@ from review_calib.conference import (
     _MATCHING_RETRIES,
     Ragged,
     _reconciled_author_loads,
+    _rows,
     validate_multiplicity_targets,
 )
-from review_calib.estimators import OwnerPartition
+from review_calib.bench import ResultsTable
+from review_calib.estimators import OwnerPartition, calibrate_author, calibrate_reviewer
 from review_calib.ranking import TierDecomposition, _paper_set, _sorted_unique
 from review_calib.scoring import NoiseCase, _draw_reviewer_params, _raw_values
 
@@ -333,6 +339,11 @@ def validate_tiers(tiers: TierDecomposition, all_papers: Iterable[int]) -> None:
         raise ValueError("tiers do not partition the paper set")
 
 
+def tiers_to_json(tiers: TierDecomposition) -> list[list[int]]:
+    """The tiers as lists of paper ids, best tier first."""
+    return [tier.tolist() for tier in tiers.tiers]
+
+
 @dataclass(frozen=True)
 class ReviewerParams:
     """Additive bias and noise level of a single reviewer."""
@@ -439,6 +450,11 @@ def calibrate_author_reference(scores, owners, blend=1.0):
     return out
 
 
+def calibrate_combined(avg, rankings, owners: OwnerPartition, blend: float = 0.5) -> np.ndarray:
+    """The combined estimator: reviewer calibration first, exact author projection second."""
+    return calibrate_author(calibrate_reviewer(avg, rankings, blend), owners)
+
+
 def validate_owner_partition(partition: OwnerPartition) -> None:
     """Raise ValueError unless every owner owns >= 2 distinct papers and no two owners share one.
 
@@ -479,13 +495,51 @@ def reverse_assignment_reference(assignment, n_papers):
     return [np.asarray(v, dtype=np.int64) for v in reverse]
 
 
+def _finite_scores(values) -> np.ndarray:
+    """``values`` as a 1-d float array; GenerationError unless each is a finite number."""
+    scores = np.asarray(values)
+    if (
+        scores.ndim != 1
+        or scores.dtype.kind not in "iuf"
+        or any(isinstance(v, (bool, np.bool_)) for v in values)
+        or not np.isfinite(scores).all()
+    ):
+        raise GenerationError("true_scores must be a list of finite numbers")
+    return scores.astype(float)
+
+
+def conference_from_json(obj: dict) -> Conference:
+    """Read what ``Conference.to_json`` writes; raises GenerationError for an invalid conference.
+
+    After ``validate``, paper p's stored reverse list must name the
+    reviewers holding p, each once, in any order. An id that is not an
+    integer is refused, not converted, and so is a true score that is not
+    a finite number.
+    """
+    assignment = _rows(obj["assignment"], "assignment")
+    conf = Conference(
+        true_scores=_finite_scores(obj["true_scores"]),
+        authorship=obj["authorship"],
+        slot_papers=assignment.flat,
+        reviewer_ptr=assignment.ptr,
+    )
+    conf.validate()
+    listed = _rows(obj["reverse_assignment"], "reverse_assignment")
+    if len(listed) != conf.n_papers:
+        raise GenerationError("reverse_assignment length != n_papers")
+    for p, (given, held) in enumerate(zip(listed, conf._paper_reviewers())):
+        if np.sort(given).tolist() != held.tolist():
+            raise GenerationError(f"reverse_assignment inconsistent for paper {p}")
+    return conf
+
+
 def validate_conference_reference(obj):
     """Author-, reviewer- and paper-wise loop over the invariants of JSON conference lists.
 
     ``obj`` is what ``Conference.to_json`` writes. Raises the GenerationError
     messages ``Conference.validate`` raises; for the reverse lists it raises
     per-member messages (a wrong count, or a listed reviewer not holding the
-    paper) where ``Conference.from_json`` names only the paper. It accepts a
+    paper) where ``conference_from_json`` names only the paper. It accepts a
     reverse list naming one of the paper's reviewers twice, wraps a negative
     reviewer id and lets an id past the last reviewer escape as IndexError.
     """
@@ -718,3 +772,29 @@ def build_owner_partition_reference(conf):
         authors.append(int(a))
         rows.append(mine[np.lexsort((mine, -theta[mine]))])
     return OwnerPartition(np.array(authors, dtype=np.int64), rows)
+
+
+def results_table_from_json(obj: dict) -> ResultsTable:
+    """Read back what ``ResultsTable.to_json_obj`` writes; cases and methods keep their order."""
+    cases: list[str] = []
+    methods: list[str] = []
+    for row in obj["results"]:
+        if row["case"] not in cases:
+            cases.append(row["case"])
+        if row["method"] not in methods:
+            methods.append(row["method"])
+    mean = np.zeros((len(cases), len(methods)))
+    sd = np.zeros((len(cases), len(methods)))
+    for row in obj["results"]:
+        i = cases.index(row["case"])
+        j = methods.index(row["method"])
+        mean[i, j] = row["mean_rmse"]
+        sd[i, j] = row["sd_rmse"]
+    return ResultsTable(
+        cases=tuple(cases),
+        methods=tuple(methods),
+        mean_rmse=mean,
+        sd_rmse=sd,
+        repetitions=int(obj["repetitions"]),
+        master_seed=int(obj["master_seed"]),
+    )

@@ -5,11 +5,11 @@ import json
 import numpy as np
 import pytest
 
+from oracles import results_table_from_json
 from review_calib import (
     ConfigurationError,
     ExperimentConfig,
     GenConfig,
-    ResultsTable,
     run_experiment,
     scaled_config,
 )
@@ -95,7 +95,7 @@ def test_csv_shape(small_table, tmp_path):
 def test_json_round_trip_is_exact(small_table, tmp_path):
     path = tmp_path / "out.json"
     emit_results(small_table, "json", str(path))
-    parsed = ResultsTable.from_json_obj(json.loads(path.read_text()))
+    parsed = results_table_from_json(json.loads(path.read_text()))
     assert parsed.cases == small_table.cases
     assert parsed.methods == small_table.methods
     assert np.array_equal(parsed.mean_rmse, small_table.mean_rmse)

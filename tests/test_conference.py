@@ -21,6 +21,7 @@ import review_calib
 import review_calib.conference as conference_module
 from oracles import (
     assign_reviewers_reference,
+    conference_from_json,
     conference_from_lists,
     deal_authorship_reference,
     fit_multiplicity_distribution_reference,
@@ -264,7 +265,7 @@ def test_determinism_byte_identical(tiny_config):
 
 
 def test_json_round_trip(tiny_conf):
-    clone = Conference.from_json(tiny_conf.to_json())
+    clone = conference_from_json(tiny_conf.to_json())
     assert np.array_equal(clone.true_scores, tiny_conf.true_scores)
     assert np.array_equal(clone.slot_papers, tiny_conf.slot_papers)
     assert np.array_equal(clone.reviewer_ptr, tiny_conf.reviewer_ptr)
@@ -281,7 +282,7 @@ def test_hand_built_slot_order_is_kept():
     lists = conf.to_json()
     assert lists["assignment"] == [[2, 0], [1, 0, 2]]
     assert lists["reverse_assignment"] == [[0, 1], [1], [0, 1]]
-    assert Conference.from_json(lists).to_json_str() == conf.to_json_str()
+    assert conference_from_json(lists).to_json_str() == conf.to_json_str()
 
 
 @pytest.mark.parametrize(
@@ -415,7 +416,7 @@ def test_golden_conference_hash(golden_conference):
 
 def test_golden_conference_json_round_trip(golden_conference):
     _, conf = golden_conference
-    assert Conference.from_json(conf.to_json()).to_json_str() == conf.to_json_str()
+    assert conference_from_json(conf.to_json()).to_json_str() == conf.to_json_str()
 
 
 def test_reverse_assignment_matches_double_loop(golden_conference, tiny_conf):
@@ -639,7 +640,7 @@ def test_tight_small_configs_fail_only_with_typed_errors(fields, seed):
     validate_owner_partition(build_owner_partition(conf))
 
 
-# --- Conference.from_json and validate, one case per message
+# --- conference_from_json and validate, one case per message
 
 # three papers; authors {0, 1} and {2}; reviewers {0, 1}, {1, 2}, {0, 2}
 _AUTHORSHIP = [[0, 1], [2]]
@@ -658,7 +659,7 @@ def _small_conf(authorship=_AUTHORSHIP, assignment=_ASSIGNMENT, reverse=_REVERSE
 
 
 def _from_json_message(message):
-    """What ``Conference.from_json`` raises where the loop reference raises ``message``.
+    """What ``conference_from_json`` raises where the loop reference raises ``message``.
 
     The reference names the first failing member of a reverse list; from_json
     names only its paper.
@@ -669,7 +670,7 @@ def _from_json_message(message):
 
 
 def test_small_conference_is_valid():
-    Conference.from_json(_small_conf()).validate()
+    conference_from_json(_small_conf()).validate()
     validate_conference_reference(_small_conf())
 
 
@@ -688,7 +689,7 @@ def test_small_conference_is_valid():
 )
 def test_from_json_refuses_non_integer_ids(field, rows):
     with pytest.raises(GenerationError, match=f"{field}: rows must be integer ids"):
-        Conference.from_json({**_small_conf(), field: rows})
+        conference_from_json({**_small_conf(), field: rows})
 
 
 @pytest.mark.parametrize(
@@ -706,11 +707,11 @@ def test_from_json_refuses_non_integer_ids(field, rows):
 )
 def test_from_json_refuses_non_finite_or_non_numeric_true_scores(scores):
     with pytest.raises(GenerationError, match="true_scores must be a list of finite numbers"):
-        Conference.from_json({**_small_conf(), "true_scores": scores})
+        conference_from_json({**_small_conf(), "true_scores": scores})
 
 
 def test_from_json_reads_integer_true_scores_as_floats():
-    conf = Conference.from_json({**_small_conf(), "true_scores": [1, 0, 2]})
+    conf = conference_from_json({**_small_conf(), "true_scores": [1, 0, 2]})
     assert conf.true_scores.dtype == np.float64
     assert conf.true_scores.tolist() == [1.0, 0.0, 2.0]
 
@@ -859,7 +860,7 @@ def test_validate_rejects(case):
     kwargs, message = _INVALID[case]
     lists = _small_conf(**kwargs)
     with pytest.raises(GenerationError) as excinfo:
-        Conference.from_json(lists)
+        conference_from_json(lists)
     assert str(excinfo.value) == _from_json_message(message)
     with pytest.raises(GenerationError) as excinfo:
         validate_conference_reference(lists)
@@ -893,7 +894,7 @@ _HOLES = {
 def test_validate_closes_reverse_holes(case):
     kwargs, message = _HOLES[case]
     with pytest.raises(GenerationError) as excinfo:
-        Conference.from_json(_small_conf(**kwargs))
+        conference_from_json(_small_conf(**kwargs))
     assert str(excinfo.value) == _from_json_message(message)
 
 
@@ -977,7 +978,7 @@ def _has_reverse_hole(lists):
 @given(_corruptions())
 def test_validate_matches_loop_reference_property(tiny_conf, edits):
     lists = _apply(tiny_conf, edits)
-    fast = _outcome(Conference.from_json, lists)
+    fast = _outcome(conference_from_json, lists)
     if _has_reverse_hole(lists):
         # the reference may accept, wrap or crash here; from_json must refuse
         assert fast is not None and fast != "IndexError"

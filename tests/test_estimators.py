@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from oracles import (
     build_owner_partition_reference,
     calibrate_author_reference,
+    calibrate_combined,
     conference_from_lists,
     validate_owner_partition,
 )
@@ -27,7 +28,6 @@ from review_calib import (
     rmse,
 )
 from review_calib.conference import Ragged
-from review_calib.estimators import calibrate_combined
 
 
 # --- averaging

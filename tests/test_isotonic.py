@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,6 +11,7 @@ from oracles import isotonic_qp_oracle
 from review_calib.isotonic import (
     NON_DECREASING,
     NON_INCREASING,
+    _fsum_columns,
     _pava_non_decreasing,
     isotonic_fit,
     isotonic_project_indexed,
@@ -224,3 +227,147 @@ def test_row_kernel_matches_scalar_fit_bitwise():
         for row, fitted in zip(rows, got):
             want = isotonic_fit(row, direction=NON_INCREASING)
             assert fitted.tobytes() == want.tobytes()
+
+
+# values of any magnitude up to 1e306, so that no sum of a row of eight
+# overflows (there fsum raises while a pooled pair's running sum does not);
+# small integers make ties and long pooled blocks common
+_ANY_FINITE = st.one_of(
+    st.floats(-1e306, 1e306, allow_nan=False),
+    st.integers(-3, 3).map(float),
+)
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(
+    st.integers(0, 8).flatmap(
+        lambda s: st.lists(st.lists(_ANY_FINITE, min_size=s, max_size=s), min_size=1, max_size=12)
+    )
+)
+def test_row_kernel_matches_scalar_fit_property(rows):
+    got = project_rows_non_increasing(np.array(rows, dtype=float).reshape(len(rows), -1))
+    for row, fitted in zip(rows, got):
+        want = isotonic_fit(np.array(row, dtype=float), direction=NON_INCREASING)
+        assert fitted.tobytes() == want.tobytes()
+
+
+# --- the certified block sums of the row kernel
+
+
+def _padded(blocks):
+    """The blocks as the zero-padded columns ``_fsum_columns`` reads, and their lengths."""
+    lengths = np.array([len(b) for b in blocks])
+    x = np.zeros((lengths.max(), len(blocks)))
+    for j, b in enumerate(blocks):
+        x[: len(b), j] = b
+    return x, lengths
+
+
+def _fsum_outcome(f):
+    try:
+        return f()
+    except (OverflowError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+@st.composite
+def _summands(draw):
+    """3-8 finite summands: scores, any exponent, cancelling pairs, near-halfway ties or subnormals."""
+    length = draw(st.integers(3, 8))
+    kind = draw(st.sampled_from(["scores", "wide", "cancel", "tie", "subnormal"]))
+    if kind == "scores":
+        return draw(st.lists(st.floats(-5.0, 15.0), min_size=length, max_size=length))
+    if kind == "wide":
+        return draw(st.lists(st.floats(-1e300, 1e300), min_size=length, max_size=length))
+    if kind == "subnormal":
+        tiny = st.integers(-(2**60), 2**60).map(lambda k: k * 2.0**-1074)
+        return draw(st.lists(tiny, min_size=length, max_size=length))
+    if kind == "cancel":
+        half = draw(st.lists(st.floats(-1e300, 1e300), min_size=1, max_size=length // 2))
+        n_rest = length - 2 * len(half)
+        rest = draw(st.lists(st.floats(-1e-3, 1e-3), min_size=n_rest, max_size=n_rest))
+        return draw(st.permutations(half + [-v for v in half] + rest))
+    # an odd multiple of half an ulp of `big`, split in two, and a nudge that may break the tie
+    exponent = draw(st.integers(-1000, 900))
+    big = draw(st.integers(2**52, 2**53 - 1)) * 2.0**exponent
+    half_ulp = draw(st.sampled_from([-1.0, 1.0])) * 2.0 ** (exponent - 1)
+    nudge = draw(st.sampled_from([0.0, 2.0 ** (exponent - 60), -(2.0 ** (exponent - 60))]))
+    if length == 3:
+        return draw(st.permutations([big, half_ulp, nudge]))
+    return draw(st.permutations([big, half_ulp / 2, half_ulp / 2, nudge] + [0.0] * (length - 4)))
+
+
+@settings(max_examples=400, deadline=None, database=None)
+@given(st.lists(_summands(), min_size=1, max_size=6))
+def test_block_sums_equal_fsum_bitwise_property(blocks):
+    x, lengths = _padded(blocks)
+    want = np.array([math.fsum(b) for b in blocks])
+    assert _fsum_columns(x, lengths).tobytes() == want.tobytes()
+
+
+_HUGE = 1.5e308
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(
+    st.lists(
+        st.lists(
+            st.one_of(
+                st.sampled_from([math.inf, -math.inf, math.nan, _HUGE, -_HUGE, 0.0, -0.0]),
+                st.floats(-10.0, 10.0),
+            ),
+            min_size=3,
+            max_size=8,
+        ),
+        min_size=1,
+        max_size=4,
+    )
+)
+def test_block_sums_return_or_raise_what_fsum_does_property(blocks):
+    # fsum's error for the first failing block, shortest first, or every sum
+    x, lengths = _padded(blocks)
+    order = sorted(range(len(blocks)), key=lambda j: len(blocks[j]))
+    outcomes = [_fsum_outcome(lambda: math.fsum(blocks[j])) for j in order]
+    errors = [o for o in outcomes if isinstance(o, tuple)]
+    got = _fsum_outcome(lambda: _fsum_columns(x, lengths))
+    if errors:
+        assert got == errors[0]
+    else:
+        want = np.array([math.fsum(b) for b in blocks])
+        assert got.tobytes() == want.tobytes()
+
+
+def test_block_sums_of_scores_need_no_fsum(monkeypatch):
+    # ordinary scores, ties to even included, are certified without fsum
+    rng = np.random.default_rng(41)
+    blocks = [rng.normal(5.0, 2.0, int(rng.integers(3, 9))) for _ in range(2000)]
+    x, lengths = _padded(blocks)
+    want = np.array([math.fsum(b) for b in blocks])
+
+    def refuse(values):
+        raise AssertionError("fsum called for a certifiable block")
+
+    monkeypatch.setattr(math, "fsum", refuse)
+    assert _fsum_columns(x, lengths).tobytes() == want.tobytes()
+
+
+_MAX = np.finfo(float).max
+
+
+@pytest.mark.parametrize(
+    "block",
+    [
+        # the running sums stay finite and exact, but fsum's partials overflow
+        [-(2.0**970), np.nextafter(_MAX, 0.0), -_MAX],
+        [np.nextafter(2.0**1023, 0.0), 2.0**968, -(2.0**969), 2.0**1023],
+        # exact running sums whose last rounding overflows
+        [-(2.0**970), _MAX, 2.0**969, 3 * 2.0**969, 2.0**968],
+    ],
+    ids=["finite-sum", "finite-sum-four", "infinite-sum"],
+)
+def test_block_sums_raise_where_fsum_overflows(block):
+    with pytest.raises(OverflowError, match="intermediate overflow"):
+        math.fsum(block)
+    x, lengths = _padded([[1.0, 2.0, 3.0], block])
+    with pytest.raises(OverflowError, match="intermediate overflow"):
+        _fsum_columns(x, lengths)

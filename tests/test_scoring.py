@@ -273,6 +273,49 @@ def test_pair_sampler_matches_general_sampler_property(rows):
     assert closed.tobytes() == _sample_pl_rows(weights, total, uniforms).tobytes()
 
 
+class _ScriptedDraws:
+    """Stands in for a Generator whose ``random()`` returns the given uniforms in turn."""
+
+    def __init__(self, uniforms):
+        self._draws = iter(uniforms)
+
+    def random(self):
+        return next(self._draws)
+
+
+_ROW_DRAWS = {
+    # u = 0 after a pick: the scan must skip the ranked papers whose partial sum is 0.0 too
+    "zero-after-first-pick": ([0.0, 0.0, 0.0], [0.0, 0.0]),
+    "zero-after-middle-pick": ([0.0, 0.0, 0.0, 0.0], [0.5, 0.0, 0.0]),
+    "almost-one": ([0.0, -1.0, -2.0, -3.0], [_ALMOST_ONE] * 3),
+    "tied-weights": ([2.0] * 5, [0.2, 0.4, 0.6, 0.8]),
+    "tiny-weights": ([0.0, -745.0, -800.0], [_ALMOST_ONE, 0.5]),
+}
+
+
+@pytest.mark.parametrize("draw", sorted(_ROW_DRAWS))
+def test_row_sampler_matches_scalar_sampler_on_edge_draws(draw):
+    theta, uniforms = _ROW_DRAWS[draw]
+    theta = np.array(theta)
+    weights = np.array([[math.exp(v - theta.max()) for v in theta]])
+    total = np.array([sum(weights[0].tolist())])  # the left-to-right sum, as the plan has it
+    want = sample_pl_ranking(theta, _ScriptedDraws(uniforms))
+    assert _sample_pl_rows(weights, total, np.array([uniforms]))[0].tolist() == want.tolist()
+
+
+@pytest.mark.parametrize("m", [1, 5])
+def test_row_sampler_leaves_its_inputs_alone(m):
+    # a one-row group's transpose is contiguous: the sampler must still copy it
+    rng = _rng(97)
+    weights = np.exp(-rng.random((m, 4)))
+    total = weights.sum(axis=1)
+    uniforms = rng.random((m, 3))
+    before = [a.copy() for a in (weights, total, uniforms)]
+    perm = _sample_pl_rows(weights, total, uniforms)
+    assert all(a.tobytes() == b.tobytes() for a, b in zip((weights, total, uniforms), before))
+    assert np.array_equal(np.sort(perm, axis=1), np.tile(np.arange(4), (m, 1)))
+
+
 _PAIR_SCORES = [
     [1.0, 1.0],  # equal raw scores: not pooled
     [3.0, 3.0],
@@ -420,12 +463,20 @@ def test_reference_check_covers_long_pooled_blocks():
     assert longest >= 3
 
 
-@pytest.mark.parametrize("capacity", [2, 6])
+_CAPACITIES = {
+    2: DiscreteDistribution.point_mass(2),
+    6: DiscreteDistribution.point_mass(6),
+    # every bundle size from 1 to 8, so each row-kernel group size from 3 to 8 runs
+    "1-8": DiscreteDistribution(tuple(range(1, 9)), (0.125,) * 8),
+}
+
+
+@pytest.mark.parametrize("capacity", list(_CAPACITIES))
 def test_batched_simulation_matches_reference_on_generated_conference(capacity):
-    gen = scaled_config(
-        GenConfig(reviewer_capacity_dist=DiscreteDistribution.point_mass(capacity)), 150
-    )
+    gen = scaled_config(GenConfig(reviewer_capacity_dist=_CAPACITIES[capacity]), 150)
     conf = gen_conference(gen)
+    if capacity == "1-8":
+        assert {3, 4, 5, 6, 7, 8} <= {g.slots.shape[1] for g in conf._bundle_plan[1]}
     for case in NOISE_CASES.values():
         _assert_matches_reference(conf, case, 73)
 
