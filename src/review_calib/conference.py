@@ -14,12 +14,13 @@ JSON configuration file.
 
 from __future__ import annotations
 
+import copy
 import functools
 import heapq
 import json
 import math
 import operator
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -639,6 +640,89 @@ def _deal_windows(deck: np.ndarray, bounds: np.ndarray, flagged: list[int]) -> l
     return scanned
 
 
+class _BoundedDraws:
+    """``rng.integers(0, n)``, one draw at a time, replayed from blocks of 32-bit words.
+
+    For ``1 <= n < 2**32`` numpy draws ``integers(0, n)`` by Lemire's method
+    (Lemire 2019, "Fast random integer generation in an interval") over
+    the generator's ``next_uint32`` words: ``n == 1`` draws nothing; else
+    ``m = word * n`` is redrawn while its low 32 bits fall below
+    ``(2**32 - n) % n``, a test reached only when they fall below ``n``,
+    and the draw is ``m >> 32``. ``integers(0, 2**32, dtype=np.uint32)``
+    returns those same words, so a twin of ``rng`` hands them out in
+    chunks and ``below`` replays the method on them. ``sync`` then draws
+    the words used from ``rng`` itself, which leaves its state where the
+    one-at-a-time calls would have.
+    """
+
+    _CHUNK = 2048
+
+    def __init__(self, rng: np.random.Generator, max_bound: int):
+        if max_bound >= 2**32:
+            raise ValueError(f"bounds must stay below 2**32, got {max_bound}")
+        self._rng = rng
+        self._twin = np.random.Generator(copy.deepcopy(rng.bit_generator))
+        self._words = iter(())
+        self._drawn = 0
+
+    def _word(self) -> int:
+        try:
+            return next(self._words)
+        except StopIteration:
+            self._words = iter(self._twin.integers(0, 2**32, dtype=np.uint32, size=self._CHUNK).tolist())
+            self._drawn += self._CHUNK
+            return next(self._words)
+
+    def below(self, n: int) -> int:
+        """What ``rng.integers(0, n)`` would return next."""
+        if n == 1:
+            return 0
+        m = self._word() * n
+        if m & 0xFFFFFFFF < n:
+            threshold = (2**32 - n) % n
+            while m & 0xFFFFFFFF < threshold:
+                m = self._word() * n
+        return m >> 32
+
+    def sync(self) -> None:
+        """Advance ``rng`` past the words used."""
+        used = self._drawn - operator.length_hint(self._words)
+        self._rng.integers(0, 2**32, dtype=np.uint32, size=used)
+
+
+def _match_slots(papers: list[int], remaining: list[int], below: Callable[[int], int]) -> list[int] | None:
+    """One greedy matching attempt: the reviewer of every slot, or None at a dead end.
+
+    ``remaining`` holds each reviewer's capacity and is used up in place;
+    ``below(n)`` draws a bounded integer in ``[0, n)``.
+    """
+    active = list(range(len(remaining)))
+    held: list[set[int]] = [set() for _ in remaining]
+    holder: list[int] = []
+    for paper in papers:
+        j = below(len(active))
+        r = active[j]
+        if paper in held[r]:
+            for _ in range(49):
+                j = below(len(active))
+                r = active[j]
+                if paper not in held[r]:
+                    break
+            else:
+                eligible = [j for j, r in enumerate(active) if paper not in held[r]]
+                if not eligible:
+                    return None
+                j = eligible[below(len(eligible))]
+                r = active[j]
+        held[r].add(paper)
+        holder.append(r)
+        remaining[r] -= 1
+        if not remaining[r]:
+            active[j] = active[-1]
+            active.pop()
+    return holder
+
+
 def _assign_reviewers(
     per_paper: np.ndarray,
     config: GenConfig,
@@ -654,6 +738,12 @@ def _assign_reviewers(
     misses it draws among all eligible active reviewers. Returns
     ``(slot_papers, reviewer_ptr)``, each reviewer's papers in increasing
     order.
+
+    The bounded integers are ``rng.integers(0, n)``'s, replayed by
+    ``_BoundedDraws`` from words drawn in blocks; each attempt ends by
+    advancing ``rng`` past the words it used, so draws, restarts and the
+    final generator state are those of one ``integers`` call per draw.
+    ``tests/oracles.py::assign_reviewers_reference`` is that slow loop.
     """
     total_slots = int(per_paper.sum())
     cap_dist = config.reviewer_capacity_dist
@@ -679,35 +769,12 @@ def _assign_reviewers(
 
     n_reviewers = len(capacities)
     slots = np.repeat(np.arange(len(per_paper), dtype=np.int64), per_paper)
-    integers = rng.integers
     for _ in range(_MATCHING_RETRIES):
         rng.shuffle(slots)
-        remaining = capacities.tolist()
-        active = list(range(n_reviewers))
-        held: list[set[int]] = [set() for _ in range(n_reviewers)]
-        holder: list[int] = []
-        for paper in slots.tolist():
-            j = integers(0, len(active))
-            r = active[j]
-            if paper in held[r]:
-                for _ in range(49):
-                    j = integers(0, len(active))
-                    r = active[j]
-                    if paper not in held[r]:
-                        break
-                else:
-                    eligible = [j for j, r in enumerate(active) if paper not in held[r]]
-                    if not eligible:
-                        break  # a dead end: skip the return below and restart
-                    j = eligible[integers(0, len(eligible))]
-                    r = active[j]
-            held[r].add(paper)
-            holder.append(r)
-            remaining[r] -= 1
-            if not remaining[r]:
-                active[j] = active[-1]
-                active.pop()
-        else:
+        draws = _BoundedDraws(rng, n_reviewers)
+        holder = _match_slots(slots.tolist(), capacities.tolist(), draws.below)
+        draws.sync()
+        if holder is not None:
             reviewers = np.asarray(holder, dtype=np.int64)
             counts = np.bincount(reviewers, minlength=n_reviewers)
             # one sort of (reviewer, paper) keys puts each reviewer's papers in order

@@ -106,6 +106,18 @@ def _fsum_columns(x: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     return t
 
 
+def raise_on_overflow(y: np.ndarray, out: np.ndarray) -> None:
+    """Raise fsum's OverflowError if a row of ``y`` is finite and its projection ``out`` is not.
+
+    A pooled block of two is its running sum halved, which overflows to
+    infinity where the scalar kernel's fsum raises. Rows holding a
+    non-finite input are not checked.
+    """
+    if not np.isfinite(out).all():
+        if (np.isfinite(y).all(axis=1) & ~np.isfinite(out).all(axis=1)).any():
+            raise OverflowError("intermediate overflow in fsum")
+
+
 def project_rows_non_increasing(y: np.ndarray) -> np.ndarray:
     """Unit-weight projection of every row of ``y`` onto non-increasing vectors.
 
@@ -115,7 +127,8 @@ def project_rows_non_increasing(y: np.ndarray) -> np.ndarray:
     merges into its row's top block or is pushed above it, and only rows
     whose top block just grew test the block below again. A pooled block of
     two is its running sum halved (what fsum of two values gives); longer
-    blocks take fsum's value from ``_fsum_columns``.
+    blocks take fsum's value from ``_fsum_columns``. A finite row whose
+    pooled sum overflows raises OverflowError, as the scalar kernel does.
     """
     z = -np.asarray(y, dtype=float)
     m, s = z.shape
@@ -171,7 +184,9 @@ def project_rows_non_increasing(y: np.ndarray) -> np.ndarray:
         cols = np.minimum(starts[long] + j, s - 1)
         x = np.where(j < lengths, zt.ravel()[cols * m + r], 0.0)
         value[long] = _fsum_columns(x, lengths) / lengths
-    return -value[block].T
+    out = -value[block].T
+    raise_on_overflow(z, out)
+    return out
 
 
 def isotonic_fit(

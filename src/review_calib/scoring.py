@@ -33,7 +33,7 @@ import numpy as np
 
 from .conference import Conference, Ragged
 from .errors import ConfigurationError
-from .isotonic import project_rows_non_increasing
+from .isotonic import project_rows_non_increasing, raise_on_overflow
 
 
 @dataclass(frozen=True)
@@ -157,12 +157,13 @@ def _project_pairs(y: np.ndarray) -> np.ndarray:
 
     With ``z = -y`` the stack merges the two entries iff ``z0 > z1`` and
     then holds ``(z0 + z1) / 2.0``; an unmerged entry is ``-(-y)``, which
-    is ``y`` exactly.
+    is ``y`` exactly. A finite pair whose sum overflows raises OverflowError.
     """
     z = -y
     pooled = np.flatnonzero(z[:, 0] > z[:, 1])
     out = y.copy()
     out[pooled] = -((z[pooled, 0] + z[pooled, 1]) / 2.0)[:, None]
+    raise_on_overflow(y, out)
     return out
 
 

@@ -3,6 +3,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import operator
 import os
 import subprocess
 import sys
@@ -43,6 +44,7 @@ from review_calib.conference import (
     DEFAULT_MULTIPLICITY_TARGETS,
     Ragged,
     _assign_reviewers,
+    _BoundedDraws,
     _deal_authorship,
     _minimize_bounded,
     fit_multiplicity_distribution,
@@ -599,6 +601,110 @@ def test_set_up_matches_references_on_a_full_conference(capacity, monkeypatch):
     slow = gen_conference(config, slow_rng)
     assert fast.to_json_str() == slow.to_json_str()
     assert fast_rng.bit_generator.state == slow_rng.bit_generator.state
+
+
+class _CountingGenerator(np.random.Generator):
+    """A generator that counts its ``integers`` calls."""
+
+    calls = 0
+
+    def integers(self, *args, **kwargs):
+        self.calls += 1
+        return super().integers(*args, **kwargs)
+
+
+def test_default_conference_draws_its_matching_in_one_call():
+    # one integers call advances the generator past every word the matching used;
+    # drawing one bounded integer per slot would take 22,897 calls
+    rng = _CountingGenerator(stream(42, PURPOSE_CONFERENCE).bit_generator)
+    conf = gen_conference(GenConfig(), rng)
+    assert rng.calls == 1
+    assert hashlib.sha256(conf.to_json_str().encode()).hexdigest() == GOLDEN_CONFERENCE_SHA256["default"]
+
+
+# --- the bounded-draw replay against numpy's own bounded integers
+
+_BIT_GENERATORS = [np.random.PCG64, np.random.PCG64DXSM, np.random.MT19937, np.random.Philox, np.random.SFC64]
+# no draw, the smallest draw, a power of two, ~50 % rejections, the largest bound
+_EDGE_BOUNDS = [1, 2, 2**20, 2**31 + 1, 2**32 - 1]
+
+
+def _plain(state):
+    """A bit generator state with its arrays as lists, so that states compare with ``==``."""
+    if isinstance(state, dict):
+        return {key: _plain(value) for key, value in state.items()}
+    return state.tolist() if isinstance(state, np.ndarray) else state
+
+
+def _assert_replays_integers(bit_generator, seed, bounds, chunk=_BoundedDraws._CHUNK):
+    """Assert that the replay gives ``integers(0, n)``'s values and final state.
+
+    Returns the words used after each draw and the final state.
+    """
+
+    class Draws(_BoundedDraws):
+        _CHUNK = chunk
+
+    rng = np.random.Generator(bit_generator(seed))
+    draws = Draws(rng, max(bounds, default=1))
+    values, used = [], []
+    for n in bounds:
+        values.append(draws.below(n))
+        used.append(draws._drawn - operator.length_hint(draws._words))
+    draws.sync()
+    reference = np.random.Generator(bit_generator(seed))
+    assert values == [int(reference.integers(0, n)) for n in bounds]
+    assert _plain(rng.bit_generator.state) == _plain(reference.bit_generator.state)
+    return used, rng.bit_generator.state
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(
+    st.sampled_from(_BIT_GENERATORS),
+    st.integers(0, 2**32 - 1),
+    st.lists(st.sampled_from(_EDGE_BOUNDS) | st.integers(1, 2**32 - 1), max_size=40),
+    st.sampled_from([1, 2, 3, 7, _BoundedDraws._CHUNK]),
+)
+def test_bounded_draws_replay_integers_property(bit_generator, seed, bounds, chunk):
+    _assert_replays_integers(bit_generator, seed, bounds, chunk)
+
+
+@pytest.mark.parametrize("bit_generator", _BIT_GENERATORS, ids=lambda b: b.__name__)
+def test_bounded_draws_cross_a_chunk_edge_within_a_rejection(bit_generator):
+    # ~50 % of words are rejected at this bound, so on some seed a draw rejects the
+    # chunk's last word and takes its value from the next chunk
+    edge = _BoundedDraws._CHUNK
+    for seed in range(10):
+        used, _ = _assert_replays_integers(bit_generator, seed, [2**31 + 1] * 1500)
+        if any(before < edge < after for before, after in zip(used, used[1:])):
+            break
+    else:
+        pytest.fail("no draw crossed the chunk edge")
+
+
+def test_bounded_draws_reject_a_word_one_below_the_threshold():
+    # a bound n in (2**31, 2**32) whose first word u lands its low bits on
+    # (2**32 - n) % n - 1, the largest rejected value: n * (u + 1) == -1 mod 2**32
+    for seed in range(100):
+        u = int(np.random.Generator(np.random.PCG64(seed)).integers(0, 2**32, dtype=np.uint32))
+        n = -pow(u + 1, -1, 2**32) % 2**32 if u % 2 == 0 else 0
+        if 2**31 < n < 2**32:
+            break
+    assert (u * n) & 0xFFFFFFFF == (2**32 - n) % n - 1
+    used, _ = _assert_replays_integers(np.random.PCG64, seed, [n])
+    assert used[0] > 1
+
+
+@pytest.mark.parametrize("bounds", [[2], [3, 1, 2, 2]])
+def test_bounded_draws_leave_pcg64_half_word_buffered(bounds):
+    # an odd number of 32-bit words leaves half of PCG64's last 64-bit output buffered
+    used, state = _assert_replays_integers(np.random.PCG64, 8, bounds)
+    assert used[-1] % 2 == 1 and state["has_uint32"] == 1
+
+
+def test_bounded_draws_refuse_a_bound_of_two_to_the_32():
+    with pytest.raises(ValueError, match="below 2\\*\\*32"):
+        _BoundedDraws(np.random.default_rng(0), 2**32)
 
 
 def _small_laws(hi):

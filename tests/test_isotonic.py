@@ -229,11 +229,19 @@ def test_row_kernel_matches_scalar_fit_bitwise():
             assert fitted.tobytes() == want.tobytes()
 
 
-# values of any magnitude up to 1e306, so that no sum of a row of eight
-# overflows (there fsum raises while a pooled pair's running sum does not);
-# small integers make ties and long pooled blocks common
+def _outcome(f):
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            return f()
+    except (OverflowError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+# finite values of any magnitude, and values whose sum with another overflows
+# (where fsum raises); small integers make ties and long pooled blocks common
 _ANY_FINITE = st.one_of(
-    st.floats(-1e306, 1e306, allow_nan=False),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([1e308, 1.7e308, -1e308, -1.7e308]),
     st.integers(-3, 3).map(float),
 )
 
@@ -245,10 +253,12 @@ _ANY_FINITE = st.one_of(
     )
 )
 def test_row_kernel_matches_scalar_fit_property(rows):
-    got = project_rows_non_increasing(np.array(rows, dtype=float).reshape(len(rows), -1))
-    for row, fitted in zip(rows, got):
-        want = isotonic_fit(np.array(row, dtype=float), direction=NON_INCREASING)
-        assert fitted.tobytes() == want.tobytes()
+    # every row's fit, or the error of the first row whose fit raises
+    y = np.array(rows, dtype=float).reshape(len(rows), -1)
+    want = [_outcome(lambda: isotonic_fit(row, direction=NON_INCREASING).tobytes()) for row in y]
+    errors = [w for w in want if isinstance(w, tuple)]
+    got = _outcome(lambda: [fitted.tobytes() for fitted in project_rows_non_increasing(y)])
+    assert got == (errors[0] if errors else want)
 
 
 # --- the certified block sums of the row kernel
@@ -263,11 +273,6 @@ def _padded(blocks):
     return x, lengths
 
 
-def _fsum_outcome(f):
-    try:
-        return f()
-    except (OverflowError, ValueError) as exc:
-        return type(exc), str(exc)
 
 
 @st.composite
@@ -327,9 +332,9 @@ def test_block_sums_return_or_raise_what_fsum_does_property(blocks):
     # fsum's error for the first failing block, shortest first, or every sum
     x, lengths = _padded(blocks)
     order = sorted(range(len(blocks)), key=lambda j: len(blocks[j]))
-    outcomes = [_fsum_outcome(lambda: math.fsum(blocks[j])) for j in order]
+    outcomes = [_outcome(lambda: math.fsum(blocks[j])) for j in order]
     errors = [o for o in outcomes if isinstance(o, tuple)]
-    got = _fsum_outcome(lambda: _fsum_columns(x, lengths))
+    got = _outcome(lambda: _fsum_columns(x, lengths))
     if errors:
         assert got == errors[0]
     else:
