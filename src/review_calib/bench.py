@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .conference import DEFAULT_MASTER_SEED, Conference, GenConfig, gen_conference
-from .errors import ConfigurationError, config_float, config_int, config_json
+from .errors import ConfigurationError, config_float, config_from_json, config_int, config_json
 from .estimators import (
     OwnerPartition,
     avg_scores,
@@ -53,6 +53,8 @@ class ExperimentConfig:
     output_format: str = "table"
 
     def __post_init__(self):
+        if not isinstance(self.gen, GenConfig):
+            raise ConfigurationError(f"gen must be a GenConfig, got {self.gen!r}")
         object.__setattr__(self, "repetitions", config_int(self.repetitions, "repetitions"))
         object.__setattr__(self, "blend", config_float(self.blend, "blend"))
         if self.master_seed is not None:
@@ -64,8 +66,10 @@ class ExperimentConfig:
             raise ConfigurationError(f"cases must be a tuple of names, got {self.cases!r}")
         if not self.cases:
             raise ConfigurationError("at least one noise case is required")
-        for name in self.cases:
-            get_noise_case(name)
+        names = [get_noise_case(name).name for name in self.cases]
+        for i, name in enumerate(names):
+            if name in names[:i]:
+                raise ConfigurationError(f"noise case {name!r} is named twice in cases")
         if not 0.0 <= self.blend <= 1.0:
             raise ConfigurationError(f"blend must lie in [0, 1], got {self.blend}")
         if not isinstance(self.output_path, (str, type(None))):
@@ -85,21 +89,7 @@ class ExperimentConfig:
 
     @classmethod
     def from_json(cls, obj: dict) -> "ExperimentConfig":
-        if not isinstance(obj, dict):
-            raise ConfigurationError(f"experiment config must be a JSON object, got {obj!r}")
-        kwargs = {}
-        for key, value in obj.items():
-            if key == "gen":
-                kwargs["gen"] = GenConfig.from_json(value)
-            elif key == "cases":
-                if not isinstance(value, list):
-                    raise ConfigurationError(f"cases must be a list of names, got {value!r}")
-                kwargs["cases"] = tuple(value)
-            elif key in ("repetitions", "blend", "master_seed", "output_path", "output_format"):
-                kwargs[key] = value  # typed by __post_init__
-            else:
-                raise ConfigurationError(f"unknown experiment option {key!r}")
-        return cls(**kwargs)
+        return config_from_json(cls, obj, "experiment")
 
 
 @dataclass

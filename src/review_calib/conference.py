@@ -26,7 +26,9 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .distributions import DiscreteDistribution
-from .errors import ConfigurationError, GenerationError, config_float, config_int, config_json
+from .errors import (
+    ConfigurationError, GenerationError, config_float, config_from_json, config_int, config_json
+)
 from .seeding import PURPOSE_CONFERENCE, stream
 
 DEFAULT_MULTIPLICITY_TARGETS = ((2, 4505), (5, 508), (10, 74), (15, 26))
@@ -73,6 +75,14 @@ class GenConfig:
             value = getattr(self, name)
             if value is not None or name != "n_reviewers":
                 object.__setattr__(self, name, typed(value, name))
+        for name in ("authors_per_paper_dist", "reviewers_per_paper_dist", "reviewer_capacity_dist"):
+            dist = getattr(self, name)
+            if not isinstance(dist, DiscreteDistribution):
+                raise ConfigurationError(f"{name} must be a DiscreteDistribution, got {dist!r}")
+        name, targets = "author_multiplicity_targets", self.author_multiplicity_targets
+        if not isinstance(targets, tuple) or not all(isinstance(p, tuple) and len(p) == 2 for p in targets):
+            raise ConfigurationError(f"{name} must be a tuple of (threshold, count) pairs, got {targets!r}")
+        object.__setattr__(self, name, tuple((config_int(t, name), config_int(c, name)) for t, c in targets))
         if self.n_papers < 1:
             raise ConfigurationError(f"n_papers must be >= 1, got {self.n_papers}")
         if self.n_authors < 1:
@@ -90,23 +100,9 @@ class GenConfig:
 
     @classmethod
     def from_json(cls, obj: dict) -> "GenConfig":
-        if not isinstance(obj, dict):
-            raise ConfigurationError(f"gen must be a JSON object, got {obj!r}")
-        kwargs = {}
-        for key, value in obj.items():
-            if key in _NUMBER_FIELDS:
-                kwargs[key] = value  # typed by __post_init__
-            elif key == "author_multiplicity_targets":
-                if not isinstance(value, list) or not all(isinstance(t, list) and len(t) == 2 for t in value):
-                    raise ConfigurationError(f"{key} must list [threshold, count] pairs, got {value!r}")
-                kwargs[key] = tuple((config_int(t, key), config_int(c, key)) for t, c in value)
-            elif key in ("authors_per_paper_dist", "reviewers_per_paper_dist", "reviewer_capacity_dist"):
-                kwargs[key] = DiscreteDistribution.from_json(value)
-            elif key == "master_seed":
-                raise ConfigurationError("master_seed belongs at the top level of the config, not in gen")
-            else:
-                raise ConfigurationError(f"unknown generator option {key!r}")
-        return cls(**kwargs)
+        if isinstance(obj, dict) and "master_seed" in obj:
+            raise ConfigurationError("master_seed belongs at the top level of the config, not in gen")
+        return config_from_json(cls, obj, "generator")
 
 
 def validate_multiplicity_targets(targets: tuple[tuple[int, int], ...], n_authors: int) -> None:
@@ -389,11 +385,12 @@ class Conference:
         if len(non_finite):
             raise GenerationError(f"paper {non_finite[0]} has a non-finite true score")
         self.authorship = _rows(self.authorship, "authorship")
-        self.slot_papers = np.asarray(self.slot_papers, dtype=np.int64)
-        ptr = self.reviewer_ptr = np.asarray(self.reviewer_ptr, dtype=np.int64)
-        csr = ptr.ndim == 1 and len(ptr) > 0 and ptr[0] == 0 and ptr[-1] == self.n_slots
-        if not csr or np.any(ptr[1:] < ptr[:-1]):
+        self.slot_papers = _rows([self.slot_papers], "slot_papers").flat
+        ptr = np.asarray(self.reviewer_ptr)
+        csr = ptr.ndim == 1 and ptr.dtype.kind in "iu" and len(ptr) > 0 and ptr[0] == 0
+        if not csr or ptr[-1] != self.n_slots or np.any(ptr[1:] < ptr[:-1]):
             raise GenerationError("reviewer_ptr is not a CSR pointer over slot_papers")
+        ptr = self.reviewer_ptr = ptr.astype(np.int64, copy=False)
         self.slot_reviewers = Ragged(self.slot_papers, ptr).row_of()
 
     @functools.cached_property

@@ -1,9 +1,10 @@
 """Exception types shared across the toolkit, and the number checks and
-field walk used when reading and writing a JSON configuration."""
+field walks used when reading and writing a JSON configuration."""
 
 import dataclasses
 import math
 import numbers
+import typing
 
 
 class ConfigurationError(ValueError):
@@ -46,6 +47,31 @@ def config_json(config) -> dict:
     method is written by it.
     """
     return {f.name: _json_value(getattr(config, f.name)) for f in dataclasses.fields(config)}
+
+
+def config_from_json(cls, obj, what: str):
+    """The dataclass ``cls`` read from the JSON object ``obj``; the inverse of ``config_json``.
+
+    Raises ConfigurationError for anything but a JSON object, for the first
+    unknown key in input order and for a missing field that has no default.
+    Lists become tuples, nested ones too, and a field whose type has a
+    ``from_json`` method is read by it; ``cls`` itself types every value.
+    """
+    if not isinstance(obj, dict):
+        raise ConfigurationError(f"{what} config must be a JSON object, got {obj!r}")
+    fields = {f.name: f for f in dataclasses.fields(cls)}
+    for key in obj:
+        if key not in fields:
+            raise ConfigurationError(f"unknown {what} option {key!r}")
+    for name, f in fields.items():
+        if name not in obj and f.default is f.default_factory is dataclasses.MISSING:
+            raise ConfigurationError(f"missing {what} option {name!r}")
+    hints = typing.get_type_hints(cls)
+    return cls(**{k: getattr(hints[k], "from_json", _tuples)(v) for k, v in obj.items()})
+
+
+def _tuples(value):
+    return tuple(map(_tuples, value)) if isinstance(value, list) else value
 
 
 def _json_value(value):

@@ -4,18 +4,22 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import results_table_from_json
 from review_calib import (
     ConfigurationError,
+    DiscreteDistribution,
     ExperimentConfig,
     GenConfig,
     run_experiment,
     scaled_config,
 )
-from review_calib.bench import METHODS, _init_worker, _run_cell, emit_results
+from review_calib.bench import FORMATS, METHODS, _init_worker, _run_cell, emit_results
 from review_calib.estimators import build_owner_partition
 from review_calib.conference import DEFAULT_MASTER_SEED, gen_conference
+from review_calib.scoring import NOISE_CASES
 from review_calib.seeding import PURPOSE_CONFERENCE, stream
 
 
@@ -127,6 +131,8 @@ def test_config_validation_errors():
         ExperimentConfig(cases=("Base", "Bogus"))
     with pytest.raises(ConfigurationError, match="case"):
         ExperimentConfig(cases=())
+    with pytest.raises(ConfigurationError, match="noise case 'Base' is named twice"):
+        ExperimentConfig(cases=("Base", "base", "BASE"))
     with pytest.raises(ConfigurationError, match="blend"):
         ExperimentConfig(blend=2.0)
     with pytest.raises(ConfigurationError, match="output_format"):
@@ -145,6 +151,7 @@ def test_config_validation_errors():
         pytest.param("cases", ["Base"], "cases must be a tuple of names", id="cases-list"),
         pytest.param("cases", ("Base", 5), "cases must be a tuple of names", id="cases-non-string"),
         pytest.param("cases", "Base", "cases must be a tuple of names", id="cases-string"),
+        pytest.param("gen", {"n_papers": 5}, "gen must be a GenConfig", id="gen-dict"),
     ],
 )
 def test_python_built_experiment_config_is_typed(field, value, message):
@@ -192,6 +199,61 @@ def test_experiment_config_json_round_trip():
     assert clone == config
     with pytest.raises(ConfigurationError, match="unknown"):
         ExperimentConfig.from_json({"casez": []})
+
+
+def _counts(lo, hi):
+    """An int drawn as a Python int, an integral float or a numpy int."""
+    return st.integers(lo, hi).flatmap(lambda n: st.sampled_from([n, float(n), np.int64(n)]))
+
+
+@st.composite
+def _distributions(draw):
+    values = sorted(draw(st.sets(st.integers(1, 50), min_size=1, max_size=5)))
+    weights = draw(st.lists(st.floats(0.01, 1.0), min_size=len(values), max_size=len(values)))
+    return DiscreteDistribution(tuple(values), tuple(w / sum(weights) for w in weights))
+
+
+@st.composite
+def _gen_configs(draw):
+    n_authors = draw(st.integers(1, 10**5))
+    thresholds = sorted(draw(st.sets(st.integers(2, 40), max_size=4)))
+    counts = draw(st.lists(st.integers(0, n_authors), min_size=len(thresholds), max_size=len(thresholds)))
+    return GenConfig(
+        n_papers=draw(_counts(1, 10**5)),
+        n_authors=n_authors,
+        author_multiplicity_targets=tuple(zip(thresholds, sorted(counts, reverse=True))),
+        authors_per_paper_dist=draw(_distributions()),
+        reviewers_per_paper_dist=draw(_distributions()),
+        reviewer_capacity_dist=draw(_distributions()),
+        n_reviewers=draw(st.none() | _counts(1, 10**5)),
+        capacity_slack=draw(st.floats(1.0, 10.0) | _counts(1, 10)),
+        true_score_mean=draw(st.floats(-100.0, 100.0)),
+        true_score_sd=draw(st.floats(0.01, 10.0)),
+    )
+
+
+@st.composite
+def _experiment_configs(draw):
+    return ExperimentConfig(
+        gen=draw(_gen_configs()),
+        cases=tuple(draw(st.lists(st.sampled_from(sorted(NOISE_CASES)), min_size=1, unique=True))),
+        repetitions=draw(_counts(1, 100)),
+        blend=draw(st.floats(0.0, 1.0)),
+        master_seed=draw(st.none() | st.integers(0, 2**64 - 1)),
+        output_path=draw(st.none() | st.text(max_size=8)),
+        output_format=draw(st.sampled_from(FORMATS)),
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(config=_experiment_configs())
+def test_config_json_round_trip_property(config):
+    # the JSON-built config equals the Python-built one, and its values have the same types
+    for built in (config, config.gen, config.gen.reviewer_capacity_dist):
+        obj = json.loads(json.dumps(built.to_json()))
+        clone = type(built).from_json(obj)
+        assert clone == built
+        assert json.dumps(clone.to_json()) == json.dumps(obj)
 
 
 def test_effective_seed_prefers_explicit():

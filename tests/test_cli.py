@@ -141,6 +141,15 @@ _BAD_CONFIGS = {
     "capacity-fractional": {"gen": {"reviewer_capacity_dist": {"values": [2.5], "probs": [1.0]}}},
     "probability-string": {"gen": {"reviewer_capacity_dist": {"values": [2], "probs": ["1"]}}},
     "targets-not-pairs": {"gen": {"author_multiplicity_targets": [[2, 4505, 1]]}},
+    "targets-fractional": {"gen": {"author_multiplicity_targets": [[2.5, 4505]]}},
+    "targets-count-string": {"gen": {"author_multiplicity_targets": [[2, "4505"]]}},
+    "targets-not-a-list": {"gen": {"author_multiplicity_targets": 2}},
+    "probability-not-a-number": {"gen": {"reviewer_capacity_dist": {"values": [2], "probs": [float("nan")]}}},
+    "value-bool": {"gen": {"reviewer_capacity_dist": {"values": [True], "probs": [1.0]}}},
+    "distribution-unknown-key": {"gen": {"reviewer_capacity_dist": {"values": [2], "probs": [1.0], "p": 1}}},
+    "distribution-missing-probs": {"gen": {"reviewer_capacity_dist": {"values": [2]}}},
+    "distribution-not-an-object": {"gen": {"reviewer_capacity_dist": [2]}},
+    "cases-repeated": {"cases": ["Base", "base", "BASE"]},
     "slack-infinite": {"gen": {"capacity_slack": float("inf")}},
     "mean-infinite": {"gen": {"true_score_mean": float("inf")}},
     "mean-not-a-number": {"gen": {"true_score_mean": float("nan")}},

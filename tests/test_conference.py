@@ -5,6 +5,7 @@ import json
 import math
 import operator
 import os
+import re
 import subprocess
 import sys
 from collections import Counter
@@ -239,7 +240,7 @@ def test_conference_invariants(tiny_conf, tiny_config):
     assert per_paper.max() == max(support)
     # reviewer loads never exceed the capacity support
     loads = np.diff(tiny_conf.reviewer_ptr)
-    assert loads.max() <= tiny_config.reviewer_capacity_dist.max_value
+    assert loads.max() <= tiny_config.reviewer_capacity_dist.values[-1]
     # a generated conference lists each reviewer's papers in increasing order
     keys = tiny_conf.slot_reviewers * tiny_conf.n_papers + tiny_conf.slot_papers
     assert np.all(np.diff(keys) > 0)
@@ -288,11 +289,24 @@ def test_hand_built_slot_order_is_kept():
 
 
 @pytest.mark.parametrize(
-    "ptr", [[1, 2], [0, 3], [0, 2, 1, 2], [], [[0, 2]]], ids=["start", "end", "decreasing", "empty", "2-d"]
+    "ptr",
+    [[1, 2], [0, 3], [0, 2, 1, 2], [], [[0, 2]], [0.0, 2.0], [0, 2.5], ["0", "2"]],
+    ids=["start", "end", "decreasing", "empty", "2-d", "integral-float", "fractional", "string"],
 )
 def test_malformed_reviewer_ptr_rejected(ptr):
     with pytest.raises(GenerationError, match="CSR pointer"):
         Conference(np.zeros(2), [np.arange(2)], slot_papers=np.array([0, 1]), reviewer_ptr=np.array(ptr))
+
+
+@pytest.mark.parametrize(
+    "slots",
+    [[0.0, 1.0], [0.7, 1.2], ["0", "1"], [True, False], [[0, 1]], 0],
+    ids=["integral-float", "fractional", "string", "bool", "2-d", "scalar"],
+)
+def test_malformed_slot_papers_rejected(slots):
+    # an id is refused, not truncated, as in a Ragged row
+    with pytest.raises(GenerationError, match="slot_papers: rows must be integer ids"):
+        Conference(np.zeros(2), [np.arange(2)], slot_papers=slots, reviewer_ptr=np.array([0, 2]))
 
 
 def test_capacity_deficit_raises():
@@ -350,6 +364,9 @@ def test_genconfig_validation():
         pytest.param("n_authors", np.float64(33.5), id="n-authors-numpy-fractional"),
         pytest.param("n_reviewers", "60", id="n-reviewers-string"),
         pytest.param("n_reviewers", False, id="n-reviewers-bool"),
+        pytest.param("author_multiplicity_targets", ((2.5, 100),), id="threshold-fractional"),
+        pytest.param("author_multiplicity_targets", ((2, "100"),), id="target-count-string"),
+        pytest.param("author_multiplicity_targets", ((True, 100),), id="threshold-bool"),
     ],
 )
 def test_python_built_genconfig_rejects_untyped_count(field, value):
@@ -370,6 +387,26 @@ def test_python_built_genconfig_rejects_untyped_count(field, value):
 )
 def test_python_built_genconfig_rejects_untyped_float(field, value):
     with pytest.raises(ConfigurationError, match=f"{field} must be a finite number"):
+        replace(scaled_config(GenConfig(), 80), **{field: value})
+
+
+_PAIRS = "tuple of (threshold, count) pairs"
+
+
+@pytest.mark.parametrize(
+    "field, value, kind",
+    [
+        pytest.param("author_multiplicity_targets", [[2, 200]], _PAIRS, id="targets-lists"),
+        pytest.param("author_multiplicity_targets", ([2, 200],), _PAIRS, id="target-list"),
+        pytest.param("author_multiplicity_targets", ((2, 200, 1),), _PAIRS, id="target-triple"),
+        pytest.param(
+            "reviewer_capacity_dist", {"values": [2], "probs": [1.0]}, "DiscreteDistribution", id="capacity-dict"
+        ),
+        pytest.param("authors_per_paper_dist", 3, "DiscreteDistribution", id="authors-int"),
+    ],
+)
+def test_python_built_genconfig_rejects_untyped_structure(field, value, kind):
+    with pytest.raises(ConfigurationError, match=re.escape(f"{field} must be a {kind}")):
         replace(scaled_config(GenConfig(), 80), **{field: value})
 
 

@@ -10,11 +10,13 @@ from __future__ import annotations
 import ast
 import importlib
 import json
+import re
 from dataclasses import replace
 from pathlib import Path
 
 import review_calib
 from review_calib import ExperimentConfig
+from review_calib.cli import build_parser
 
 ROOT = Path(__file__).parents[1]
 ERROR_TYPES = {"ConfigurationError", "GenerationError"}
@@ -52,3 +54,11 @@ def test_readme_config_example_gives_the_defaults():
     config = ExperimentConfig.from_json(json.loads(example))
     assert config.effective_seed == 42
     assert replace(config, master_seed=None) == ExperimentConfig()
+
+
+def test_readme_cli_synopsis_lists_every_flag():
+    section = (ROOT / "README.md").read_text(encoding="utf-8").split("\n## CLI\n")[1]
+    synopsis = section.split("```bash\n")[1].split("```")[0]
+    documented = set(re.findall(r"--[a-z][a-z-]*", synopsis))
+    flags = {opt for action in build_parser()._actions for opt in action.option_strings if opt.startswith("--")}
+    assert documented == flags - {"--help"}
