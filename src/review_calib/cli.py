@@ -43,12 +43,21 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _refuse_repeated_keys(pairs: list[tuple[str, object]]) -> dict:
+    obj: dict = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ConfigurationError(f"config repeats the key {key!r}")
+        obj[key] = value
+    return obj
+
+
 def _load_config(path: str | None) -> ExperimentConfig:
     if path is None:
         return ExperimentConfig()
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            obj = json.load(fh)
+            obj = json.load(fh, object_pairs_hook=_refuse_repeated_keys)
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigurationError(f"cannot read config {path}: {exc}") from exc
     return ExperimentConfig.from_json(obj)

@@ -20,7 +20,7 @@ import heapq
 import json
 import math
 import operator
-from collections.abc import Callable, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -386,8 +386,11 @@ class Conference:
             raise GenerationError(f"paper {non_finite[0]} has a non-finite true score")
         self.authorship = _rows(self.authorship, "authorship")
         self.slot_papers = _rows([self.slot_papers], "slot_papers").flat
-        ptr = np.asarray(self.reviewer_ptr)
-        csr = ptr.ndim == 1 and ptr.dtype.kind in "iu" and len(ptr) > 0 and ptr[0] == 0
+        try:
+            ptr = np.asarray(self.reviewer_ptr)
+            csr = ptr.ndim == 1 and ptr.dtype.kind in "iu" and len(ptr) > 0 and ptr[0] == 0
+        except ValueError:  # a ragged nesting
+            csr = False
         if not csr or ptr[-1] != self.n_slots or np.any(ptr[1:] < ptr[:-1]):
             raise GenerationError("reviewer_ptr is not a CSR pointer over slot_papers")
         ptr = self.reviewer_ptr = ptr.astype(np.int64, copy=False)
@@ -645,11 +648,12 @@ class _BoundedDraws:
     the generator's ``next_uint32`` words: ``n == 1`` draws nothing; else
     ``m = word * n`` is redrawn while its low 32 bits fall below
     ``(2**32 - n) % n``, a test reached only when they fall below ``n``,
-    and the draw is ``m >> 32``. ``integers(0, 2**32, dtype=np.uint32)``
-    returns those same words, so a twin of ``rng`` hands them out in
-    chunks and ``below`` replays the method on them. ``sync`` then draws
-    the words used from ``rng`` itself, which leaves its state where the
-    one-at-a-time calls would have.
+    and the draw is ``m >> 32``. A twin of ``rng`` draws those words in
+    chunks, as ``integers(0, 2**32, dtype=np.uint32)`` returns them: the
+    next is ``words[pos]``, and an undrawn 0 ends the chunk. A caller may
+    take a safe word (``m & 0xFFFFFFFF >= n > 1``) itself and leave any other
+    to ``below``. ``sync`` then advances ``rng`` past the words used, to
+    where the one-at-a-time calls leave it.
     """
 
     _CHUNK = 2048
@@ -659,16 +663,16 @@ class _BoundedDraws:
             raise ValueError(f"bounds must stay below 2**32, got {max_bound}")
         self._rng = rng
         self._twin = np.random.Generator(copy.deepcopy(rng.bit_generator))
-        self._words = iter(())
+        self.words, self.pos = [0], 0
         self._drawn = 0
 
     def _word(self) -> int:
-        try:
-            return next(self._words)
-        except StopIteration:
-            self._words = iter(self._twin.integers(0, 2**32, dtype=np.uint32, size=self._CHUNK).tolist())
+        if self.pos == len(self.words) - 1:
+            self.words = [*self._twin.integers(0, 2**32, dtype=np.uint32, size=self._CHUNK).tolist(), 0]
+            self.pos = 0
             self._drawn += self._CHUNK
-            return next(self._words)
+        self.pos += 1
+        return self.words[self.pos - 1]
 
     def below(self, n: int) -> int:
         """What ``rng.integers(0, n)`` would return next."""
@@ -683,40 +687,60 @@ class _BoundedDraws:
 
     def sync(self) -> None:
         """Advance ``rng`` past the words used."""
-        used = self._drawn - operator.length_hint(self._words)
+        used = self._drawn - (len(self.words) - 1 - self.pos)
         self._rng.integers(0, 2**32, dtype=np.uint32, size=used)
 
 
-def _match_slots(papers: list[int], remaining: list[int], below: Callable[[int], int]) -> list[int] | None:
+def _can_take(held_entry, paper: int) -> bool:
+    return held_entry != paper and not (held_entry.__class__ is set and paper in held_entry)
+
+
+def _match_slots(papers: list[int], remaining: list[int], draws: _BoundedDraws) -> list[int] | None:
     """One greedy matching attempt: the reviewer of every slot, or None at a dead end.
 
-    ``remaining`` holds each reviewer's capacity and is used up in place;
-    ``below(n)`` draws a bounded integer in ``[0, n)``.
+    ``remaining`` holds each reviewer's capacity and is used up in place.
+    ``held[r]`` is None, one paper id or a set: r's papers, recorded only
+    while r keeps capacity and so stays in ``active``, the reviewers a draw
+    or scan can reach; at capacity 2 no set is built. A slot whose first
+    word is safe and names a reviewer free to take the paper is placed
+    inline; any other slot redoes its draws through ``draws.below``.
     """
     active = list(range(len(remaining)))
-    held: list[set[int]] = [set() for _ in remaining]
-    holder: list[int] = []
-    for paper in papers:
-        j = below(len(active))
+    held: list = [None] * len(remaining)
+    holder = [0] * len(papers)
+    words, k = draws.words, draws.pos
+    for s, paper in enumerate(papers):
+        n = len(active)
+        m = words[k] * n
+        j = m >> 32
         r = active[j]
-        if paper in held[r]:
-            for _ in range(49):
-                j = below(len(active))
-                r = active[j]
-                if paper not in held[r]:
+        h = held[r]
+        if m & 0xFFFFFFFF >= n > 1 and h != paper and not (h.__class__ is set and paper in h):
+            k += 1
+        else:
+            draws.pos = k
+            for _ in range(50):
+                j = draws.below(len(active))
+                if _can_take(held[active[j]], paper):
                     break
             else:
-                eligible = [j for j, r in enumerate(active) if paper not in held[r]]
+                eligible = [j for j, r in enumerate(active) if _can_take(held[r], paper)]
                 if not eligible:
                     return None
-                j = eligible[below(len(eligible))]
-                r = active[j]
-        held[r].add(paper)
-        holder.append(r)
+                j = eligible[draws.below(len(eligible))]
+            r = active[j]
+            h = held[r]
+            words, k = draws.words, draws.pos
+        holder[s] = r
         remaining[r] -= 1
         if not remaining[r]:
             active[j] = active[-1]
             active.pop()
+        elif h.__class__ is set:
+            h.add(paper)
+        else:
+            held[r] = paper if h is None else {h, paper}
+    draws.pos = k
     return holder
 
 
@@ -737,10 +761,10 @@ def _assign_reviewers(
     order.
 
     The bounded integers are ``rng.integers(0, n)``'s, replayed by
-    ``_BoundedDraws`` from words drawn in blocks; each attempt ends by
-    advancing ``rng`` past the words it used, so draws, restarts and the
-    final generator state are those of one ``integers`` call per draw.
-    ``tests/oracles.py::assign_reviewers_reference`` is that slow loop.
+    ``_BoundedDraws`` from words drawn in blocks, mostly inline in
+    ``_match_slots``; each attempt ends by advancing ``rng`` past the words
+    it used, so draws, restarts and the final generator state are those of
+    one ``integers`` call per draw, as in ``tests/oracles.py::assign_reviewers_reference``.
     """
     total_slots = int(per_paper.sum())
     cap_dist = config.reviewer_capacity_dist
@@ -769,7 +793,7 @@ def _assign_reviewers(
     for _ in range(_MATCHING_RETRIES):
         rng.shuffle(slots)
         draws = _BoundedDraws(rng, n_reviewers)
-        holder = _match_slots(slots.tolist(), capacities.tolist(), draws.below)
+        holder = _match_slots(slots.tolist(), capacities.tolist(), draws)
         draws.sync()
         if holder is not None:
             reviewers = np.asarray(holder, dtype=np.int64)

@@ -13,7 +13,8 @@ and invert the JSON assignment lists list by list (``conference_from_json``
 reads those lists back). The set-up references
 deal authorship author by author over the whole deck, match review slots
 with per-slot numpy scalars and claim owners with one sort per owner; each
-can count the branches its run takes. ``validate_tiers`` and
+can count the branches its run takes. ``match_slots_reference`` is one
+matching attempt with a set per reviewer and every draw through ``below``. ``validate_tiers`` and
 ``validate_owner_partition`` check the partition properties of the tier
 decomposition and the owner partition. ``calibrate_combined`` composes the
 combined estimator the way ``bench._run_cell`` does inline, and
@@ -752,6 +753,31 @@ def assign_reviewers_reference(per_paper, config, rng, events=None):
         f"review matching failed after {_MATCHING_RETRIES} retries; "
         "reviewer capacities are too tight for a duplicate-free assignment"
     )
+
+
+def match_slots_reference(papers, remaining, below):
+    """``conference._match_slots`` with a set of papers per reviewer and ``below(n)`` for every draw."""
+    active = list(range(len(remaining)))
+    held = [set() for _ in remaining]
+    holder = []
+    for paper in papers:
+        for _ in range(50):
+            j = below(len(active))
+            if paper not in held[active[j]]:
+                break
+        else:
+            eligible = [j for j, r in enumerate(active) if paper not in held[r]]
+            if not eligible:
+                return None
+            j = eligible[below(len(eligible))]
+        r = active[j]
+        held[r].add(paper)
+        holder.append(r)
+        remaining[r] -= 1
+        if not remaining[r]:
+            active[j] = active[-1]
+            active.pop()
+    return holder
 
 
 def build_owner_partition_reference(conf):

@@ -177,6 +177,26 @@ def test_malformed_config_value_is_config_error(case, tmp_path, monkeypatch, cap
     assert capsys.readouterr().err.startswith("configuration error: ")
 
 
+@pytest.mark.parametrize(
+    "text, key",
+    [
+        ('{"repetitions": 2, "repetitions": 1, "cases": ["Base"]}', "repetitions"),
+        ('{"cases": ["Base"], "gen": {"n_papers": 120, "n_papers": 80}}', "n_papers"),
+    ],
+    ids=["top-level", "nested"],
+)
+def test_repeated_config_key_is_config_error(text, key, tmp_path, monkeypatch, capsys):
+    # json.load alone keeps the last of two equal keys and runs with it
+    monkeypatch.delenv("REVIEW_CALIB_SEED", raising=False)
+    monkeypatch.chdir(tmp_path)
+    path = tmp_path / "repeated.json"
+    path.write_text(text)
+    assert main(["--config", str(path)]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.err == f"configuration error: config repeats the key {key!r}\n"
+    assert captured.out == ""
+
+
 def test_integral_float_config_values_are_accepted():
     config = ExperimentConfig.from_json({"repetitions": 2.0, "gen": {"n_papers": 80.0}})
     assert config.repetitions == 2 and type(config.repetitions) is int

@@ -3,7 +3,6 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-import operator
 import os
 import re
 import subprocess
@@ -27,6 +26,7 @@ from oracles import (
     conference_from_lists,
     deal_authorship_reference,
     fit_multiplicity_distribution_reference,
+    match_slots_reference,
     reverse_assignment_reference,
     validate_conference_reference,
     validate_owner_partition,
@@ -47,6 +47,7 @@ from review_calib.conference import (
     _assign_reviewers,
     _BoundedDraws,
     _deal_authorship,
+    _match_slots,
     _minimize_bounded,
     fit_multiplicity_distribution,
     gen_true_scores,
@@ -290,12 +291,13 @@ def test_hand_built_slot_order_is_kept():
 
 @pytest.mark.parametrize(
     "ptr",
-    [[1, 2], [0, 3], [0, 2, 1, 2], [], [[0, 2]], [0.0, 2.0], [0, 2.5], ["0", "2"]],
-    ids=["start", "end", "decreasing", "empty", "2-d", "integral-float", "fractional", "string"],
+    [[1, 2], [0, 3], [0, 2, 1, 2], [], [[0, 2]], [0.0, 2.0], [0, 2.5], ["0", "2"], [[0], [1, 2]]],
+    ids=["start", "end", "decreasing", "empty", "2-d", "integral-float", "fractional", "string", "ragged"],
 )
 def test_malformed_reviewer_ptr_rejected(ptr):
+    # passed as the list it is: numpy refuses to build an array of the ragged nesting
     with pytest.raises(GenerationError, match="CSR pointer"):
-        Conference(np.zeros(2), [np.arange(2)], slot_papers=np.array([0, 1]), reviewer_ptr=np.array(ptr))
+        Conference(np.zeros(2), [np.arange(2)], slot_papers=np.array([0, 1]), reviewer_ptr=ptr)
 
 
 @pytest.mark.parametrize(
@@ -627,6 +629,61 @@ def test_matching_matches_reference_property(args, seed):
     assert new == ref
 
 
+# chunks this short put chunk edges, and so refills, under inline draws, retries and scans
+_SHORT_CHUNKS = [1, 2, 3, 7]
+
+
+@pytest.mark.parametrize("chunk", _SHORT_CHUNKS)
+@pytest.mark.parametrize("branch", sorted(_MATCHING_BRANCHES))
+def test_matching_matches_reference_across_chunk_edges_on_each_branch(branch, chunk, monkeypatch):
+    monkeypatch.setattr(_BoundedDraws, "_CHUNK", chunk)
+    (per_paper, config, seed), reached = _MATCHING_BRANCHES[branch]
+    args = (np.array(per_paper, dtype=np.int64), config)
+    new, ref, events = _twin_calls(_assign_reviewers, assign_reviewers_reference, args, seed)
+    assert new == ref
+    assert reached(events)
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(_matching_inputs(), st.integers(0, 2**32 - 1), st.sampled_from(_SHORT_CHUNKS))
+def test_matching_matches_reference_across_chunk_edges_property(args, seed, chunk):
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(_BoundedDraws, "_CHUNK", chunk)
+        new, ref, _ = _twin_calls(_assign_reviewers, assign_reviewers_reference, args, seed)
+    assert new == ref
+
+
+class _ScriptedWords:
+    """Stands in for the twin generator: the script's words first, then a seeded generator's."""
+
+    def __init__(self, script, seed):
+        self.script, self.rest = list(script), np.random.default_rng(seed)
+
+    def integers(self, low, high, dtype, size):
+        head, self.script = self.script[:size], self.script[size:]
+        tail = self.rest.integers(low, high, dtype=dtype, size=size - len(head))
+        return np.concatenate([np.array(head, dtype=dtype), tail])
+
+
+# At 3 active reviewers the rejection threshold is 2**32 % 3 == 1. The word 0 is rejected
+# and 2**31 then draws 1; 0xAAAAAAAB * 3 == 2 * 2**32 + 1 has low bits 1, below 3 but kept,
+# and draws 2.
+_LOW_WORDS = [0, 2**31, 0xAAAAAAAB, 0, 0, 2**31]
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 3, _BoundedDraws._CHUNK])
+def test_inline_draws_leave_low_words_to_below(chunk, monkeypatch):
+    monkeypatch.setattr(_BoundedDraws, "_CHUNK", chunk)
+    papers = list(range(12))  # distinct papers, so every first draw is kept
+    outcomes = []
+    for match in (_match_slots, lambda p, rem, draws: match_slots_reference(p, rem, draws.below)):
+        draws = _BoundedDraws(_rng(), 3)
+        draws._twin = _ScriptedWords(_LOW_WORDS, 1)
+        outcomes.append((match(papers, [4, 4, 4], draws), draws._drawn, draws.pos))
+    assert outcomes[0] == outcomes[1]
+    assert outcomes[0][0][:3] == [1, 2, 1]
+
+
 @pytest.mark.parametrize("capacity", [2, 6])
 def test_set_up_matches_references_on_a_full_conference(capacity, monkeypatch):
     config = GenConfig(reviewer_capacity_dist=_pm(capacity))
@@ -687,7 +744,7 @@ def _assert_replays_integers(bit_generator, seed, bounds, chunk=_BoundedDraws._C
     values, used = [], []
     for n in bounds:
         values.append(draws.below(n))
-        used.append(draws._drawn - operator.length_hint(draws._words))
+        used.append(draws._drawn - (len(draws.words) - 1 - draws.pos))
     draws.sync()
     reference = np.random.Generator(bit_generator(seed))
     assert values == [int(reference.integers(0, n)) for n in bounds]
