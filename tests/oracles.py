@@ -14,12 +14,13 @@ reads those lists back). The set-up references
 deal authorship author by author over the whole deck, match review slots
 with per-slot numpy scalars and claim owners with one sort per owner; each
 can count the branches its run takes. ``match_slots_reference`` is one
-matching attempt with a set per reviewer and every draw through ``below``. ``validate_tiers`` and
-``validate_owner_partition`` check the partition properties of the tier
-decomposition and the owner partition. ``calibrate_combined`` composes the
-combined estimator the way ``bench._run_cell`` does inline, and
-``tiers_to_json`` and ``results_table_from_json`` convert the tiers and the
-results table to and from the JSON forms only tests use.
+matching attempt with a set per reviewer and every draw through ``below``.
+``validate_tiers`` and ``validate_owner_partition`` check the partition
+properties of the tier decomposition and the owner partition.
+``calibrate_combined`` composes the combined estimator the way
+``bench._run_cell`` does inline, and ``tiers_to_json`` and
+``results_table_from_json`` convert the tiers and the results table to and
+from the JSON forms only tests use.
 
 The rank-centrality chain (loss-driven transitions whose stationary
 distribution orders the papers) is a cross-check of tier peeling, not a
