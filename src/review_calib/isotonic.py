@@ -1,19 +1,17 @@
 """Weighted isotonic regression (pool adjacent violators).
 
 Solves min sum_i w_i (x_i - y_i)^2 subject to x being monotone along the
-given index order. The solver is the linear-time stack variant of PAVA;
-pooled block values are recomputed with compensated summation so that the
-weighted total is preserved tightly even for inputs thousands of entries
-long.
+given index order, by the linear-time stack variant of PAVA; pooled block
+values are recomputed with compensated summation, so the weighted total
+holds tightly even for inputs thousands of entries long.
 
-``isotonic_fit`` runs one stack over one (possibly long) input; the same
-loop fits many disjoint segments of one flat input in a single call, the
-shape of the author projection's owners. ``project_rows_non_increasing``
-advances the same stack over many short rows at once, the shape of a batch
-of reviewer bundles. Its stacks are column-major, indexed flat as
-``depth * rows + row``, and its pooled blocks of three or more are summed
-by TwoSum cascades; a sum is used only where it is certified to be
-``math.fsum``'s, and fsum itself sums the rest.
+The scalar loop keeps the stack's top block in locals and the blocks below
+it in lists. ``isotonic_fit`` runs it over one input; one call also fits
+many disjoint segments of a flat input, the author projection's owners.
+``project_rows_non_increasing`` advances the same stack over many short
+rows at once (reviewer bundles), column-major at flat index ``depth * rows
++ row``; its pooled blocks of three or more are summed by TwoSum cascades
+where certified to equal ``math.fsum``, and by fsum otherwise.
 """
 
 from __future__ import annotations
@@ -35,37 +33,42 @@ def _pava_non_decreasing(
 
     Each ``(lo, hi)`` pair in ``segments`` is a slice ``[lo, hi)`` fitted on
     its own, with a fresh stack; entries outside every segment keep their
-    input value. ``w is None`` means unit weights. Pooled block values are
-    recomputed with compensated summation so sum(w*x) == sum(w*y) stays
-    tight; a block of one keeps its input value.
+    input value. ``w is None`` means unit weights. The top block's start,
+    weight and weighted sum are locals, the blocks below it three lists.
+    Pooled block values are recomputed with compensated summation so
+    sum(w*x) == sum(w*y) stays tight (a unit-weight block's weight is its
+    length) and written once per block; a block of one keeps its input.
     """
-    n = len(y)
     yl = y.tolist()
-    if w is None:
-        wl, wyl = [1.0] * n, yl
-    else:
-        wl, wyl = w.tolist(), (w * y).tolist()
-    starts = [0] * n
-    wsum = [0.0] * n
-    wysum = [0.0] * n
-    out = yl[:]
+    wl, wyl = ([1.0] * len(yl), yl) if w is None else (w.tolist(), (w * y).tolist())
+    los, lengths, values = [], [], []
     for seg_lo, seg_hi in segments:
-        m = 0
-        for i in range(seg_lo, seg_hi):
-            starts[m] = i
-            wsum[m] = wl[i]
-            wysum[m] = wyl[i]
-            m += 1
-            while m > 1 and wysum[m - 2] * wsum[m - 1] > wysum[m - 1] * wsum[m - 2]:
-                wsum[m - 2] += wsum[m - 1]
-                wysum[m - 2] += wysum[m - 1]
-                m -= 1
-        for b in range(m):
-            lo = starts[b]
-            hi = starts[b + 1] if b + 1 < m else seg_hi
+        if seg_hi - seg_lo < 2:
+            continue
+        ss, ws, wys = [], [], []
+        ts, tw, twy = seg_lo, wl[seg_lo], wyl[seg_lo]
+        for i in range(seg_lo + 1, seg_hi):
+            xw, xwy = wl[i], wyl[i]
+            if twy * xw > xwy * tw:
+                tw, twy = tw + xw, twy + xwy
+                while ws and wys[-1] * tw > twy * ws[-1]:
+                    tw, twy, ts = tw + ws.pop(), twy + wys.pop(), ss.pop()
+            else:
+                ss.append(ts)
+                ws.append(tw)
+                wys.append(twy)
+                ts, tw, twy = i, xw, xwy
+        ss += (ts, seg_hi)
+        for lo, hi in zip(ss, ss[1:]):
             if hi - lo > 1:
-                out[lo:hi] = [math.fsum(wyl[lo:hi]) / math.fsum(wl[lo:hi])] * (hi - lo)
-    return np.array(out)
+                los.append(lo)
+                lengths.append(hi - lo)
+                values.append(math.fsum(wyl[lo:hi]) / (hi - lo if w is None else math.fsum(wl[lo:hi])))
+    out = y.copy()
+    if los:
+        k = np.array(lengths)
+        out[np.arange(k.sum()) + np.repeat(np.array(los) - np.cumsum(k) + k, k)] = np.repeat(values, k)
+    return out
 
 
 _FSUM_SAFE = 2.0**1020
@@ -189,6 +192,21 @@ def project_rows_non_increasing(y: np.ndarray) -> np.ndarray:
     return out
 
 
+def _project_pairs(y: np.ndarray) -> np.ndarray:
+    """``project_rows_non_increasing`` on two-column rows, in closed form.
+
+    With ``z = -y`` the stack merges the two entries iff ``z0 > z1`` and
+    then holds ``(z0 + z1) / 2.0``; an unmerged entry is ``-(-y)``, which
+    is ``y`` exactly. A finite pair whose sum overflows raises OverflowError.
+    """
+    z = -y
+    pooled = np.flatnonzero(z[:, 0] > z[:, 1])
+    out = y.copy()
+    out[pooled] = -((z[pooled, 0] + z[pooled, 1]) / 2.0)[:, None]
+    raise_on_overflow(y, out)
+    return out
+
+
 def isotonic_fit(
     values: np.ndarray, weights: np.ndarray | None = None, direction: str = NON_INCREASING
 ) -> np.ndarray:
@@ -197,7 +215,8 @@ def isotonic_fit(
     ``weights`` defaults to all ones. ``direction`` is the monotonicity
     required of the output along the index order of ``values``. Returns a
     piecewise-constant vector whose blocks are weighted means of the pooled
-    input entries. An empty input yields an empty output.
+    input entries. An empty input yields an empty output. A weighted value
+    ``w * y`` or a pooled sum that overflows raises fsum's OverflowError.
     """
     y = np.asarray(values, dtype=float)
     if y.ndim != 1:
@@ -216,6 +235,9 @@ def isotonic_fit(
             raise ValueError("weights must be strictly positive")
     if direction not in _DIRECTIONS:
         raise ValueError(f"direction must be one of {_DIRECTIONS}, got {direction!r}")
+    with np.errstate(over="ignore"):
+        if w is not None and not np.isfinite(w * y).all():
+            raise OverflowError("intermediate overflow in fsum")
     if y.size == 0:
         return y.copy()
     segments = ((0, y.size),)

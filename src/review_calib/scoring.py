@@ -33,7 +33,7 @@ import numpy as np
 
 from .conference import Conference, Ragged
 from .errors import ConfigurationError
-from .isotonic import project_rows_non_increasing, raise_on_overflow
+from .isotonic import _project_pairs, project_rows_non_increasing
 
 
 @dataclass(frozen=True)
@@ -150,21 +150,6 @@ def _sample_pl_pairs(weights: np.ndarray, total: np.ndarray, uniforms: np.ndarra
     """
     second_first = ~(uniforms[:, 0] * total <= weights[:, 0])
     return np.column_stack((second_first, ~second_first)).astype(np.int64)
-
-
-def _project_pairs(y: np.ndarray) -> np.ndarray:
-    """``project_rows_non_increasing`` on two-column rows, in closed form.
-
-    With ``z = -y`` the stack merges the two entries iff ``z0 > z1`` and
-    then holds ``(z0 + z1) / 2.0``; an unmerged entry is ``-(-y)``, which
-    is ``y`` exactly. A finite pair whose sum overflows raises OverflowError.
-    """
-    z = -y
-    pooled = np.flatnonzero(z[:, 0] > z[:, 1])
-    out = y.copy()
-    out[pooled] = -((z[pooled, 0] + z[pooled, 1]) / 2.0)[:, None]
-    raise_on_overflow(y, out)
-    return out
 
 
 def generate_final_scores(

@@ -1,7 +1,9 @@
 """Independent reference implementations used to check the fast paths.
 
 These deliberately avoid the package's algorithms: the isotonic oracle
-enumerates candidate block partitions of the quadratic program, the
+enumerates candidate block partitions of the quadratic program,
+``pava_reference`` is the scalar stack PAVA with its whole stack in
+preallocated lists (the bitwise reference of the kernel), the
 exact Plackett-Luce probability multiplies the sequential choices (and is
 itself checked against the same product with unshifted exponentials), the
 multiplicity-law reference fits with scipy's bounded minimiser, the tier
@@ -96,6 +98,42 @@ def isotonic_qp_oracle(values, weights=None, direction="non-increasing"):
             best_obj = obj
             best_x = x
     return sign * best_x
+
+
+def pava_reference(y: np.ndarray, w: np.ndarray | None, segments) -> np.ndarray:
+    """The scalar stack PAVA with every block in three preallocated n-long lists.
+
+    ``isotonic._pava_non_decreasing`` keeps the top block in locals and
+    pools with unit-weight denominators written as lengths; this loop,
+    kept verbatim, must give the same bytes, or raise the same error.
+    """
+    n = len(y)
+    yl = y.tolist()
+    if w is None:
+        wl, wyl = [1.0] * n, yl
+    else:
+        wl, wyl = w.tolist(), (w * y).tolist()
+    starts = [0] * n
+    wsum = [0.0] * n
+    wysum = [0.0] * n
+    out = yl[:]
+    for seg_lo, seg_hi in segments:
+        m = 0
+        for i in range(seg_lo, seg_hi):
+            starts[m] = i
+            wsum[m] = wl[i]
+            wysum[m] = wyl[i]
+            m += 1
+            while m > 1 and wysum[m - 2] * wsum[m - 1] > wysum[m - 1] * wsum[m - 2]:
+                wsum[m - 2] += wsum[m - 1]
+                wysum[m - 2] += wysum[m - 1]
+                m -= 1
+        for b in range(m):
+            lo = starts[b]
+            hi = starts[b + 1] if b + 1 < m else seg_hi
+            if hi - lo > 1:
+                out[lo:hi] = [math.fsum(wyl[lo:hi]) / math.fsum(wl[lo:hi])] * (hi - lo)
+    return np.array(out)
 
 
 def pl_ranking_prob(theta: np.ndarray, perm: np.ndarray) -> float:

@@ -7,7 +7,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import isotonic_qp_oracle
+from oracles import isotonic_qp_oracle, pava_reference
+from review_calib import (
+    NOISE_CASES,
+    DiscreteDistribution,
+    GenConfig,
+    avg_scores,
+    build_owner_partition,
+    calibrate_reviewer,
+    gen_conference,
+    generate_final_scores,
+)
 from review_calib.isotonic import (
     NON_DECREASING,
     NON_INCREASING,
@@ -17,6 +27,8 @@ from review_calib.isotonic import (
     isotonic_project_indexed,
     project_rows_non_increasing,
 )
+from review_calib.ranking import full_ranking, hierarchical_tiers
+from review_calib.seeding import PURPOSE_CONFERENCE, PURPOSE_SCORES, stream
 
 
 def test_feasible_input_unchanged():
@@ -218,6 +230,86 @@ def test_segments_are_fitted_independently_bitwise():
         assert got.tobytes() == want.tobytes()
 
 
+@pytest.mark.parametrize("direction", [NON_INCREASING, NON_DECREASING])
+def test_weighted_value_that_overflows_raises(direction):
+    # 2.0 * 1e308 overflows before any block pools; a weight below one keeps it finite
+    with pytest.raises(OverflowError, match="intermediate overflow in fsum"):
+        isotonic_fit([1.0, 1e308], [1.0, 2.0], direction)
+    with pytest.raises(OverflowError, match="intermediate overflow in fsum"):
+        isotonic_fit([-1.7e308, 0.0, 1.0], [1.5, 1.0, 1.0], direction)
+    assert np.isfinite(isotonic_fit([1.0, 1e308], [1.0, 0.5], direction)).all()
+
+
+# --- the scalar kernel against the loop it replaced
+
+
+def _outcome(f):
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            return f()
+    except (OverflowError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+# scores, small integers (ties), signed zeros, subnormals, and values whose
+# sum or weighted value overflows
+_KERNEL_VALUES = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.integers(-3, 3).map(float),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.0**-1022, 1e308, 1.7e308, -1e308, -1.7e308]),
+    st.integers(-(2**20), 2**20).map(lambda k: k * 2.0**-1074),
+)
+
+
+@st.composite
+def _kernel_inputs(draw):
+    """Values, unit or positive weights, and sorted segments with gaps, empty and length-1 ones."""
+    n = draw(st.integers(0, 40))
+    y = draw(st.lists(_KERNEL_VALUES, min_size=n, max_size=n))
+    if n and draw(st.booleans()):
+        # an ascending run stacks one block per entry; a lower value after it cascades through all
+        lo = draw(st.integers(0, n - 1))
+        hi = draw(st.integers(lo, n))
+        y[lo:hi] = sorted(y[lo:hi])
+    weights = st.one_of(st.integers(1, 4).map(float), st.floats(0.0, 1e308, exclude_min=True))
+    w = draw(st.one_of(st.none(), st.lists(weights, min_size=n, max_size=n)))
+    if draw(st.booleans()):
+        segments = [(0, n)]
+    else:
+        cuts = sorted(draw(st.lists(st.integers(0, n), max_size=12)))
+        segments = [(lo, hi) for lo, hi in zip(cuts, cuts[1:]) if draw(st.booleans())]
+    return np.array(y, dtype=float), None if w is None else np.array(w, dtype=float), segments
+
+
+@settings(max_examples=600, deadline=None, database=None)
+@given(_kernel_inputs())
+def test_kernel_matches_reference_loop_property(instance):
+    # the same bytes, or the same error
+    y, w, segments = instance
+    got = _outcome(lambda: _pava_non_decreasing(y, w, segments).tobytes())
+    assert got == _outcome(lambda: pava_reference(y, w, segments).tobytes())
+
+
+@pytest.mark.parametrize("capacity", [2, 6])
+def test_kernel_matches_reference_loop_on_cell_inputs(capacity):
+    # the first repetition of every case on the seed-42 conference, as a benchmark cell fits it:
+    # the reviewer fit's ordered averages and both author fits' owner rows
+    gen = GenConfig(reviewer_capacity_dist=DiscreteDistribution.point_mass(capacity))
+    conf = gen_conference(gen, stream(42, PURPOSE_CONFERENCE))
+    owners = build_owner_partition(conf).owners
+    owner_rows = list(zip(owners.ptr[:-1].tolist(), owners.ptr[1:].tolist()))
+    for k, case in enumerate(NOISE_CASES.values()):
+        final, _, rankings = generate_final_scores(conf, case, stream(42, PURPOSE_SCORES, k, 0))
+        avg = avg_scores(final, conf)
+        order = full_ranking(hierarchical_tiers(rankings, range(conf.n_papers)), avg)
+        inputs = [(-avg[order], [(0, conf.n_papers)])]
+        inputs += [(-s[owners.flat], owner_rows) for s in (avg, calibrate_reviewer(avg, rankings, 0.5))]
+        for y, segments in inputs:
+            got = _pava_non_decreasing(y, None, segments)
+            assert not np.array_equal(got, y)  # some blocks pool
+            assert got.tobytes() == pava_reference(y, None, segments).tobytes()
+
+
 def test_row_kernel_matches_scalar_fit_bitwise():
     # integer-valued rows produce ties and long pooled blocks
     rng = np.random.default_rng(29)
@@ -227,14 +319,6 @@ def test_row_kernel_matches_scalar_fit_bitwise():
         for row, fitted in zip(rows, got):
             want = isotonic_fit(row, direction=NON_INCREASING)
             assert fitted.tobytes() == want.tobytes()
-
-
-def _outcome(f):
-    try:
-        with np.errstate(over="ignore", invalid="ignore"):
-            return f()
-    except (OverflowError, ValueError) as exc:
-        return type(exc), str(exc)
 
 
 # finite values of any magnitude, and values whose sum with another overflows

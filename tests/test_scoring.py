@@ -29,8 +29,8 @@ from review_calib import (
     get_noise_case,
     scaled_config,
 )
-from review_calib.isotonic import project_rows_non_increasing
-from review_calib.scoring import NoiseCase, _project_pairs, _sample_pl_pairs, _sample_pl_rows
+from review_calib.isotonic import _project_pairs, project_rows_non_increasing
+from review_calib.scoring import NoiseCase, _sample_pl_pairs, _sample_pl_rows
 
 
 def _rng(seed=0):
