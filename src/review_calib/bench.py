@@ -194,6 +194,8 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> ResultsTable:
         for case_name in case_names
         for rep in range(config.repetitions)
     ]
+    # a pool forks all its workers up front, so never ask for more than there are cells
+    workers = min(workers, len(tasks))
     if workers == 1:
         _init_worker(conference, owners, seed, config.blend)
         rows = list(map(_run_cell, tasks))

@@ -138,7 +138,8 @@ def calibrate_author(
     its order is already non-increasing, so the projection passes it
     through untouched. A rising pair is pooled in closed form, and longer
     rising owners are fitted as segments of a single PAVA call. The result
-    equals the per-owner projection bit for bit.
+    equals the per-owner projection bit for bit. An owned paper id outside
+    ``[0, len(scores))`` raises ValueError.
     """
     if not 0.0 <= blend <= 1.0:
         raise ValueError(f"blend must lie in [0, 1], got {blend}")
@@ -146,6 +147,8 @@ def calibrate_author(
     if not np.isfinite(out).all():
         raise ValueError("scores must be finite")
     papers, ptr = owners.owners.flat, owners.owners.ptr
+    if papers.size and (papers.min() < 0 or papers.max() >= len(out)):
+        raise ValueError(f"an owner names a paper outside [0, {len(out)})")
     y = out[papers]
     # the first entry of each strict rise, and its owner; a rise counts when
     # the next entry has the same owner

@@ -7,7 +7,9 @@ preallocated lists (the bitwise reference of the kernel), the
 exact Plackett-Luce probability multiplies the sequential choices (and is
 itself checked against the same product with unshifted exponentials), the
 multiplicity-law reference fits with scipy's bounded minimiser, the tier
-oracle rebuilds the comparison graph from scratch every round, the
+oracle rebuilds the comparison graph from scratch every round (and
+``hierarchical_tiers_all_pairs`` peels over every pair of each ranking,
+the bitwise reference of the adjacent-pair peel), the
 score-simulation reference runs the sequential-choice sampler and the
 scalar isotonic projection reviewer by reviewer, the author-projection
 reference fits one owner at a time, and the conference references check
@@ -53,7 +55,7 @@ from review_calib.conference import (
 )
 from review_calib.bench import ResultsTable
 from review_calib.estimators import OwnerPartition, calibrate_author, calibrate_reviewer
-from review_calib.ranking import TierDecomposition, _paper_set, _sorted_unique
+from review_calib.ranking import TierDecomposition
 from review_calib.scoring import NoiseCase, _draw_reviewer_params, _raw_values
 
 
@@ -355,6 +357,43 @@ def naive_hierarchical_tiers(rankings, papers):
     return tiers
 
 
+def hierarchical_tiers_all_pairs(rankings, n: int) -> TierDecomposition:
+    """Tier peeling over every pair of each ranking, on papers ``range(n)``.
+
+    ``hierarchical_tiers`` peels over adjacent pairs only; it must give
+    these tiers bit for bit. Rankings are taken as valid ids of ``range(n)``.
+    """
+    papers = np.arange(n, dtype=np.int64)
+    rankings = Ragged.of(rankings)
+    ids = rankings.flat
+
+    sizes, start = rankings.sizes, rankings.ptr[:-1]
+    winners = losers = np.empty(0, dtype=np.int64)
+    for size in np.flatnonzero(np.bincount(sizes)).tolist():
+        if size < 2:
+            continue
+        first = start[sizes == size][:, None]
+        a, b = np.triu_indices(size, k=1)
+        winners = np.concatenate((winners, ids[first + a].ravel()))
+        losers = np.concatenate((losers, ids[first + b].ravel()))
+    # every pair of positions is expanded, so a repeat shows up as a self-pair
+    if np.any(winners == losers):
+        raise ValueError("ranking contains a repeated paper")
+    loss_count = np.bincount(losers, minlength=n)
+
+    active = np.ones(n, dtype=bool)
+    tiers: list[np.ndarray] = []
+    while active.any():
+        zero = active & (loss_count == 0)
+        if not zero.any():
+            tiers.append(papers[active])
+            break
+        tiers.append(papers[zero])
+        active &= ~zero
+        loss_count -= np.bincount(losers[zero[winners]], minlength=n)
+    return TierDecomposition(tiers)
+
+
 def validate_tiers(tiers: TierDecomposition, all_papers: Iterable[int]) -> None:
     """Raise ValueError unless the tiers partition ``all_papers``.
 
@@ -375,7 +414,10 @@ def validate_tiers(tiers: TierDecomposition, all_papers: Iterable[int]) -> None:
         raise ValueError("empty tier")
     if first_overlap < len(sizes):
         raise ValueError("tiers overlap")
-    if not np.array_equal(_sorted_unique(ids), _paper_set(all_papers)):
+    papers = np.asarray(all_papers if isinstance(all_papers, np.ndarray) else list(all_papers))
+    if papers.ndim != 1 or (papers.size and papers.dtype.kind not in "iu"):
+        raise ValueError(f"all_papers must be integer ids, got a {papers.ndim}-d array of {papers.dtype}")
+    if not np.array_equal(np.unique(ids), np.unique(papers)):
         raise ValueError("tiers do not partition the paper set")
 
 

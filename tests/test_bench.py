@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import json
+from concurrent.futures import ProcessPoolExecutor
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -60,6 +62,24 @@ def test_runs_are_deterministic(small_experiment, small_table):
 def test_worker_count_does_not_change_results(small_experiment, small_table):
     parallel = run_experiment(small_experiment, workers=2)
     assert parallel.to_csv() == small_table.to_csv()
+
+
+def test_worker_pool_is_capped_at_the_cell_count(small_experiment, monkeypatch):
+    # a pool forks every worker it is given, so 64 workers on 2 cells must ask for 2
+    asked = []
+
+    class Recording(ProcessPoolExecutor):
+        def __init__(self, max_workers, **kwargs):
+            asked.append(max_workers)
+            super().__init__(min(max_workers, 2), **kwargs)
+
+    monkeypatch.setattr("review_calib.bench.ProcessPoolExecutor", Recording)
+    one_cell = replace(small_experiment, cases=("Base",), repetitions=1)
+    assert run_experiment(one_cell, workers=64).to_csv() == run_experiment(one_cell).to_csv()
+    assert asked == []
+    two_cells = replace(one_cell, repetitions=2)
+    assert run_experiment(two_cells, workers=64).to_csv() == run_experiment(two_cells).to_csv()
+    assert asked == [2]
 
 
 def test_repetition_streams_are_isolated(small_experiment, small_table):

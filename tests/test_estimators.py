@@ -226,6 +226,13 @@ def test_violating_pair_pools():
     assert np.allclose(out, [5.0, 5.0], atol=1e-12)
 
 
+@pytest.mark.parametrize("bad", [-1, 3])
+def test_author_projection_rejects_owned_ids_outside_the_scores(bad):
+    # a -1 once wrapped round to paper 2 and pooled it: the result read [2., 2., 2.]
+    with pytest.raises(ValueError, match="outside"):
+        calibrate_author([1.0, 2.0, 3.0], OwnerPartition(np.array([0]), [[0, bad]]))
+
+
 def test_unowned_papers_untouched_and_sums_preserved():
     rng = np.random.default_rng(7)
     theta = np.array([5.0, 4.0, 3.0, 2.0, 1.0])

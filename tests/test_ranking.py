@@ -13,15 +13,25 @@ from oracles import (
     build_transition_matrix,
     extract_pairwise,
     find_never_losers,
+    hierarchical_tiers_all_pairs,
     naive_hierarchical_tiers,
     stationary_distribution,
     tiers_to_json,
     two_state_stationary,
     validate_tiers,
 )
-from review_calib import full_ranking, hierarchical_tiers
+from review_calib import (
+    NOISE_CASES,
+    DiscreteDistribution,
+    GenConfig,
+    full_ranking,
+    gen_conference,
+    generate_final_scores,
+    hierarchical_tiers,
+)
 from review_calib.conference import Ragged
 from review_calib.ranking import TierDecomposition
+from review_calib.seeding import PURPOSE_CONFERENCE, PURPOSE_SCORES, stream
 
 A, B, C = 0, 1, 2
 
@@ -171,17 +181,17 @@ def test_uncompared_paper_is_never_loser():
 
 
 def test_tiers_of_a_chain_are_singletons():
-    tiers = hierarchical_tiers(_rankings([A, B], [B, C]), {A, B, C})
+    tiers = hierarchical_tiers(_rankings([A, B], [B, C]), range(3))
     assert [t.tolist() for t in tiers.tiers] == [[A], [B], [C]]
 
 
 def test_cycle_collapses_to_single_tier():
-    tiers = hierarchical_tiers(_rankings([A, B], [B, C], [C, A]), {A, B, C})
+    tiers = hierarchical_tiers(_rankings([A, B], [B, C], [C, A]), range(3))
     assert [t.tolist() for t in tiers.tiers] == [[A, B, C]]
 
 
 def test_no_comparisons_single_tier():
-    tiers = hierarchical_tiers([], {A, B, C})
+    tiers = hierarchical_tiers([], range(3))
     assert [t.tolist() for t in tiers.tiers] == [[A, B, C]]
 
 
@@ -206,29 +216,26 @@ def test_peel_matches_rebuild_oracle():
 
 @st.composite
 def _peel_inputs(draw):
-    # a range starting at 0 is the direct lookup's case; a set with gaps,
-    # and ranges starting elsewhere, also reach its binary-search fallback
-    all_papers = draw(
-        st.one_of(
-            st.sets(st.integers(0, 30), max_size=15),
-            st.builds(range, st.integers(0, 12)),
-            st.builds(range, st.integers(-5, 8), st.integers(-2, 20), st.sampled_from([1, 2, -1])),
-        )
-    )
-    # ids from all_papers, or ids that run past both ends of it, so that some
+    # ids from range(n), or ids that run past both ends of it, so that some
     # rankings name unknown papers
-    known = sorted(all_papers)
-    paper_ids = st.integers(-7, 33)
-    if known and draw(st.booleans()):
-        paper_ids = st.sampled_from(known)
-    rankings = draw(st.lists(st.lists(paper_ids, unique=True, max_size=6), max_size=12))
+    n = draw(st.integers(0, 12))
+    paper_ids = st.integers(-3, 15)
+    if n and draw(st.booleans()):
+        paper_ids = st.integers(0, n - 1)
+    rankings = draw(st.lists(st.lists(paper_ids, unique=True, max_size=8), max_size=12))
+    # a paper repeated at a distant position, which no adjacent pair shows
+    rows = [r for r in rankings if len(r) >= 2]
+    if rows and draw(st.integers(0, 3)) == 0:
+        row = draw(st.sampled_from(rows))
+        i = draw(st.integers(0, len(row) - 2))
+        row.insert(draw(st.integers(i + 2, len(row))), row[i])
     as_arrays = draw(st.booleans())
     if as_arrays:
         rankings = [np.asarray(r, dtype=np.int64) for r in rankings]
-    return rankings, all_papers
+    return rankings, range(n)
 
 
-@settings(max_examples=300, deadline=None, database=None)
+@settings(max_examples=400, deadline=None, database=None)
 @given(_peel_inputs())
 def test_peel_matches_rebuild_oracle_property(inputs):
     rankings, all_papers = inputs
@@ -236,10 +243,33 @@ def test_peel_matches_rebuild_oracle_property(inputs):
         with pytest.raises(ValueError, match="outside"):
             hierarchical_tiers(rankings, all_papers)
         return
+    if any(len(set(map(int, r))) < len(r) for r in rankings):
+        with pytest.raises(ValueError, match="repeated"):
+            hierarchical_tiers(rankings, all_papers)
+        with pytest.raises(ValueError, match="repeated"):
+            hierarchical_tiers_all_pairs(rankings, len(all_papers))
+        return
     fast = hierarchical_tiers(rankings, all_papers)
     validate_tiers(fast, all_papers)
     assert tiers_to_json(fast) == naive_hierarchical_tiers(rankings, all_papers)
     assert all(t.dtype == np.int64 for t in fast.tiers)
+    reference = hierarchical_tiers_all_pairs(rankings, len(all_papers)).tiers
+    assert fast.tiers.flat.tobytes() == reference.flat.tobytes()
+    assert fast.tiers.ptr.tobytes() == reference.ptr.tobytes()
+
+
+@pytest.mark.parametrize("capacity", [2, 4, 6])
+def test_peel_matches_all_pairs_reference_on_conferences(capacity):
+    # every case's first repetition on the seed-42 conference, as a benchmark cell peels it
+    gen = GenConfig(reviewer_capacity_dist=DiscreteDistribution.point_mass(capacity))
+    conf = gen_conference(gen, stream(42, PURPOSE_CONFERENCE))
+    for k, case in enumerate(NOISE_CASES.values()):
+        _, _, rankings = generate_final_scores(conf, case, stream(42, PURPOSE_SCORES, k, 0))
+        got = hierarchical_tiers(rankings, range(conf.n_papers)).tiers
+        want = hierarchical_tiers_all_pairs(rankings, conf.n_papers).tiers
+        assert len(got) > 2
+        assert got.flat.tobytes() == want.flat.tobytes()
+        assert got.ptr.tobytes() == want.ptr.tobytes()
 
 
 def test_tiers_reject_repeated_paper():
@@ -268,10 +298,21 @@ def test_tiers_reject_non_integer_rankings(rankings):
     ids=["fractional-list", "float-array", "mixed-list", "bool-list", "string-list", "2-d"],
 )
 def test_tiers_reject_non_integer_paper_set(all_papers):
-    with pytest.raises(ValueError, match="all_papers must be integer ids"):
+    with pytest.raises(ValueError, match=r"all_papers must be range\(n\)"):
         hierarchical_tiers(_rankings([0, 1]), all_papers)
     with pytest.raises(ValueError, match="all_papers must be integer ids"):
         validate_tiers(TierDecomposition([np.array([0, 1])]), all_papers)
+
+
+@pytest.mark.parametrize(
+    "all_papers",
+    [{0, 1, 2}, [0, 1, 2], np.arange(3), range(1, 4), range(0, 6, 2), [0.0, 1.0, 2.0]],
+    ids=["set", "list", "array", "range-from-1", "range-step-2", "float-list"],
+)
+def test_tiers_require_paper_range(all_papers):
+    # ids are the conference's own paper ids, range(n); no other id set is read
+    with pytest.raises(ValueError, match=r"all_papers must be range\(n\)"):
+        hierarchical_tiers(_rankings([0, 2]), all_papers)
 
 
 @st.composite
@@ -353,7 +394,7 @@ def test_empty_tier_of_any_dtype_is_accepted(dtype):
 
 
 def test_tiers_are_always_ragged():
-    built = hierarchical_tiers(_rankings([A, B]), {A, B, C})
+    built = hierarchical_tiers(_rankings([A, B]), range(3))
     assert isinstance(built.tiers, Ragged)
     assert TierDecomposition(built.tiers).tiers is built.tiers
     assert isinstance(TierDecomposition([[A], [B, C]]).tiers, Ragged)
@@ -380,3 +421,10 @@ def test_average_ties_break_by_paper_id():
     tiers = TierDecomposition([np.array([C, A, B])])
     order = full_ranking(tiers, np.array([1.0, 1.0, 1.0]))
     assert order.tolist() == [A, B, C]
+
+
+@pytest.mark.parametrize("bad", [-1, 3])
+def test_full_ranking_rejects_tier_ids_outside_the_scores(bad):
+    # a -1 was once ranked as a paper: [[-1], [0]] gave the order [-1, 0]
+    with pytest.raises(ValueError, match="outside"):
+        full_ranking(TierDecomposition([[bad], [0]]), np.array([1.0, 2.0, 3.0]))
