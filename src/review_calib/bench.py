@@ -37,7 +37,6 @@ METHOD_LABELS = {
     "author": "3. author rankings",
     "combined": "4. combined",
 }
-FORMATS = ("csv", "json", "table")
 
 
 @dataclass(frozen=True)
@@ -92,6 +91,9 @@ class ExperimentConfig:
         return config_from_json(cls, obj, "experiment")
 
 
+_COLUMNS = ("case", "method", "mean_rmse", "sd_rmse")
+
+
 @dataclass
 class ResultsTable:
     """Mean and standard deviation of RMSE per (case, method)."""
@@ -108,29 +110,21 @@ class ResultsTable:
         j = self.methods.index(method)
         return float(self.mean_rmse[i, j]), float(self.sd_rmse[i, j])
 
-    def to_csv(self) -> str:
-        lines = ["case,method,mean_rmse,sd_rmse"]
+    def _rows(self):
+        """``(case, method, mean, sd)`` for every cell, case by case."""
         for i, case in enumerate(self.cases):
             for j, method in enumerate(self.methods):
-                lines.append(
-                    f"{case},{method},{float(self.mean_rmse[i, j])!r},{float(self.sd_rmse[i, j])!r}"
-                )
-        return "\n".join(lines) + "\n"
+                yield case, method, float(self.mean_rmse[i, j]), float(self.sd_rmse[i, j])
+
+    def to_csv(self) -> str:
+        rows = (f"{c},{m},{mean!r},{sd!r}" for c, m, mean, sd in self._rows())
+        return "\n".join((",".join(_COLUMNS), *rows)) + "\n"
 
     def to_json_obj(self) -> dict:
         return {
             "master_seed": self.master_seed,
             "repetitions": self.repetitions,
-            "results": [
-                {
-                    "case": case,
-                    "method": method,
-                    "mean_rmse": float(self.mean_rmse[i, j]),
-                    "sd_rmse": float(self.sd_rmse[i, j]),
-                }
-                for i, case in enumerate(self.cases)
-                for j, method in enumerate(self.methods)
-            ],
+            "results": [dict(zip(_COLUMNS, row)) for row in self._rows()],
         }
 
     def to_text(self) -> str:
@@ -148,14 +142,18 @@ class ResultsTable:
         return "\n".join(lines) + "\n"
 
 
+_RENDERERS = {
+    "csv": ResultsTable.to_csv,
+    "json": lambda table: json.dumps(table.to_json_obj(), indent=2) + "\n",
+    "table": ResultsTable.to_text,
+}
+FORMATS = tuple(_RENDERERS)
+
 _WORKER: dict = {}
 
 
 def _init_worker(conference: Conference, owners: OwnerPartition, seed: int, blend: float) -> None:
-    _WORKER["conference"] = conference
-    _WORKER["owners"] = owners
-    _WORKER["seed"] = seed
-    _WORKER["blend"] = blend
+    _WORKER.update(conference=conference, owners=owners, seed=seed, blend=blend)
 
 
 def _run_cell(task: tuple[str, int, int]) -> list[float]:
@@ -198,7 +196,10 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> ResultsTable:
     workers = min(workers, len(tasks))
     if workers == 1:
         _init_worker(conference, owners, seed, config.blend)
-        rows = list(map(_run_cell, tasks))
+        try:
+            rows = list(map(_run_cell, tasks))
+        finally:
+            _WORKER.clear()  # so the conference does not outlive the run
     else:
         with ProcessPoolExecutor(
             max_workers=workers,
@@ -219,14 +220,7 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> ResultsTable:
 
 def emit_results(table: ResultsTable, output_format: str, path: str | None) -> None:
     """Write the table as CSV, JSON or a text grid to a file or stdout."""
-    if output_format == "csv":
-        payload = table.to_csv()
-    elif output_format == "json":
-        payload = json.dumps(table.to_json_obj(), indent=2) + "\n"
-    elif output_format == "table":
-        payload = table.to_text()
-    else:
-        raise ConfigurationError(f"output_format must be one of {FORMATS}, got {output_format!r}")
+    payload = _RENDERERS[output_format](table)
     if path is None:
         sys.stdout.write(payload)
         return

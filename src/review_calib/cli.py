@@ -11,7 +11,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 
 from .bench import FORMATS, ExperimentConfig, emit_results, run_experiment
 from .errors import ConfigurationError, GenerationError
@@ -24,6 +24,10 @@ EXIT_IO = 4
 SEED_ENV_VAR = "REVIEW_CALIB_SEED"
 
 
+def _case_names(text: str) -> tuple[str, ...]:
+    return tuple(c.strip() for c in text.split(",") if c.strip())
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="review-calib",
@@ -33,12 +37,18 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     parser.add_argument("--config", metavar="PATH", help="JSON experiment configuration file")
-    parser.add_argument("--seed", type=int, help=f"master seed (env {SEED_ENV_VAR} overrides)")
-    parser.add_argument("--cases", help="comma-separated noise case names")
-    parser.add_argument("--reps", type=int, help="repetitions per case")
+    # every other flag but --workers stores into the ExperimentConfig field it sets
+    seed_help = f"master seed (env {SEED_ENV_VAR} overrides)"
+    parser.add_argument("--seed", dest="master_seed", metavar="SEED", type=int, help=seed_help)
+    parser.add_argument("--cases", type=_case_names, help="comma-separated noise case names")
+    parser.add_argument(
+        "--reps", dest="repetitions", metavar="REPS", type=int, help="repetitions per case"
+    )
     parser.add_argument("--blend", type=float, help="reviewer-calibration blend weight in [0, 1]")
-    parser.add_argument("--out", metavar="PATH", help="output file (default: stdout)")
-    parser.add_argument("--format", choices=FORMATS, help="output format")
+    parser.add_argument(
+        "--out", dest="output_path", metavar="PATH", help="output file (default: stdout)"
+    )
+    parser.add_argument("--format", dest="output_format", choices=FORMATS, help="output format")
     parser.add_argument("--workers", type=int, default=1, help="parallel worker processes")
     return parser
 
@@ -64,38 +74,21 @@ def _load_config(path: str | None) -> ExperimentConfig:
 
 
 def _apply_overrides(config: ExperimentConfig, args: argparse.Namespace) -> ExperimentConfig:
-    updates: dict = {}
-    seed = args.seed
+    names = {f.name for f in fields(ExperimentConfig)}
+    updates = {k: v for k, v in vars(args).items() if k in names and v is not None}
     env_seed = os.environ.get(SEED_ENV_VAR)
     if env_seed is not None:
         try:
-            seed = int(env_seed)
+            updates["master_seed"] = int(env_seed)
         except ValueError as exc:
             raise ConfigurationError(f"{SEED_ENV_VAR}={env_seed!r} is not an integer") from exc
-    if seed is not None:
-        updates["master_seed"] = seed
-    if args.cases is not None:
-        updates["cases"] = tuple(c.strip() for c in args.cases.split(",") if c.strip())
-    if args.reps is not None:
-        updates["repetitions"] = args.reps
-    if args.blend is not None:
-        updates["blend"] = args.blend
-    if args.out is not None:
-        updates["output_path"] = args.out
-    if args.format is not None:
-        updates["output_format"] = args.format
-    return replace(config, **updates) if updates else config
+    return replace(config, **updates)
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         config = _apply_overrides(_load_config(args.config), args)
-    except ConfigurationError as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    try:
         table = run_experiment(config, workers=args.workers)
     except ConfigurationError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
@@ -103,6 +96,7 @@ def main(argv: list[str] | None = None) -> int:
     except GenerationError as exc:
         print(f"generation error: {exc}", file=sys.stderr)
         return EXIT_GENERATION
+    # only an OSError while writing is an output failure; one from the worker pool is not
     try:
         emit_results(table, config.output_format, config.output_path)
     except OSError as exc:

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import copy
 import functools
-import heapq
 import json
 import math
 import operator
@@ -145,10 +144,12 @@ def _minimize_bounded(func, lo: float, hi: float) -> tuple[float, float]:
     fx = func(xf)
     num = 1
     ffulc = fnfc = fx
-    xm = 0.5 * (a + b)
-    tol1 = sqrt_eps * abs(xf) + xatol / 3.0
-    tol2 = 2.0 * tol1
-    while abs(xf - xm) > tol2 - 0.5 * (b - a):
+    while True:
+        xm = 0.5 * (a + b)
+        tol1 = sqrt_eps * abs(xf) + xatol / 3.0
+        tol2 = 2.0 * tol1
+        if not abs(xf - xm) > tol2 - 0.5 * (b - a) or num >= maxfun:
+            return xf, fx
         golden = True
         if abs(e) > tol1:  # try a parabola through the last three points
             r = (xf - nfc) * (fx - ffulc)
@@ -189,12 +190,6 @@ def _minimize_bounded(func, lo: float, hi: float) -> tuple[float, float]:
                 nfc, fnfc = x, fu
             elif fu <= ffulc or fulc == xf or fulc == nfc:
                 fulc, ffulc = x, fu
-        xm = 0.5 * (a + b)
-        tol1 = sqrt_eps * abs(xf) + xatol / 3.0
-        tol2 = 2.0 * tol1
-        if num >= maxfun:
-            break
-    return xf, fx
 
 
 @functools.lru_cache(maxsize=32)
@@ -612,11 +607,13 @@ def _deal_windows(deck: np.ndarray, bounds: np.ndarray, flagged: list[int]) -> l
     Returns every window scanned, in increasing order: the flagged ones and
     those a swap wrote into.
     """
-    pending = list(flagged)  # sorted, so a heap
-    queued = set(flagged)
+    # a swap only writes past the window being scanned, so one forward pass visits them all
+    pending = bytearray(len(bounds) - 1)
+    for k in flagged:
+        pending[k] = 1
     scanned = []
-    while pending:
-        k = heapq.heappop(pending)
+    k = pending.find(1)
+    while k >= 0:
         scanned.append(k)
         ptr, end = int(bounds[k]), int(bounds[k + 1])
         held: set[int] = set()
@@ -632,11 +629,9 @@ def _deal_windows(deck: np.ndarray, bounds: np.ndarray, flagged: list[int]) -> l
             held.add(paper)
             ptr += 1
             if j >= end:
-                w = int(np.searchsorted(bounds, j, side="right")) - 1
-                if w not in queued:
-                    queued.add(w)
-                    heapq.heappush(pending, w)
+                pending[int(np.searchsorted(bounds, j, side="right")) - 1] = 1
             j = max(j + 1, ptr)
+        k = pending.find(1, k + 1)
     return scanned
 
 

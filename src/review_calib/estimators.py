@@ -71,10 +71,10 @@ class OwnerPartition:
     """Disjoint paper ownership by prolific authors.
 
     Row k of ``owners`` holds the papers of author ``authors[k]``, ordered
-    by descending true quality; ownership sets never overlap and each has
-    >= 2 papers. ``owners`` is a ``Ragged`` or a list of rows; owned papers
-    must be integer ids, and there must be one row per author (ValueError
-    otherwise).
+    by descending true quality (``build_owner_partition`` keeps only rows of
+    >= 2 papers). ``owners`` is a ``Ragged`` or a list of rows; owned papers
+    must be integer ids, no paper may be owned twice, and there must be one
+    row per author (ValueError otherwise).
     """
 
     authors: np.ndarray
@@ -84,6 +84,10 @@ class OwnerPartition:
         object.__setattr__(self, "owners", Ragged.of(self.owners))
         if len(self.authors) != len(self.owners):
             raise ValueError(f"{len(self.authors)} authors for {len(self.owners)} owner rows")
+        owned = np.sort(self.owners.flat)
+        repeated = owned[1:][owned[1:] == owned[:-1]]
+        if repeated.size:
+            raise ValueError(f"paper {repeated[0]} is owned twice")
 
     @property
     def n_owned(self) -> int:

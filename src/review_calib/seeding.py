@@ -25,20 +25,14 @@ PURPOSE_SCORES = 1
 MAX_SEED = 2**64 - 1
 
 
-def check_master_seed(seed: int) -> int:
+def check_master_seed(seed: int) -> None:
     if not isinstance(seed, (int, np.integer)) or isinstance(seed, bool):
         raise ConfigurationError(f"master seed must be an integer, got {seed!r}")
     if not 0 <= seed <= MAX_SEED:
         raise ConfigurationError(f"master seed must fit in 64 bits, got {seed}")
-    return int(seed)
-
-
-def seed_sequence(master_seed: int, purpose: int, *indices: int) -> np.random.SeedSequence:
-    """SeedSequence for the stream addressed by (purpose, *indices)."""
-    check_master_seed(master_seed)
-    return np.random.SeedSequence(master_seed, spawn_key=(purpose, *indices))
 
 
 def stream(master_seed: int, purpose: int, *indices: int) -> np.random.Generator:
     """Generator for the stream addressed by (purpose, *indices)."""
-    return np.random.default_rng(seed_sequence(master_seed, purpose, *indices))
+    check_master_seed(master_seed)
+    return np.random.default_rng(np.random.SeedSequence(master_seed, spawn_key=(purpose, *indices)))

@@ -18,6 +18,7 @@ from review_calib import (
     run_experiment,
     scaled_config,
 )
+from review_calib import bench
 from review_calib.bench import FORMATS, METHODS, _init_worker, _run_cell, emit_results
 from review_calib.estimators import build_owner_partition
 from review_calib.conference import DEFAULT_MASTER_SEED, gen_conference
@@ -80,6 +81,21 @@ def test_worker_pool_is_capped_at_the_cell_count(small_experiment, monkeypatch):
     two_cells = replace(one_cell, repetitions=2)
     assert run_experiment(two_cells, workers=64).to_csv() == run_experiment(two_cells).to_csv()
     assert asked == [2]
+
+
+def test_in_process_run_leaves_no_worker_state(small_experiment, monkeypatch):
+    # left filled, the worker globals keep the conference alive until the next run
+    one_cell = replace(small_experiment, cases=("Base",), repetitions=1)
+    run_experiment(one_cell, workers=1)
+    assert bench._WORKER == {}
+
+    def failing(task):
+        raise RuntimeError("cell failed")
+
+    monkeypatch.setattr(bench, "_run_cell", failing)
+    with pytest.raises(RuntimeError, match="cell failed"):
+        run_experiment(one_cell, workers=1)
+    assert bench._WORKER == {}
 
 
 def test_repetition_streams_are_isolated(small_experiment, small_table):

@@ -1,11 +1,12 @@
 from __future__ import annotations
 
 import json
+from dataclasses import fields
 
 import pytest
 
 from review_calib import ExperimentConfig, GenConfig, scaled_config
-from review_calib.cli import EXIT_CONFIG, EXIT_GENERATION, EXIT_IO, EXIT_OK, main
+from review_calib.cli import EXIT_CONFIG, EXIT_GENERATION, EXIT_IO, EXIT_OK, build_parser, main
 
 
 @pytest.fixture(scope="module")
@@ -18,6 +19,13 @@ def config_path(tmp_path_factory):
     path = tmp_path_factory.mktemp("cfg") / "experiment.json"
     path.write_text(json.dumps(config.to_json()))
     return str(path)
+
+
+def test_every_config_flag_stores_into_its_config_field():
+    # the override step copies only the dests that name a field; any other would be dropped
+    allowed = {f.name for f in fields(ExperimentConfig)} | {"config", "workers", "help"}
+    dests = {action.dest for action in build_parser()._actions}
+    assert dests - allowed == set()
 
 
 def test_successful_run_writes_csv(config_path, tmp_path, monkeypatch):

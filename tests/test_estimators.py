@@ -163,6 +163,13 @@ def test_owner_partition_needs_one_author_per_row():
         OwnerPartition(np.empty(0, dtype=np.int64), Ragged.of([[0, 1]]))
 
 
+@pytest.mark.parametrize("rows", [[[0, 1], [1, 2]], [[0, 0]]], ids=["across-rows", "within-a-row"])
+def test_owner_partition_refuses_a_paper_owned_twice(rows):
+    # accepted, [[0, 1], [1, 2]] projected [1., 2., 3.] to [1.5, 2.5, 2.5]: paper 0 below paper 1
+    with pytest.raises(ValueError, match="owned twice"):
+        OwnerPartition(np.arange(len(rows)), rows)
+
+
 def test_owner_partition_keeps_its_ragged_and_pickles():
     conf = conference_from_lists([1.0, 2.0, 3.0], [[0, 1], [2]], [[0, 1, 2]])
     built = build_owner_partition(conf)
