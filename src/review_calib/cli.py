@@ -68,7 +68,7 @@ def _load_config(path: str | None) -> ExperimentConfig:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             obj = json.load(fh, object_pairs_hook=_refuse_repeated_keys)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
         raise ConfigurationError(f"cannot read config {path}: {exc}") from exc
     return ExperimentConfig.from_json(obj)
 

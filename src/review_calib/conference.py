@@ -397,8 +397,12 @@ class Conference:
 
         Returns the number of uniforms a ranking pass draws (s - 1 per
         bundle of s papers, reviewer after reviewer) and the bundles of two
-        or more papers grouped by size, smallest size first.
+        or more papers grouped by size, smallest size first. A slot paper id
+        outside ``[0, n_papers)`` raises ValueError.
         """
+        papers = self.slot_papers
+        if papers.size and (papers.min() < 0 or papers.max() >= self.n_papers):
+            raise ValueError(f"slot_papers references a paper id outside [0, {self.n_papers})")
         ptr = self.reviewer_ptr
         sizes = np.diff(ptr)
         draw_ptr = np.concatenate(([0], np.cumsum(np.maximum(sizes - 1, 0))))

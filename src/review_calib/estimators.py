@@ -18,7 +18,7 @@ from typing import Sequence
 import numpy as np
 
 from .conference import Conference, Ragged
-from .isotonic import _pava_non_decreasing, _project_pairs, isotonic_project_indexed
+from .isotonic import _pava_non_decreasing, isotonic_project_indexed
 from .ranking import full_ranking, hierarchical_tiers
 
 EstimateVector = np.ndarray
@@ -140,10 +140,9 @@ def calibrate_author(
     All owners run as one flat pass over ``owners.owners.flat``, cut into
     rows by ``owners.owners.ptr``. An owner whose scores never rise along
     its order is already non-increasing, so the projection passes it
-    through untouched. A rising pair is pooled in closed form, and longer
-    rising owners are fitted as segments of a single PAVA call. The result
-    equals the per-owner projection bit for bit. An owned paper id outside
-    ``[0, len(scores))`` raises ValueError.
+    through untouched; every rising owner is a segment of a single PAVA
+    call. The result equals the per-owner projection bit for bit. An owned
+    paper id outside ``[0, len(scores))`` raises ValueError.
     """
     if not 0.0 <= blend <= 1.0:
         raise ValueError(f"blend must lie in [0, 1], got {blend}")
@@ -159,12 +158,8 @@ def calibrate_author(
     rises = np.flatnonzero(y[1:] > y[:-1])
     owner = np.searchsorted(ptr, rises, side="right") - 1
     rising = np.flatnonzero(np.bincount(owner[ptr[owner + 1] > rises + 1], minlength=len(ptr) - 1))
-    lo, hi = ptr[rising], ptr[rising + 1]
     # isotonic_fit's unit-weight non-increasing fit; the check above covers every owner
-    fitted = -_pava_non_decreasing(-y, None, zip(lo[hi - lo > 2].tolist(), hi[hi - lo > 2].tolist()))
-    # a rising pair pools into its mean, which the closed form for pairs gives bit for bit
-    two = lo[hi - lo == 2, None] + np.arange(2)
-    fitted[two] = _project_pairs(y[two])
+    fitted = -_pava_non_decreasing(-y, None, zip(ptr[rising].tolist(), ptr[rising + 1].tolist()))
     out[papers] = blend * fitted + (1.0 - blend) * y
     return out
 

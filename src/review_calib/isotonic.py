@@ -59,11 +59,13 @@ def _pava_non_decreasing(
                 wys.append(twy)
                 ts, tw, twy = i, xw, xwy
         ss += (ts, seg_hi)
-        for lo, hi in zip(ss, ss[1:]):
+        lo = seg_lo
+        for hi in ss:
             if hi - lo > 1:
                 los.append(lo)
                 lengths.append(hi - lo)
                 values.append(math.fsum(wyl[lo:hi]) / (hi - lo if w is None else math.fsum(wl[lo:hi])))
+            lo = hi
     out = y.copy()
     if los:
         k = np.array(lengths)

@@ -64,16 +64,14 @@ def hierarchical_tiers(rankings: Sequence[np.ndarray], all_papers: range) -> Tie
         raise ValueError("ranking contains a repeated paper")
     loss_count = np.bincount(losers, minlength=n)
 
-    active = np.ones(n, dtype=bool)
+    # a peeled paper's count is set to -1; every paper that beats it left earlier, so none lowers it
     tiers: list[np.ndarray] = []
-    while active.any():
-        zero = active & (loss_count == 0)
-        if not zero.any():
-            tiers.append(np.flatnonzero(active))
-            break
+    while (zero := loss_count == 0).any():
         tiers.append(np.flatnonzero(zero))
-        active &= ~zero
+        loss_count[zero] = -1
         loss_count -= np.bincount(losers[zero[winners]], minlength=n)
+    if (rest := loss_count > 0).any():
+        tiers.append(np.flatnonzero(rest))
     return TierDecomposition(tiers)
 
 

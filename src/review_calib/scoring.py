@@ -168,8 +168,8 @@ def generate_final_scores(
     """
     params_rng, scores_rng, ranking_rng = rng.spawn(3)
     bias, noise_sd = _draw_reviewer_params(case, conf.n_reviewers, params_rng)
-    raw = _raw_values(conf, bias, noise_sd, scores_rng)
     n_draws, groups = conf._bundle_plan
+    raw = _raw_values(conf, bias, noise_sd, scores_rng)
     uniforms = ranking_rng.random(n_draws)
     # a bundle of one paper is its own ranking and keeps its raw score
     ranked = conf.slot_papers.copy()

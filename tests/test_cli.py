@@ -205,6 +205,21 @@ def test_repeated_config_key_is_config_error(text, key, tmp_path, monkeypatch, c
     assert captured.out == ""
 
 
+@pytest.mark.parametrize(
+    "data", [b"\xff\xfe{}", b"[" * 100_000 + b"]" * 100_000], ids=["not-utf-8", "nested-too-deep"]
+)
+def test_unreadable_config_is_config_error(data, tmp_path, monkeypatch, capsys):
+    # json.load raises UnicodeDecodeError and RecursionError here, not JSONDecodeError
+    monkeypatch.delenv("REVIEW_CALIB_SEED", raising=False)
+    monkeypatch.chdir(tmp_path)
+    path = tmp_path / "unreadable.json"
+    path.write_bytes(data)
+    assert main(["--config", str(path)]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"configuration error: cannot read config {path}: ")
+    assert captured.out == ""
+
+
 def test_integral_float_config_values_are_accepted():
     config = ExperimentConfig.from_json({"repetitions": 2.0, "gen": {"n_papers": 80.0}})
     assert config.repetitions == 2 and type(config.repetitions) is int

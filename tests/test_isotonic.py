@@ -290,6 +290,15 @@ def test_kernel_matches_reference_loop_property(instance):
     assert got == _outcome(lambda: pava_reference(y, w, segments).tobytes())
 
 
+def test_kernel_raises_the_lower_pooled_block_error_first():
+    # two pooled blocks: the lower one's fsum overflows, the upper one's is inf + -inf;
+    # the kernel emits its blocks bottom up, as the reference loop does
+    y, w = np.array([1.7e308, 1.6e308, 1e308, -1e308]), np.array([1.0, 1.0, 10.0, 10.0])
+    want = (OverflowError, "intermediate overflow in fsum")
+    assert _outcome(lambda: pava_reference(y, w, [(0, 4)])) == want
+    assert _outcome(lambda: _pava_non_decreasing(y, w, [(0, 4)])) == want
+
+
 @pytest.mark.parametrize("capacity", [2, 6])
 def test_kernel_matches_reference_loop_on_cell_inputs(capacity):
     # the first repetition of every case on the seed-42 conference, as a benchmark cell fits it:

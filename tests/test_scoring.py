@@ -514,6 +514,16 @@ def test_bundle_plan_is_per_conference_and_built_on_first_use():
     assert spread._bundle_plan is not tied._bundle_plan
 
 
+@pytest.mark.parametrize(
+    "bundles", [[[0, 1], [-1, 2]], [[0, 1], [2, 3]]], ids=["negative", "past-the-end"]
+)
+def test_slot_paper_outside_the_conference_is_refused(bundles):
+    # a negative id would index true scores from the end; one past the end would raise IndexError
+    conf = conference_from_lists([0.0, 1.0, 2.0], [np.arange(3)], bundles)
+    with pytest.raises(ValueError, match=r"slot_papers references a paper id outside \[0, 3\)"):
+        generate_final_scores(conf, NOISE_CASES["Base"], _rng(97))
+
+
 def test_reviewers_without_papers_get_empty_rankings():
     conf = _mixed_bundle_conference(_THETAS["spread"])
     _, _, rankings = generate_final_scores(conf, NOISE_CASES["Base"], _rng(79))
