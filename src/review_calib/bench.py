@@ -65,10 +65,11 @@ class ExperimentConfig:
             raise ConfigurationError(f"cases must be a tuple of names, got {self.cases!r}")
         if not self.cases:
             raise ConfigurationError("at least one noise case is required")
-        names = [get_noise_case(name).name for name in self.cases]
+        names = tuple(get_noise_case(name).name for name in self.cases)
         for i, name in enumerate(names):
             if name in names[:i]:
                 raise ConfigurationError(f"noise case {name!r} is named twice in cases")
+        object.__setattr__(self, "cases", names)
         if not 0.0 <= self.blend <= 1.0:
             raise ConfigurationError(f"blend must lie in [0, 1], got {self.blend}")
         if not isinstance(self.output_path, (str, type(None))):
@@ -185,11 +186,10 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> ResultsTable:
     seed = config.effective_seed
     conference = gen_conference(config.gen, stream(seed, PURPOSE_CONFERENCE))
     owners = build_owner_partition(conference)
-    case_names = [get_noise_case(name).name for name in config.cases]
     registry = list(NOISE_CASES)
     tasks = [
         (case_name, registry.index(case_name), rep)
-        for case_name in case_names
+        for case_name in config.cases
         for rep in range(config.repetitions)
     ]
     # a pool forks all its workers up front, so never ask for more than there are cells
@@ -207,9 +207,9 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> ResultsTable:
             initargs=(conference, owners, seed, config.blend),
         ) as pool:
             rows = list(pool.map(_run_cell, tasks))
-    cells = np.asarray(rows).reshape(len(case_names), config.repetitions, len(METHODS))
+    cells = np.asarray(rows).reshape(len(config.cases), config.repetitions, len(METHODS))
     return ResultsTable(
-        cases=tuple(case_names),
+        cases=config.cases,
         methods=METHODS,
         mean_rmse=cells.mean(axis=1),
         sd_rmse=cells.std(axis=1, ddof=0),

@@ -167,7 +167,8 @@ def calibrate_author(
 def rmse(est: EstimateVector, truth: np.ndarray) -> float:
     """Root mean square error between estimates and true scores.
 
-    Raises ValueError for mismatched shapes, empty input or non-finite values.
+    Raises ValueError for mismatched shapes, empty input, non-finite values
+    or a result too large to be finite.
     """
     est = np.asarray(est, dtype=float)
     truth = np.asarray(truth, dtype=float)
@@ -175,7 +176,10 @@ def rmse(est: EstimateVector, truth: np.ndarray) -> float:
         raise ValueError(f"shape mismatch: {est.shape} vs {truth.shape}")
     if est.size == 0:
         raise ValueError("rmse of empty input")
-    if not (np.isfinite(est).all() and np.isfinite(truth).all()):
-        raise ValueError("rmse input must be finite")
-    return float(np.sqrt(np.mean((est - truth) ** 2)))
+    # a non-finite input makes the result non-finite too, so one check covers both
+    with np.errstate(over="ignore", invalid="ignore"):
+        result = float(np.sqrt(np.mean((est - truth) ** 2)))
+    if not np.isfinite(result):
+        raise ValueError("rmse input and result must be finite")
+    return result
 

@@ -44,14 +44,13 @@ from scipy.optimize import minimize_scalar
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 
-from review_calib import Conference, ConfigurationError, DiscreteDistribution, GenerationError
+from review_calib import Conference, DiscreteDistribution, GenerationError
 from review_calib.isotonic import NON_INCREASING, isotonic_fit
 from review_calib.conference import (
     _MATCHING_RETRIES,
     Ragged,
     _reconciled_author_loads,
     _rows,
-    validate_multiplicity_targets,
 )
 from review_calib.bench import ResultsTable
 from review_calib.estimators import OwnerPartition, calibrate_author, calibrate_reviewer
@@ -666,14 +665,11 @@ def fit_multiplicity_distribution_reference(targets, n_authors):
     The exponent is fit by ``scipy.optimize.minimize_scalar`` with
     ``method="bounded"``, the call the package's own minimiser replaces.
     """
-    validate_multiplicity_targets(targets, n_authors)
     targets = tuple((t, c) for t, c in targets if c > 0)
     if not targets:
         return DiscreteDistribution.point_mass(1)
     t1, c1 = targets[0]
     f1 = c1 / n_authors
-    if f1 >= 1.0 - 1e-12:
-        raise ConfigurationError("tail fraction at the first threshold must be < 1")
     higher = [(t, c / n_authors) for t, c in targets[1:]]
 
     def tail_ratios(alpha, m):

@@ -175,6 +175,10 @@ def test_config_validation_errors():
         ExperimentConfig(output_format="xml")
 
 
+def test_config_stores_canonical_case_names():
+    assert ExperimentConfig(cases=("base", "no-bias")).cases == ("Base", "NoBias")
+
+
 @pytest.mark.parametrize(
     "field, value, message",
     [
@@ -252,10 +256,13 @@ def _distributions(draw):
 @st.composite
 def _gen_configs(draw):
     n_authors = draw(st.integers(1, 10**5))
-    thresholds = sorted(draw(st.sets(st.integers(2, 40), max_size=4)))
-    counts = draw(st.lists(st.integers(0, n_authors), min_size=len(thresholds), max_size=len(thresholds)))
+    n_papers = draw(_counts(1, 10**5))
+    # a threshold with a positive count must be at most n_papers, and no count may reach n_authors
+    top = min(40, int(n_papers))
+    thresholds = sorted(draw(st.sets(st.integers(2, top), max_size=4))) if top >= 2 else []
+    counts = draw(st.lists(st.integers(0, n_authors - 1), min_size=len(thresholds), max_size=len(thresholds)))
     return GenConfig(
-        n_papers=draw(_counts(1, 10**5)),
+        n_papers=n_papers,
         n_authors=n_authors,
         author_multiplicity_targets=tuple(zip(thresholds, sorted(counts, reverse=True))),
         authors_per_paper_dist=draw(_distributions()),

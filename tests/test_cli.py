@@ -5,7 +5,7 @@ from dataclasses import fields
 
 import pytest
 
-from review_calib import ExperimentConfig, GenConfig, scaled_config
+from review_calib import ExperimentConfig, GenConfig, GenerationError, bench, scaled_config
 from review_calib.cli import EXIT_CONFIG, EXIT_GENERATION, EXIT_IO, EXIT_OK, build_parser, main
 
 
@@ -172,6 +172,29 @@ _BAD_CONFIGS = {
     "output-path-list": {"output_path": ["a"]},
     "output-format-number": {"output_format": 5},
     "output-format-list": {"output_format": ["csv"]},
+    "threshold-above-n-papers-10-authors": {
+        "gen": {"n_papers": 1, "n_authors": 10, "author_multiplicity_targets": [[2, 1]]}
+    },
+    "threshold-above-n-papers-1000-authors": {
+        "gen": {"n_papers": 1, "n_authors": 1000, "author_multiplicity_targets": [[2, 100]]}
+    },
+    "first-count-every-author": {
+        "gen": {"n_papers": 50, "n_authors": 10, "author_multiplicity_targets": [[2, 10]]}
+    },
+    # scores so large that the squared errors overflow: inf or nan RMSEs, or a crash
+    **{
+        f"score-scale-{field}-{value:g}": {
+            "gen": {"n_papers": 300, "n_authors": 850, "author_multiplicity_targets": [[2, 200]], field: value},
+            "cases": ["Base"],
+            "repetitions": 1,
+        }
+        for field, value in [
+            ("true_score_sd", 1e160),
+            ("true_score_sd", 1e200),
+            ("true_score_sd", 1e307),
+            ("true_score_mean", 1e308),
+        ]
+    },
 }
 
 
@@ -180,6 +203,21 @@ def test_malformed_config_value_is_config_error(case, tmp_path, monkeypatch, cap
     monkeypatch.delenv("REVIEW_CALIB_SEED", raising=False)
     monkeypatch.chdir(tmp_path)  # an accepted output path must not land in the working directory
     path = tmp_path / "bad.json"
+    path.write_text(json.dumps(_BAD_CONFIGS[case]))
+    assert main(["--config", str(path)]) == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith("configuration error: ")
+
+
+@pytest.mark.parametrize(
+    "case", [c for c in sorted(_BAD_CONFIGS) if c.startswith(("threshold-", "first-count-", "score-scale-"))]
+)
+def test_unmeetable_config_is_refused_before_generation(case, tmp_path, monkeypatch, capsys):
+    def generate(*args):
+        raise GenerationError("a conference was generated")
+
+    monkeypatch.delenv("REVIEW_CALIB_SEED", raising=False)
+    monkeypatch.setattr(bench, "gen_conference", generate)
+    path = tmp_path / "unmeetable.json"
     path.write_text(json.dumps(_BAD_CONFIGS[case]))
     assert main(["--config", str(path)]) == EXIT_CONFIG
     assert capsys.readouterr().err.startswith("configuration error: ")

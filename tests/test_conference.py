@@ -108,6 +108,51 @@ def test_infeasible_targets_rejected():
         GenConfig(author_multiplicity_targets=((1, 100),), n_authors=1000)
 
 
+@pytest.mark.parametrize("n_authors", [10, 1000])
+def test_threshold_above_n_papers_rejected(n_authors):
+    # refused when built, not left to a silent shortfall or a failure in generation
+    targets = ((2, n_authors // 10),)
+    with pytest.raises(ConfigurationError, match=re.escape("threshold 2 > n_papers (1) has count")):
+        GenConfig(n_papers=1, n_authors=n_authors, author_multiplicity_targets=targets)
+    # a zero count asks nothing of the draws, so it may sit above n_papers
+    GenConfig(n_papers=1, n_authors=n_authors, author_multiplicity_targets=((2, 0),))
+
+
+def test_first_count_of_every_author_rejected():
+    with pytest.raises(ConfigurationError, match="tail fraction at the first threshold must be < 1"):
+        GenConfig(n_papers=50, n_authors=10, author_multiplicity_targets=((2, 10),))
+
+
+@pytest.mark.parametrize(
+    "field, value", [("true_score_mean", 1.01e6), ("true_score_mean", -1.01e6), ("true_score_sd", 1.01e6)]
+)
+def test_score_scale_beyond_the_bound_rejected(field, value):
+    with pytest.raises(ConfigurationError, match="must be <= 1e"):
+        replace(scaled_config(GenConfig(), 80), **{field: value})
+    replace(scaled_config(GenConfig(), 80), **{field: math.copysign(1e6, value)})
+
+
+@st.composite
+def _valid_targets(draw):
+    n_authors = draw(st.integers(1, 50_000))
+    thresholds = sorted(draw(st.sets(st.integers(2, 40), min_size=1, max_size=4)))
+    counts = draw(st.lists(st.integers(0, n_authors - 1), min_size=len(thresholds), max_size=len(thresholds)))
+    config = GenConfig(
+        n_papers=40, n_authors=n_authors, author_multiplicity_targets=tuple(zip(thresholds, sorted(counts)[::-1]))
+    )
+    return config.author_multiplicity_targets, n_authors
+
+
+@settings(max_examples=40, deadline=None)
+@given(_valid_targets())
+def test_fitted_mass_at_the_first_threshold_is_its_target(targets_and_pool):
+    # the fit scales its tail to c1 / n_authors exactly, so generation need not check its draws
+    targets, n_authors = targets_and_pool
+    dist = fit_multiplicity_distribution(targets, n_authors)
+    (t1, c1), values = targets[0], np.asarray(dist.values)
+    assert abs(np.asarray(dist.probs)[values >= t1].sum() - c1 / n_authors) <= 1e-12
+
+
 def test_multiplicity_calibration_over_seeds():
     config = GenConfig()
     target = config.author_multiplicity_targets[0][1] / config.n_authors

@@ -408,6 +408,14 @@ def test_rmse_rejects_non_finite(bad):
         rmse(np.zeros(2), np.array([bad, 1.0]))
 
 
+def test_rmse_rejects_an_overflowing_result():
+    # finite inputs whose squared error overflows
+    with pytest.raises(ValueError, match="finite"):
+        rmse([1e200, 0.0], [0.0, 0.0])
+    with pytest.raises(ValueError, match="finite"):
+        rmse(np.array([1e308]), np.array([-1e308]))
+
+
 def test_rmse_rejects_empty_input():
     with pytest.raises(ValueError, match="empty"):
         rmse(np.zeros(0), np.zeros(0))
