@@ -354,7 +354,7 @@ def _rows(rows, name: str) -> Ragged:
 
 @dataclass
 class Conference:
-    """A generated conference: quality scores, authorship, review assignment.
+    """A conference, generated or hand-built: quality scores, authorship, review assignment.
 
     ``authorship`` holds each author's paper ids as one ``Ragged`` row
     (a list of rows is converted). The assignment is stored once, as
@@ -364,9 +364,15 @@ class Conference:
     run reviewer by reviewer; a generated conference lists each reviewer's
     papers in increasing order, a hand-built one keeps the order it was
     given. Per-slot data, such as scores, are arrays aligned with
-    ``slot_papers``. ``true_scores`` is stored as a 1-d float array; any
-    other shape, a value that is not a number or one that is not finite
-    raises GenerationError at construction.
+    ``slot_papers``. ``true_scores`` is stored as a 1-d float array.
+
+    A conference is checked once, when it is built (unpickling does not
+    re-check), and GenerationError names the first failure: true scores
+    must be finite numbers, ``authorship`` and ``slot_papers`` integer ids,
+    ``reviewer_ptr`` a CSR pointer over the slots; then :meth:`validate`
+    checks that each author holds one or more distinct known papers, no
+    reviewer holds a paper twice or an unknown one, and every paper has an
+    author and a reviewer.
 
     Derived data (``slot_reviewers``, and the bundle batches that score
     simulation reads, built on first use) is not refreshed, so the arrays
@@ -402,6 +408,7 @@ class Conference:
             raise GenerationError("reviewer_ptr is not a CSR pointer over slot_papers")
         ptr = self.reviewer_ptr = ptr.astype(np.int64, copy=False)
         self.slot_reviewers = Ragged(self.slot_papers, ptr).row_of()
+        self.validate()
 
     @functools.cached_property
     def _bundle_plan(self) -> tuple[int, list[_BundleGroup]]:
@@ -409,12 +416,8 @@ class Conference:
 
         Returns the number of uniforms a ranking pass draws (s - 1 per
         bundle of s papers, reviewer after reviewer) and the bundles of two
-        or more papers grouped by size, smallest size first. A slot paper id
-        outside ``[0, n_papers)`` raises ValueError.
+        or more papers grouped by size, smallest size first.
         """
-        papers = self.slot_papers
-        if papers.size and (papers.min() < 0 or papers.max() >= self.n_papers):
-            raise ValueError(f"slot_papers references a paper id outside [0, {self.n_papers})")
         ptr = self.reviewer_ptr
         sizes = np.diff(ptr)
         draw_ptr = np.concatenate(([0], np.cumsum(np.maximum(sizes - 1, 0))))
@@ -834,9 +837,7 @@ def gen_conference(config: GenConfig, rng: np.random.Generator | None = None) ->
     authorship = _deal_authorship(config.n_papers, multiplicities, config.authors_per_paper_dist, rng)
     per_paper = config.reviewers_per_paper_dist.sample(rng, config.n_papers)
     slot_papers, reviewer_ptr = _assign_reviewers(per_paper, config, rng)
-    conference = Conference(true_scores, authorship, slot_papers, reviewer_ptr)
-    conference.validate()
-    return conference
+    return Conference(true_scores, authorship, slot_papers, reviewer_ptr)
 
 
 def scaled_config(config: GenConfig, n_papers: int) -> GenConfig:

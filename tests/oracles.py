@@ -557,7 +557,7 @@ def two_state_stationary(a, b):
 
 
 def conference_from_lists(true_scores, authorship, assignment):
-    """An unvalidated Conference from per-author and per-reviewer paper lists."""
+    """A Conference from per-author and per-reviewer paper lists; GenerationError if invalid."""
     assignment = Ragged.of(assignment)
     return Conference(
         true_scores=np.asarray(true_scores, dtype=float),
@@ -592,10 +592,10 @@ def _finite_scores(values) -> np.ndarray:
 def conference_from_json(obj: dict) -> Conference:
     """Read what ``Conference.to_json`` writes; raises GenerationError for an invalid conference.
 
-    After ``validate``, paper p's stored reverse list must name the
-    reviewers holding p, each once, in any order. An id that is not an
-    integer is refused, not converted, and so is a true score that is not
-    a finite number.
+    Once the Conference is built, and so checked, paper p's stored reverse
+    list must name the reviewers holding p, each once, in any order. An id
+    that is not an integer is refused, not converted, and so is a true
+    score that is not a finite number.
     """
     assignment = _rows(obj["assignment"], "assignment")
     conf = Conference(
@@ -604,7 +604,6 @@ def conference_from_json(obj: dict) -> Conference:
         slot_papers=assignment.flat,
         reviewer_ptr=assignment.ptr,
     )
-    conf.validate()
     listed = _rows(obj["reverse_assignment"], "reverse_assignment")
     if len(listed) != conf.n_papers:
         raise GenerationError("reverse_assignment length != n_papers")

@@ -8,6 +8,7 @@ of the five seeds used for the ordering robustness checks.
 
 from __future__ import annotations
 
+import hashlib
 import itertools
 import json
 import math
@@ -31,6 +32,7 @@ from oracles import (
     validate_tiers,
 )
 from review_calib import (
+    DiscreteDistribution,
     ExperimentConfig,
     GenConfig,
     NOISE_CASES,
@@ -38,6 +40,7 @@ from review_calib import (
     generate_final_scores,
     hierarchical_tiers,
     run_experiment,
+    scaled_config,
 )
 from review_calib.cli import main as cli_main
 from review_calib.conference import DEFAULT_MASTER_SEED
@@ -277,6 +280,41 @@ def test_default_run_reproduces_golden_csv_and_readme_table(default_run):
     table, _ = default_run
     assert table.to_csv().encode("utf-8") == GOLDEN_CSV.read_bytes()
     assert table.to_text() == _readme_results_table()
+
+
+# sha256 of run_experiment(...).to_csv(), recorded before Conference checked itself when built.
+# The CSV prints every mean and sd RMSE with repr, so a one-ulp change to any of them shows.
+GOLDEN_SEED_SHA256 = {
+    43: "4b4140680dbd53b3242a2eee5745fcbfb11034a0b1d2a2b0cc4bb7fb9d040e1a",
+    44: "c34bf2316d53704ba9ac95db5948b43ffa563f3ebf061b5ff65e538104cc2560",
+    45: "b223aa42232aa43f904b002b5c4eddd03e839dae22bb8da4d20be4df63d22ba9",
+    46: "488a6c979be6a73e0efa7af07b72e0a267bc7d74ac5e9f455de932143bb8d377",
+}
+# seed 42, two repetitions of every case
+GOLDEN_WORKLOADS = {
+    "capacity-6": (
+        GenConfig(reviewer_capacity_dist=DiscreteDistribution.point_mass(6)),
+        "d95df51e63d499c134868d71dce9204aa9686b6faa315202f6a83e21cfc8a94a",
+    ),
+    "scaled-1000": (
+        scaled_config(GenConfig(), 1000),
+        "a526e4f6296a037f3d187a738ee17254e86865708ca5f83b8f53d6f6dd1d0ab6",
+    ),
+}
+
+
+def _csv_sha256(table) -> str:
+    return hashlib.sha256(table.to_csv().encode("utf-8")).hexdigest()
+
+
+def test_acceptance_seeds_reproduce_golden_digests(seed_runs):
+    assert {seed: _csv_sha256(seed_runs[seed]) for seed in GOLDEN_SEED_SHA256} == GOLDEN_SEED_SHA256
+
+
+@pytest.mark.parametrize("workload", sorted(GOLDEN_WORKLOADS))
+def test_workload_reproduces_golden_digest(workload):
+    gen, digest = GOLDEN_WORKLOADS[workload]
+    assert _csv_sha256(run_experiment(ExperimentConfig(gen=gen, repetitions=2))) == digest
 
 
 def test_criterion_9_determinism_across_workers(tmp_path):

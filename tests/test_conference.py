@@ -4,6 +4,7 @@ import hashlib
 import json
 import math
 import os
+import pickle
 import re
 import subprocess
 import sys
@@ -1110,6 +1111,33 @@ def test_validate_rejects(case):
     with pytest.raises(GenerationError) as excinfo:
         validate_conference_reference(lists)
     assert str(excinfo.value) == message
+
+
+# built unchecked, authorship naming paper -1 or n, or a reviewer holding a paper twice,
+# reached the estimators: an owner row [-1, 0], a paper claimed through a negative index, a
+# bare IndexError, and a reviewer scoring paper 0 twice into the ranking [0, 0]
+_STRUCTURAL = sorted(name for name, (_, msg) in _INVALID.items() if not msg.startswith("reverse"))
+
+
+@pytest.mark.parametrize("case", _STRUCTURAL)
+def test_hand_built_conference_is_checked_when_built(case):
+    kwargs, message = _INVALID[case]
+    lists = _small_conf(**kwargs)
+    with pytest.raises(GenerationError) as excinfo:
+        conference_from_lists(lists["true_scores"], lists["authorship"], lists["assignment"])
+    assert str(excinfo.value) == message
+
+
+def test_unpickling_does_not_re_check(tiny_config, monkeypatch):
+    # pool workers receive the conference pickled: it is checked once, in the parent
+    calls = []
+    check = Conference.validate
+    monkeypatch.setattr(Conference, "validate", lambda self: calls.append(self) or check(self))
+    conf = gen_conference(tiny_config)
+    assert len(calls) == 1
+    clone = pickle.loads(pickle.dumps(conf))
+    assert len(calls) == 1
+    assert clone.to_json_str() == conf.to_json_str()
 
 
 # reverse lists the loop reference accepted or crashed on

@@ -18,6 +18,7 @@ from review_calib import (
     NOISE_CASES,
     DiscreteDistribution,
     GenConfig,
+    GenerationError,
     OwnerPartition,
     avg_scores,
     build_owner_partition,
@@ -43,18 +44,21 @@ def test_single_review_average_is_identity():
     assert avg_scores(np.array([7.2]), conf).tolist() == [7.2]
 
 
+# a conference that would leave avg_scores a paper without scores, or a slot
+# outside the conference, is refused when it is built
+
+
 def test_unreviewed_paper_rejected():
-    conf = conference_from_lists([5.0, 5.0], [[0, 1]], [[0], [0]])
-    with pytest.raises(ValueError, match="no review"):
-        avg_scores(np.array([4.0, 6.0]), conf)
+    with pytest.raises(GenerationError, match="^paper 1 has no reviewer$"):
+        conference_from_lists([5.0, 5.0], [[0, 1]], [[0], [0]])
 
 
 def test_avg_rejects_paper_ids_outside_conference():
-    # an unvalidated conference whose slots name papers 2 and -1 of a 2-paper conference
-    for assignment in ([[0], [1], [2]], [[-1], [0], [1]]):
-        conf = conference_from_lists([5.0, 5.0], [[0, 1]], assignment)
-        with pytest.raises(ValueError, match="outside"):
-            avg_scores(np.array([4.0, 6.0, 1.0]), conf)
+    # slots naming papers 2 and -1 of a 2-paper conference
+    for assignment, reviewer in (([[0], [1], [2]], 2), ([[-1], [0], [1]], 0)):
+        message = f"^reviewer {reviewer} references an unknown paper id$"
+        with pytest.raises(GenerationError, match=message):
+            conference_from_lists([5.0, 5.0], [[0, 1]], assignment)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -65,9 +69,8 @@ def test_avg_rejects_non_finite_scores(bad):
 
 
 def test_avg_rejects_empty_table():
-    conf = conference_from_lists([5.0], [[0]], [])
-    with pytest.raises(ValueError, match="empty"):
-        avg_scores(np.empty(0), conf)
+    with pytest.raises(GenerationError, match="^paper 0 has no reviewer$"):
+        conference_from_lists([5.0], [[0]], [])
 
 
 # --- reviewer-ranking calibration
@@ -197,7 +200,11 @@ def _authored_conferences(draw):
     n = draw(st.integers(1, 30))
     # a small grid, so equal true scores (and the id tie-break) are common
     theta = draw(st.lists(st.integers(-3, 3).map(lambda v: v / 2), min_size=n, max_size=n))
-    rows = draw(st.lists(st.lists(st.integers(0, n - 1), max_size=8, unique=True), max_size=20))
+    row = st.lists(st.integers(0, n - 1), min_size=1, max_size=8, unique=True)
+    rows = draw(st.lists(row, max_size=20))
+    # a valid conference gives every paper an author; one-paper rows own nothing
+    authored = {p for papers in rows for p in papers}
+    rows += [[p] for p in range(n) if p not in authored]
     return conference_from_lists(theta, rows, [list(range(n))])
 
 

@@ -22,6 +22,7 @@ from review_calib import (
     ConfigurationError,
     DiscreteDistribution,
     GenConfig,
+    GenerationError,
     NOISE_CASES,
     avg_scores,
     generate_final_scores,
@@ -460,6 +461,9 @@ def _hand_built_conferences(draw):
     theta = draw(st.lists(quality, min_size=n, max_size=n))
     bundle = st.lists(st.integers(0, n - 1), unique=True, max_size=min(n, 8))
     assignment = draw(st.lists(bundle, max_size=10))
+    # a valid conference gives every paper a reviewer; a one-paper bundle draws no ranking uniform
+    reviewed = {p for papers in assignment for p in papers}
+    assignment += [[p] for p in range(n) if p not in reviewed]
     return conference_from_lists(theta, [list(range(n))], assignment)
 
 
@@ -518,10 +522,10 @@ def test_bundle_plan_is_per_conference_and_built_on_first_use():
     "bundles", [[[0, 1], [-1, 2]], [[0, 1], [2, 3]]], ids=["negative", "past-the-end"]
 )
 def test_slot_paper_outside_the_conference_is_refused(bundles):
-    # a negative id would index true scores from the end; one past the end would raise IndexError
-    conf = conference_from_lists([0.0, 1.0, 2.0], [np.arange(3)], bundles)
-    with pytest.raises(ValueError, match=r"slot_papers references a paper id outside \[0, 3\)"):
-        generate_final_scores(conf, NOISE_CASES["Base"], _rng(97))
+    # a negative id would index true scores from the end; one past the end would raise
+    # IndexError: the conference is refused when it is built, before any score is drawn
+    with pytest.raises(GenerationError, match="^reviewer 1 references an unknown paper id$"):
+        conference_from_lists([0.0, 1.0, 2.0], [np.arange(3)], bundles)
 
 
 def test_reviewers_without_papers_get_empty_rankings():
