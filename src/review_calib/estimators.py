@@ -30,8 +30,9 @@ def avg_scores(final: np.ndarray, conf: Conference) -> EstimateVector:
 
     ``final`` holds one score per review slot, aligned with
     ``conf.slot_papers``; a valid conference gives every paper at least one.
-    Raises ValueError for a length other than ``conf.n_slots`` or a
-    non-finite score.
+    Raises ValueError for a length other than ``conf.n_slots``, a
+    non-finite score or a non-finite average (finite scores whose sum
+    overflows).
     """
     final = np.asarray(final, dtype=float)
     papers = conf.slot_papers
@@ -41,7 +42,10 @@ def avg_scores(final: np.ndarray, conf: Conference) -> EstimateVector:
         raise ValueError("review scores must be finite")
     counts = np.bincount(papers, minlength=conf.n_papers)
     sums = np.bincount(papers, weights=final, minlength=conf.n_papers)
-    return sums / counts
+    avg = sums / counts
+    if not np.isfinite(avg).all():
+        raise ValueError("average review scores must be finite")
+    return avg
 
 
 def calibrate_reviewer(
@@ -51,7 +55,8 @@ def calibrate_reviewer(
 
     Builds the tier decomposition from the rankings, orders papers tier by
     tier (averages inside a tier), projects the averages onto that order,
-    and returns blend * fitted + (1 - blend) * avg.
+    and returns blend * fitted + (1 - blend) * avg. A pooled block of
+    finite averages whose sum overflows raises fsum's OverflowError.
     """
     avg = np.asarray(avg, dtype=float)
     tiers = hierarchical_tiers(rankings, range(len(avg)))
@@ -135,7 +140,8 @@ def calibrate_author(
     its order is already non-increasing, so the projection passes it
     through untouched; every rising owner is a segment of a single PAVA
     call. The result equals the per-owner projection bit for bit. An owned
-    paper id outside ``[0, len(scores))`` raises ValueError.
+    paper id outside ``[0, len(scores))`` raises ValueError, and a pooled
+    block of finite scores whose sum overflows raises fsum's OverflowError.
     """
     if not 0.0 <= blend <= 1.0:
         raise ValueError(f"blend must lie in [0, 1], got {blend}")

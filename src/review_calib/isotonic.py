@@ -253,7 +253,8 @@ def isotonic_project_indexed(scores: np.ndarray, order: np.ndarray, blend: float
 
     ``order`` lists indices from best to worst; the projection forces
     scores[order[0]] >= scores[order[1]] >= ... . The result is
-    blend * fitted + (1 - blend) * scores.
+    blend * fitted + (1 - blend) * scores. A pooled block of finite scores
+    whose sum overflows raises fsum's OverflowError.
     """
     scores = np.asarray(scores, dtype=float)
     order = np.asarray(order)

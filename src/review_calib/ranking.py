@@ -56,23 +56,28 @@ def hierarchical_tiers(rankings: Sequence[np.ndarray], all_papers: range) -> Tie
         raise ValueError("ranking names a paper outside all_papers")
 
     row = rankings.row_of()
-    adjacent = row[1:] == row[:-1]
-    winners, losers = ids[:-1][adjacent], ids[1:][adjacent]
-    # adjacent pairs miss a paper repeated at distant positions; sorted (row, id) keys show it
-    keys = np.sort(row * n + ids)
-    if np.any(keys[1:] == keys[:-1]):
+    pair = np.flatnonzero(row[1:] == row[:-1])  # the winner's position in each adjacent pair
+    winners, losers = ids[pair], ids[pair + 1]
+    # a repeat next to itself is a self-pair; only a ranking of three or more papers can hold
+    # one at a distance, and sorted (row, id) keys show that
+    if np.any(winners == losers) or (
+        rankings.sizes.max(initial=0) > 2 and np.any(np.diff(np.sort(row * n + ids)) == 0)
+    ):
         raise ValueError("ranking contains a repeated paper")
     loss_count = np.bincount(losers, minlength=n)
 
     # a peeled paper's count is set to -1; every paper that beats it left earlier, so none lowers it
     tiers: list[np.ndarray] = []
-    while (zero := loss_count == 0).any():
-        tiers.append(np.flatnonzero(zero))
-        loss_count[zero] = -1
-        loss_count -= np.bincount(losers[zero[winners]], minlength=n)
-    if (rest := loss_count > 0).any():
-        tiers.append(np.flatnonzero(rest))
-    return TierDecomposition(tiers)
+    zero = loss_count == 0
+    while (tier := np.flatnonzero(zero)).size:
+        tiers.append(tier)
+        loss_count[tier] = -1
+        loss_count -= np.bincount(losers[np.flatnonzero(zero[winners])], minlength=n)
+        np.equal(loss_count, 0, out=zero)
+    if (rest := np.flatnonzero(loss_count > 0)).size:
+        tiers.append(rest)
+    flat = np.concatenate([np.empty(0, dtype=np.int64), *tiers])
+    return TierDecomposition(Ragged(flat, np.cumsum([0, *map(len, tiers)])))
 
 
 def full_ranking(tiers: TierDecomposition, avg_scores: np.ndarray) -> np.ndarray:

@@ -16,6 +16,7 @@ from oracles import (
 )
 from review_calib import (
     NOISE_CASES,
+    Conference,
     DiscreteDistribution,
     GenConfig,
     GenerationError,
@@ -66,6 +67,13 @@ def test_avg_rejects_non_finite_scores(bad):
     conf = conference_from_lists([5.0, 5.0], [[0, 1]], [[0], [1]])
     with pytest.raises(ValueError, match="finite"):
         avg_scores(np.array([4.0, bad]), conf)
+
+
+def test_avg_rejects_an_overflowing_average():
+    # finite slot scores whose per-paper sum overflows once read [inf, 1.0]
+    conf = Conference(np.array([0.0, 1.0]), [[0, 1]], np.array([0, 1, 0, 1]), np.array([0, 2, 4]))
+    with pytest.raises(ValueError, match="finite"):
+        avg_scores(np.array([1e308, 1.0, 1e308, 1.0]), conf)
 
 
 def test_avg_rejects_empty_table():
@@ -376,6 +384,20 @@ def test_translation_equivariance_of_all_methods(tiny_conf):
         lambda a: calibrate_combined(a, rankings, owners, 0.5),
     ):
         assert np.allclose(compute(avg_s), compute(avg) + shift, atol=1e-9)
+
+
+# two finite scores that must pool, and whose sum overflows
+_OVERFLOWING_POOL = np.array([1e308, 1.7e308])
+
+
+def test_author_projection_raises_fsum_overflow_on_finite_scores():
+    with pytest.raises(OverflowError, match="intermediate overflow in fsum"):
+        calibrate_author(_OVERFLOWING_POOL, OwnerPartition(np.array([0]), [[0, 1]]))
+
+
+def test_reviewer_calibration_raises_fsum_overflow_on_finite_scores():
+    with pytest.raises(OverflowError, match="intermediate overflow in fsum"):
+        calibrate_reviewer(_OVERFLOWING_POOL, [np.array([0, 1])])
 
 
 # --- rmse

@@ -205,6 +205,11 @@ def test_project_indexed_rejects_non_permutation(order):
         isotonic_project_indexed(scores, order, blend=0.5)
 
 
+def test_project_indexed_raises_fsum_overflow_on_finite_scores():
+    with pytest.raises(OverflowError, match="intermediate overflow in fsum"):
+        isotonic_project_indexed(np.array([1e308, 1.7e308]), np.array([0, 1]), 0.5)
+
+
 def test_project_indexed_accepts_any_integer_permutation():
     scores = np.array([1.0, 3.0, 2.0])
     want = isotonic_project_indexed(scores, np.array([2, 0, 1]), blend=0.5)

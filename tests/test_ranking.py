@@ -2,7 +2,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.stats import kendalltau
 
@@ -222,13 +222,22 @@ def _peel_inputs(draw):
     paper_ids = st.integers(-3, 15)
     if n and draw(st.booleans()):
         paper_ids = st.integers(0, n - 1)
-    rankings = draw(st.lists(st.lists(paper_ids, unique=True, max_size=8), max_size=12))
+    # sometimes only rankings of at most two papers, the shape of a capacity-2 conference
+    max_size = draw(st.sampled_from([2, 8]))
+    rankings = draw(st.lists(st.lists(paper_ids, unique=True, max_size=max_size), max_size=12))
+    repeat = draw(st.integers(0, 5))
     # a paper repeated at a distant position, which no adjacent pair shows
     rows = [r for r in rankings if len(r) >= 2]
-    if rows and draw(st.integers(0, 3)) == 0:
+    if rows and repeat == 0:
         row = draw(st.sampled_from(rows))
         i = draw(st.integers(0, len(row) - 2))
         row.insert(draw(st.integers(i + 2, len(row))), row[i])
+    # a paper repeated next to itself: [2] becomes [2, 2], [0, 3] becomes [0, 3, 3]
+    rows = [r for r in rankings if r]
+    if rows and repeat == 1:
+        row = draw(st.sampled_from(rows))
+        i = draw(st.integers(0, len(row) - 1))
+        row.insert(i + 1, row[i])
     as_arrays = draw(st.booleans())
     if as_arrays:
         rankings = [np.asarray(r, dtype=np.int64) for r in rankings]
@@ -237,6 +246,13 @@ def _peel_inputs(draw):
 
 @settings(max_examples=400, deadline=None, database=None)
 @given(_peel_inputs())
+# repeats next to themselves, rankings of at most two papers with and without an
+# empty one, and no rankings at all
+@example(([[2, 2]], range(3)))
+@example(([[1, 0], [0, 3, 3]], range(4)))
+@example(([[1, 0], [2], [0, 2]], range(3)))
+@example(([[0, 1], [], [2, 1], [3, 0]], range(5)))
+@example(([], range(4)))
 def test_peel_matches_rebuild_oracle_property(inputs):
     rankings, all_papers = inputs
     if not {int(p) for r in rankings for p in r} <= set(all_papers):
