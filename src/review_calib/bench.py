@@ -150,6 +150,22 @@ _RENDERERS = {
 }
 FORMATS = tuple(_RENDERERS)
 
+
+def _run_cell(
+    conference: Conference, owners: OwnerPartition, seed: int, blend: float, task: tuple
+) -> list[float]:
+    case_name, case_idx, rep = task
+    rng = stream(seed, PURPOSE_SCORES, case_idx, rep)
+    final, _raw, rankings = generate_final_scores(conference, NOISE_CASES[case_name], rng)
+    avg = avg_scores(final, conference)
+    reviewer_est = calibrate_reviewer(avg, rankings, blend)
+    author_est = calibrate_author(avg, owners)
+    combined_est = calibrate_author(reviewer_est, owners)  # combined: reviewer, then author
+    truth = conference.true_scores
+    return [rmse(e, truth) for e in (avg, reviewer_est, author_est, combined_est)]
+
+
+# a pool worker's cell state, set once per worker by _init_worker; in-process runs never touch it
 _WORKER: dict = {}
 
 
@@ -157,18 +173,8 @@ def _init_worker(conference: Conference, owners: OwnerPartition, seed: int, blen
     _WORKER.update(conference=conference, owners=owners, seed=seed, blend=blend)
 
 
-def _run_cell(task: tuple[str, int, int]) -> list[float]:
-    case_name, case_idx, rep = task
-    conference: Conference = _WORKER["conference"]
-    owners: OwnerPartition = _WORKER["owners"]
-    rng = stream(_WORKER["seed"], PURPOSE_SCORES, case_idx, rep)
-    final, _raw, rankings = generate_final_scores(conference, NOISE_CASES[case_name], rng)
-    avg = avg_scores(final, conference)
-    reviewer_est = calibrate_reviewer(avg, rankings, _WORKER["blend"])
-    author_est = calibrate_author(avg, owners)
-    combined_est = calibrate_author(reviewer_est, owners)  # combined: reviewer, then author
-    truth = conference.true_scores
-    return [rmse(e, truth) for e in (avg, reviewer_est, author_est, combined_est)]
+def _pooled_cell(task: tuple) -> list[float]:
+    return _run_cell(**_WORKER, task=task)
 
 
 def run_experiment(config: ExperimentConfig, workers: int = 1) -> ResultsTable:
@@ -194,19 +200,12 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> ResultsTable:
     ]
     # a pool forks all its workers up front, so never ask for more than there are cells
     workers = min(workers, len(tasks))
+    state = (conference, owners, seed, config.blend)
     if workers == 1:
-        _init_worker(conference, owners, seed, config.blend)
-        try:
-            rows = list(map(_run_cell, tasks))
-        finally:
-            _WORKER.clear()  # so the conference does not outlive the run
+        rows = [_run_cell(*state, task) for task in tasks]
     else:
-        with ProcessPoolExecutor(
-            max_workers=workers,
-            initializer=_init_worker,
-            initargs=(conference, owners, seed, config.blend),
-        ) as pool:
-            rows = list(pool.map(_run_cell, tasks))
+        with ProcessPoolExecutor(workers, initializer=_init_worker, initargs=state) as pool:
+            rows = list(pool.map(_pooled_cell, tasks))
     cells = np.asarray(rows).reshape(len(config.cases), config.repetitions, len(METHODS))
     return ResultsTable(
         cases=config.cases,

@@ -328,23 +328,6 @@ class Ragged(Sequence):
         return np.repeat(np.arange(len(self), dtype=np.int64), self.sizes)
 
 
-@dataclass(frozen=True)
-class _BundleGroup:
-    """The reviewers whose bundle holds the same number s >= 2 of papers.
-
-    Row i is one reviewer: ``slots[i]`` are their s review slots in
-    conference order, ``draws[i]`` the positions of their s - 1 uniforms in
-    a ranking pass's draws, ``weights[i]`` their papers' Plackett-Luce
-    weights exp(theta - row max), by ``math.exp``, and ``total[i]`` the
-    left-to-right sum of those weights.
-    """
-
-    slots: np.ndarray
-    draws: np.ndarray
-    weights: np.ndarray
-    total: np.ndarray
-
-
 def _rows(rows, name: str) -> Ragged:
     try:
         return Ragged.of(rows)
@@ -374,9 +357,8 @@ class Conference:
     reviewer holds a paper twice or an unknown one, and every paper has an
     author and a reviewer.
 
-    Derived data (``slot_reviewers``, and the bundle batches that score
-    simulation reads, built on first use) is not refreshed, so the arrays
-    must not be mutated after construction.
+    Derived data (``slot_reviewers`` and the cached ``_bundle_plan``) is
+    not refreshed, so the arrays must not be mutated after construction.
     """
 
     true_scores: np.ndarray
@@ -411,33 +393,10 @@ class Conference:
         self.validate()
 
     @functools.cached_property
-    def _bundle_plan(self) -> tuple[int, list[_BundleGroup]]:
-        """The draw-independent part of one score simulation.
-
-        Returns the number of uniforms a ranking pass draws (s - 1 per
-        bundle of s papers, reviewer after reviewer) and the bundles of two
-        or more papers grouped by size, smallest size first.
-        """
-        ptr = self.reviewer_ptr
-        sizes = np.diff(ptr)
-        draw_ptr = np.concatenate(([0], np.cumsum(np.maximum(sizes - 1, 0))))
-        groups = []
-        for s in np.flatnonzero(np.bincount(sizes)).tolist():
-            if s < 2:
-                continue
-            group = np.flatnonzero(sizes == s)
-            slots = ptr[group][:, None] + np.arange(s)
-            theta = np.asarray(self.true_scores[self.slot_papers[slots]], dtype=float)
-            shifted = theta - theta.max(axis=1, keepdims=True)
-            # math.exp, not np.exp, which may differ in the last bit
-            weights = np.fromiter(map(math.exp, memoryview(shifted.ravel())), dtype=float)
-            weights = weights.reshape(shifted.shape)
-            total = weights[:, 0].copy()
-            for q in range(1, s):
-                total += weights[:, q]
-            draws = draw_ptr[group][:, None] + np.arange(s - 1)
-            groups.append(_BundleGroup(slots, draws, weights, total))
-        return int(draw_ptr[-1]), groups
+    def _bundle_plan(self) -> tuple:
+        """``scoring._bundle_plan`` of this conference, built on first use."""
+        from .scoring import _bundle_plan  # here, not at the top: scoring imports conference
+        return _bundle_plan(self)
 
     @property
     def n_papers(self) -> int:

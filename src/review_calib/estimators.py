@@ -55,10 +55,13 @@ def calibrate_reviewer(
 
     Builds the tier decomposition from the rankings, orders papers tier by
     tier (averages inside a tier), projects the averages onto that order,
-    and returns blend * fitted + (1 - blend) * avg. A pooled block of
-    finite averages whose sum overflows raises fsum's OverflowError.
+    and returns blend * fitted + (1 - blend) * avg. Averages that are not
+    a 1-d vector raise ValueError, and a pooled block of finite averages
+    whose sum overflows raises fsum's OverflowError.
     """
     avg = np.asarray(avg, dtype=float)
+    if avg.ndim != 1:
+        raise ValueError(f"averages must be a 1-d vector, got shape {avg.shape}")
     tiers = hierarchical_tiers(rankings, range(len(avg)))
     order = full_ranking(tiers, avg)
     return isotonic_project_indexed(avg, order, blend)
@@ -139,13 +142,16 @@ def calibrate_author(
     rows by ``owners.owners.ptr``. An owner whose scores never rise along
     its order is already non-increasing, so the projection passes it
     through untouched; every rising owner is a segment of a single PAVA
-    call. The result equals the per-owner projection bit for bit. An owned
-    paper id outside ``[0, len(scores))`` raises ValueError, and a pooled
-    block of finite scores whose sum overflows raises fsum's OverflowError.
+    call. The result equals the per-owner projection bit for bit. Scores
+    that are not a 1-d vector, or an owned paper id outside
+    ``[0, len(scores))``, raise ValueError, and a pooled block of finite
+    scores whose sum overflows raises fsum's OverflowError.
     """
     if not 0.0 <= blend <= 1.0:
         raise ValueError(f"blend must lie in [0, 1], got {blend}")
     out = np.asarray(scores, dtype=float).copy()
+    if out.ndim != 1:
+        raise ValueError(f"scores must be a 1-d vector, got shape {out.shape}")
     if not np.isfinite(out).all():
         raise ValueError("scores must be finite")
     papers, ptr = owners.owners.flat, owners.owners.ptr

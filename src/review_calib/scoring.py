@@ -27,6 +27,7 @@ Gamma draw (``noise_sd`` is its square root).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -101,7 +102,7 @@ def _sample_pl_rows(weights: np.ndarray, total: np.ndarray, uniforms: np.ndarray
     by a cumulative scan of the remaining weights against one
     ``rng.random() * total`` per position; ``uniforms[:, k]`` is the k-th
     uniform it would draw for the row. ``weights`` and ``total`` are the
-    sampler's (see ``Conference._bundle_plan``); the running total is the
+    sampler's (see ``_bundle_plan``); the running total is the
     same left-to-right sum less each pick. The scan runs column-major, paper
     q of row r at flat index ``q * m + r``, over the weights with every
     ranked paper's weight set to 0.0: adding 0.0 leaves each compared
@@ -152,6 +153,45 @@ def _sample_pl_pairs(weights: np.ndarray, total: np.ndarray, uniforms: np.ndarra
     return np.column_stack((second_first, ~second_first)).astype(np.int64)
 
 
+def _bundle_plan(conf: Conference) -> tuple[int, list[tuple]]:
+    """The draw-independent part of one score simulation; ``Conference._bundle_plan`` caches it.
+
+    Returns the number of uniforms a ranking pass draws (s - 1 per bundle
+    of s papers, reviewer after reviewer) and, per bundle size s >= 2,
+    smallest first, ``(slots, draws, weights, total, sample, project)``.
+    Row i is one reviewer: ``slots[i]`` are their s review slots in
+    conference order, ``draws[i]`` the positions of their s - 1 uniforms
+    in the pass's draws, ``weights[i]`` their papers' Plackett-Luce
+    weights exp(theta - row max), by ``math.exp``, and ``total[i]`` the
+    left-to-right sum of those weights. The four arrays are read-only.
+    ``sample`` and ``project`` are the size's kernels: the closed forms
+    for s = 2, the row kernels otherwise.
+    """
+    ptr = conf.reviewer_ptr
+    sizes = np.diff(ptr)
+    draw_ptr = np.concatenate(([0], np.cumsum(np.maximum(sizes - 1, 0))))
+    groups = []
+    for s in np.unique(sizes[sizes >= 2]).tolist():
+        group = np.flatnonzero(sizes == s)
+        slots = ptr[group][:, None] + np.arange(s)
+        theta = conf.true_scores[conf.slot_papers[slots]]
+        shifted = theta - theta.max(axis=1, keepdims=True)
+        # math.exp, not np.exp, which may differ in the last bit
+        weights = np.fromiter(map(math.exp, memoryview(shifted.ravel())), dtype=float)
+        weights = weights.reshape(shifted.shape)
+        total = weights[:, 0].copy()
+        for q in range(1, s):
+            total += weights[:, q]
+        arrays = (slots, draw_ptr[group][:, None] + np.arange(s - 1), weights, total)
+        for array in arrays:
+            array.flags.writeable = False
+        if s == 2:
+            groups.append((*arrays, _sample_pl_pairs, _project_pairs))
+        else:
+            groups.append((*arrays, _sample_pl_rows, project_rows_non_increasing))
+    return int(draw_ptr[-1]), groups
+
+
 def generate_final_scores(
     conf: Conference, case: NoiseCase, rng: np.random.Generator
 ) -> tuple[np.ndarray, np.ndarray, Ragged]:
@@ -174,13 +214,8 @@ def generate_final_scores(
     # a bundle of one paper is its own ranking and keeps its raw score
     ranked = conf.slot_papers.copy()
     final = raw.copy()
-    for group in groups:
-        if group.slots.shape[1] == 2:
-            sample, project = _sample_pl_pairs, _project_pairs
-        else:
-            sample, project = _sample_pl_rows, project_rows_non_increasing
-        perm = sample(group.weights, group.total, uniforms[group.draws])
-        ranked_slots = np.take_along_axis(group.slots, perm, axis=1)
-        ranked[group.slots] = conf.slot_papers[ranked_slots]
+    for slots, draws, weights, total, sample, project in groups:
+        ranked_slots = np.take_along_axis(slots, sample(weights, total, uniforms[draws]), axis=1)
+        ranked[slots] = conf.slot_papers[ranked_slots]
         final[ranked_slots] = project(raw[ranked_slots])
     return final, raw, Ragged(ranked, conf.reviewer_ptr)

@@ -1,7 +1,8 @@
 from __future__ import annotations
 
 import json
-from concurrent.futures import ProcessPoolExecutor
+import sys
+from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import replace
 
 import numpy as np
@@ -19,7 +20,7 @@ from review_calib import (
     scaled_config,
 )
 from review_calib import bench
-from review_calib.bench import FORMATS, METHODS, _init_worker, _run_cell, emit_results
+from review_calib.bench import FORMATS, METHODS, _run_cell, emit_results
 from review_calib.estimators import build_owner_partition
 from review_calib.conference import DEFAULT_MASTER_SEED, gen_conference
 from review_calib.scoring import NOISE_CASES
@@ -89,12 +90,32 @@ def test_in_process_run_leaves_no_worker_state(small_experiment, monkeypatch):
     run_experiment(one_cell, workers=1)
     assert bench._WORKER == {}
 
-    def failing(task):
+    def failing(*args):
         raise RuntimeError("cell failed")
 
     monkeypatch.setattr(bench, "_run_cell", failing)
     with pytest.raises(RuntimeError, match="cell failed"):
         run_experiment(one_cell, workers=1)
+    assert bench._WORKER == {}
+
+
+def test_concurrent_in_process_runs_keep_their_own_state():
+    # cells that read module state would see another thread's conference; more threads than
+    # cores and a short switch interval make the threads interleave
+    configs = [
+        ExperimentConfig(gen=scaled_config(GenConfig(), n), cases=("Base", "NoBias"), repetitions=2)
+        for n in (250, 300, 350)
+    ]
+    alone = [run_experiment(config).to_csv() for config in configs]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for _ in range(3):
+            with ThreadPoolExecutor(len(configs)) as threads:
+                runs = threads.map(run_experiment, configs, timeout=120)
+                assert [table.to_csv() for table in runs] == alone
+    finally:
+        sys.setswitchinterval(interval)
     assert bench._WORKER == {}
 
 
@@ -104,8 +125,8 @@ def test_repetition_streams_are_isolated(small_experiment, small_table):
     config = small_experiment
     seed = config.effective_seed
     conference = gen_conference(config.gen, stream(seed, PURPOSE_CONFERENCE))
-    _init_worker(conference, build_owner_partition(conference), seed, config.blend)
-    cells = np.asarray([_run_cell(("Base", 0, rep)) for rep in range(config.repetitions)])
+    state = (conference, build_owner_partition(conference), seed, config.blend)
+    cells = np.asarray([_run_cell(*state, ("Base", 0, rep)) for rep in range(config.repetitions)])
     assert np.allclose(cells.mean(axis=0), small_table.mean_rmse[0], atol=1e-12)
     from dataclasses import replace
 

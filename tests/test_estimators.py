@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import pickle
+import re
 
 import numpy as np
 import pytest
@@ -398,6 +399,26 @@ def test_author_projection_raises_fsum_overflow_on_finite_scores():
 def test_reviewer_calibration_raises_fsum_overflow_on_finite_scores():
     with pytest.raises(OverflowError, match="intermediate overflow in fsum"):
         calibrate_reviewer(_OVERFLOWING_POOL, [np.array([0, 1])])
+
+
+# a (2, 1) column came back unchanged when its owner did not rise and raised a bare TypeError
+# from the PAVA loop when it did; calibrate_reviewer raised a numpy error about key shapes
+_NOT_VECTORS = {
+    "column-falling": np.array([[2.0], [1.0]]),
+    "column-rising": np.array([[1.0], [2.0]]),
+    "row": np.array([[1.0, 2.0]]),
+    "scalar": np.array(1.0),
+}
+
+
+@pytest.mark.parametrize("name", list(_NOT_VECTORS))
+def test_calibrations_refuse_scores_that_are_not_a_vector(name):
+    scores = _NOT_VECTORS[name]
+    shape = re.escape(f"1-d vector, got shape {scores.shape}")
+    with pytest.raises(ValueError, match=shape):
+        calibrate_author(scores, OwnerPartition(np.array([0]), [[0, 1]]))
+    with pytest.raises(ValueError, match=shape):
+        calibrate_reviewer(scores, [np.array([0, 1])])
 
 
 # --- rmse

@@ -11,6 +11,7 @@ import ast
 import importlib
 import json
 import re
+import sys
 from dataclasses import replace
 from pathlib import Path
 
@@ -62,3 +63,18 @@ def test_readme_cli_synopsis_lists_every_flag():
     documented = set(re.findall(r"--[a-z][a-z-]*", synopsis))
     flags = {opt for action in build_parser()._actions for opt in action.option_strings if opt.startswith("--")}
     assert documented == flags - {"--help"}
+
+
+def test_the_package_imports_only_the_standard_library_and_numpy():
+    # every import statement, at module level or inside a function, read from the source
+    allowed = set(sys.stdlib_module_names) | {"numpy"}
+    for path in sorted((ROOT / "src" / "review_calib").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                modules = [node.module]
+            else:
+                continue
+            for module in modules:
+                assert module.split(".")[0] in allowed, f"{path.name}:{node.lineno}: {module}"

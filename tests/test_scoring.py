@@ -500,7 +500,7 @@ def test_batched_simulation_matches_reference_on_generated_conference(capacity):
     gen = scaled_config(GenConfig(reviewer_capacity_dist=_CAPACITIES[capacity]), 150)
     conf = gen_conference(gen)
     if capacity == "1-8":
-        assert {3, 4, 5, 6, 7, 8} <= {g.slots.shape[1] for g in conf._bundle_plan[1]}
+        assert {3, 4, 5, 6, 7, 8} <= {g[0].shape[1] for g in conf._bundle_plan[1]}
     for case in NOISE_CASES.values():
         _assert_matches_reference(conf, case, 73)
 
@@ -516,6 +516,20 @@ def test_bundle_plan_is_per_conference_and_built_on_first_use():
             _assert_matches_reference(conf, case, 89)
     assert spread._bundle_plan is spread._bundle_plan
     assert spread._bundle_plan is not tied._bundle_plan
+
+
+def test_bundle_plan_arrays_are_read_only():
+    # a kernel that wrote into the cached plan would corrupt every later cell of the conference
+    conf = gen_conference(scaled_config(GenConfig(reviewer_capacity_dist=_CAPACITIES["1-8"]), 150))
+    _n_draws, groups = conf._bundle_plan
+    assert [g[0].shape[1] for g in groups] == list(range(2, 9))
+    for slots, draws, weights, total, _sample, _project in groups:
+        for array in (slots, draws, weights, total):
+            assert not array.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = array[0]
+    for case in NOISE_CASES.values():
+        _assert_matches_reference(conf, case, 97)
 
 
 @pytest.mark.parametrize(
