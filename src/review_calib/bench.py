@@ -30,13 +30,13 @@ from .estimators import (
 from .scoring import NOISE_CASES, generate_final_scores, get_noise_case
 from .seeding import PURPOSE_CONFERENCE, PURPOSE_SCORES, check_master_seed, stream
 
-METHODS = ("average", "reviewer", "author", "combined")
 METHOD_LABELS = {
     "average": "1. average scores",
     "reviewer": "2. reviewer rankings",
     "author": "3. author rankings",
     "combined": "4. combined",
 }
+METHODS = tuple(METHOD_LABELS)
 
 
 @dataclass(frozen=True)
@@ -187,6 +187,7 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> ResultsTable:
     Output is fully determined by the config and seed, for any worker
     count.
     """
+    workers = config_int(workers, "workers")
     if workers < 1:
         raise ConfigurationError(f"workers must be >= 1, got {workers}")
     seed = config.effective_seed

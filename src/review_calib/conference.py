@@ -46,6 +46,10 @@ _MATCHING_RETRIES = 20
 # must stay far inside the float range (at 1e6 a run raises no numpy overflow warning)
 _SCORE_SCALE_MAX = 1e6
 
+# the largest capacity_slack: the reviewer pool grows with it (slack 100 gives 1.1 million
+# reviewers on the default conference), and at 1e308 its capacity target overflows to inf
+_CAPACITY_SLACK_MAX = 100.0
+
 # the number fields of GenConfig and how each is typed; only n_reviewers may be None
 _NUMBER_FIELDS = {
     "n_papers": config_int,
@@ -94,8 +98,10 @@ class GenConfig:
             raise ConfigurationError(f"true_score_sd must be > 0, got {self.true_score_sd}")
         if max(abs(self.true_score_mean), self.true_score_sd) > _SCORE_SCALE_MAX:
             raise ConfigurationError(f"|true_score_mean| and true_score_sd must be <= {_SCORE_SCALE_MAX:g}")
-        if self.capacity_slack < 1.0:
-            raise ConfigurationError(f"capacity_slack must be >= 1, got {self.capacity_slack}")
+        if not 1.0 <= self.capacity_slack <= _CAPACITY_SLACK_MAX:
+            raise ConfigurationError(
+                f"capacity_slack must lie in [1, {_CAPACITY_SLACK_MAX:g}], got {self.capacity_slack}"
+            )
         if self.n_reviewers is not None and self.n_reviewers < 1:
             raise ConfigurationError(f"n_reviewers must be >= 1, got {self.n_reviewers}")
         validate_multiplicity_targets(self.author_multiplicity_targets, self.n_authors, self.n_papers)
@@ -271,15 +277,6 @@ def sample_author_multiplicities(config: GenConfig, rng: np.random.Generator) ->
     return np.minimum(draws, config.n_papers)
 
 
-def gen_true_scores(n: int, mean: float, sd: float, rng: np.random.Generator) -> np.ndarray:
-    """Latent paper quality scores; Gaussian, sd = 0 degenerates to constant."""
-    if n < 0:
-        raise ValueError(f"n must be >= 0, got {n}")
-    if sd < 0:
-        raise ValueError(f"sd must be >= 0, got {sd}")
-    return rng.normal(mean, sd, size=n)
-
-
 @dataclass(frozen=True, eq=False)
 class Ragged(Sequence):
     """Rows of ids stored flat, CSR style: row i is ``flat[ptr[i]:ptr[i + 1]]``.
@@ -397,6 +394,12 @@ class Conference:
         """``scoring._bundle_plan`` of this conference, built on first use."""
         from .scoring import _bundle_plan  # here, not at the top: scoring imports conference
         return _bundle_plan(self)
+
+    def __getstate__(self) -> dict:
+        # a pickle leaves the plan out: the copy rebuilds it on first use, read-only
+        state = self.__dict__.copy()
+        state.pop("_bundle_plan", None)
+        return state
 
     @property
     def n_papers(self) -> int:
@@ -792,7 +795,7 @@ def gen_conference(config: GenConfig, rng: np.random.Generator | None = None) ->
     if rng is None:
         rng = stream(DEFAULT_MASTER_SEED, PURPOSE_CONFERENCE)
     multiplicities = sample_author_multiplicities(config, rng)
-    true_scores = gen_true_scores(config.n_papers, config.true_score_mean, config.true_score_sd, rng)
+    true_scores = rng.normal(config.true_score_mean, config.true_score_sd, size=config.n_papers)
     authorship = _deal_authorship(config.n_papers, multiplicities, config.authors_per_paper_dist, rng)
     per_paper = config.reviewers_per_paper_dist.sample(rng, config.n_papers)
     slot_papers, reviewer_ptr = _assign_reviewers(per_paper, config, rng)

@@ -21,25 +21,21 @@ from .conference import Conference, Ragged
 from .isotonic import _pava_non_decreasing, isotonic_project_indexed
 from .ranking import full_ranking, hierarchical_tiers
 
-EstimateVector = np.ndarray
-"""Per-paper quality estimates, indexed by paper id."""
 
-
-def avg_scores(final: np.ndarray, conf: Conference) -> EstimateVector:
+def avg_scores(final: np.ndarray, conf: Conference) -> np.ndarray:
     """Mean final score per paper.
 
     ``final`` holds one score per review slot, aligned with
     ``conf.slot_papers``; a valid conference gives every paper at least one.
-    Raises ValueError for a length other than ``conf.n_slots``, a
-    non-finite score or a non-finite average (finite scores whose sum
-    overflows).
+    Raises ValueError for a length other than ``conf.n_slots`` or a
+    non-finite average. Each slot feeds one paper's average, so a
+    non-finite score is reported as a non-finite average, as are finite
+    scores whose sum overflows.
     """
     final = np.asarray(final, dtype=float)
     papers = conf.slot_papers
     if final.shape != papers.shape:
         raise ValueError(f"expected {conf.n_slots} slot scores, got shape {final.shape}")
-    if not np.isfinite(final).all():
-        raise ValueError("review scores must be finite")
     counts = np.bincount(papers, minlength=conf.n_papers)
     sums = np.bincount(papers, weights=final, minlength=conf.n_papers)
     avg = sums / counts
@@ -49,8 +45,8 @@ def avg_scores(final: np.ndarray, conf: Conference) -> EstimateVector:
 
 
 def calibrate_reviewer(
-    avg: EstimateVector, rankings: Sequence[np.ndarray], blend: float = 0.5
-) -> EstimateVector:
+    avg: np.ndarray, rankings: Sequence[np.ndarray], blend: float = 0.5
+) -> np.ndarray:
     """Calibrate averages along the reviewer-derived global ranking.
 
     Builds the tier decomposition from the rankings, orders papers tier by
@@ -130,8 +126,8 @@ def build_owner_partition(conf: Conference) -> OwnerPartition:
 
 
 def calibrate_author(
-    scores: EstimateVector, owners: OwnerPartition, blend: float = 1.0
-) -> EstimateVector:
+    scores: np.ndarray, owners: OwnerPartition, blend: float = 1.0
+) -> np.ndarray:
     """Project each owner's papers onto their true-quality order.
 
     The default blend of 1 applies the full projection (the owners' order
@@ -169,7 +165,7 @@ def calibrate_author(
     return out
 
 
-def rmse(est: EstimateVector, truth: np.ndarray) -> float:
+def rmse(est: np.ndarray, truth: np.ndarray) -> float:
     """Root mean square error between estimates and true scores.
 
     Raises ValueError for mismatched shapes, empty input, non-finite values

@@ -240,8 +240,6 @@ def isotonic_fit(
     with np.errstate(over="ignore"):
         if w is not None and not np.isfinite(w * y).all():
             raise OverflowError("intermediate overflow in fsum")
-    if y.size == 0:
-        return y.copy()
     segments = ((0, y.size),)
     if direction == NON_DECREASING:
         return _pava_non_decreasing(y, w, segments)

@@ -84,6 +84,16 @@ def test_worker_pool_is_capped_at_the_cell_count(small_experiment, monkeypatch):
     assert asked == [2]
 
 
+@pytest.mark.parametrize("workers", ["2", None, 2.5, True], ids=["string", "none", "fractional", "bool"])
+def test_untyped_worker_count_is_refused_before_generation(workers, monkeypatch):
+    def generate(*args):
+        raise AssertionError("a conference was generated")
+
+    monkeypatch.setattr(bench, "gen_conference", generate)
+    with pytest.raises(ConfigurationError, match="workers must be an integer"):
+        run_experiment(ExperimentConfig(), workers=workers)
+
+
 def test_in_process_run_leaves_no_worker_state(small_experiment, monkeypatch):
     # left filled, the worker globals keep the conference alive until the next run
     one_cell = replace(small_experiment, cases=("Base",), repetitions=1)

@@ -159,6 +159,8 @@ _BAD_CONFIGS = {
     "distribution-not-an-object": {"gen": {"reviewer_capacity_dist": [2]}},
     "cases-repeated": {"cases": ["Base", "base", "BASE"]},
     "slack-infinite": {"gen": {"capacity_slack": float("inf")}},
+    # the capacity target overflows to inf, and the reviewer pool loop never ends
+    "slack-huge": {"gen": {"capacity_slack": 1e308}},
     "mean-infinite": {"gen": {"true_score_mean": float("inf")}},
     "mean-not-a-number": {"gen": {"true_score_mean": float("nan")}},
     "gen-master-seed": {"gen": {"master_seed": 9}},
@@ -209,7 +211,8 @@ def test_malformed_config_value_is_config_error(case, tmp_path, monkeypatch, cap
 
 
 @pytest.mark.parametrize(
-    "case", [c for c in sorted(_BAD_CONFIGS) if c.startswith(("threshold-", "first-count-", "score-scale-"))]
+    "case",
+    [c for c in sorted(_BAD_CONFIGS) if c.startswith(("threshold-", "first-count-", "score-scale-", "slack-"))],
 )
 def test_unmeetable_config_is_refused_before_generation(case, tmp_path, monkeypatch, capsys):
     def generate(*args):

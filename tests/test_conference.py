@@ -38,7 +38,9 @@ from review_calib import (
     DiscreteDistribution,
     GenConfig,
     GenerationError,
+    NOISE_CASES,
     gen_conference,
+    generate_final_scores,
     scaled_config,
 )
 from review_calib.conference import (
@@ -51,7 +53,6 @@ from review_calib.conference import (
     _match_slots,
     _minimize_bounded,
     fit_multiplicity_distribution,
-    gen_true_scores,
     sample_author_multiplicities,
 )
 from review_calib.estimators import build_owner_partition
@@ -255,25 +256,11 @@ def test_a_two_worker_run_imports_no_scipy():
 # --- true scores
 
 
-def test_true_scores_shape_and_moments():
-    scores = gen_true_scores(6538, 5.0, 0.88, _rng(2))
-    assert scores.shape == (6538,)
-    assert abs(scores.mean() - 5.0) < 3 * 0.88 / np.sqrt(6538)
-
-
-def test_true_scores_degenerate_and_empty():
-    assert np.array_equal(gen_true_scores(4, 2.5, 0.0, _rng(0)), np.full(4, 2.5))
-    assert gen_true_scores(0, 5.0, 1.0, _rng(0)).size == 0
-
-
-def test_true_scores_large_sample_mean():
-    scores = gen_true_scores(10**6, 5.0, 1.0, _rng(8))
-    assert abs(scores.mean() - 5.0) < 0.01
-
-
-def test_true_scores_negative_sd_rejected():
-    with pytest.raises(ValueError, match="sd"):
-        gen_true_scores(5, 0.0, -1.0, _rng(0))
+def test_generated_true_scores_follow_the_config():
+    config = GenConfig()
+    scores = gen_conference(config).true_scores
+    assert scores.shape == (config.n_papers,)
+    assert abs(scores.mean() - config.true_score_mean) < 3 * config.true_score_sd / np.sqrt(config.n_papers)
 
 
 # --- conference generation
@@ -397,7 +384,7 @@ def test_genconfig_validation():
         GenConfig(n_papers=0)
     with pytest.raises(ConfigurationError):
         GenConfig(true_score_sd=0.0)
-    for slack in (0.9, float("inf"), float("nan")):
+    for slack in (0.9, float("inf"), float("nan"), 1e308):
         with pytest.raises(ConfigurationError, match="capacity_slack"):
             GenConfig(capacity_slack=slack)
 
@@ -1138,6 +1125,17 @@ def test_unpickling_does_not_re_check(tiny_config, monkeypatch):
     clone = pickle.loads(pickle.dumps(conf))
     assert len(calls) == 1
     assert clone.to_json_str() == conf.to_json_str()
+
+
+def test_pickle_leaves_the_bundle_plan_out():
+    conf = gen_conference(scaled_config(GenConfig(), 200))
+    unbuilt = len(pickle.dumps(conf))
+    final = generate_final_scores(conf, NOISE_CASES["Base"], _rng(5))[0]
+    clone = pickle.loads(pickle.dumps(conf))
+    assert len(pickle.dumps(conf)) == unbuilt
+    assert all(not a.flags.writeable for group in clone._bundle_plan[1] for a in group[:4])
+    again = generate_final_scores(clone, NOISE_CASES["Base"], _rng(5))[0]
+    assert again.tobytes() == final.tobytes()
 
 
 # reverse lists the loop reference accepted or crashed on
