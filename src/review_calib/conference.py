@@ -433,31 +433,21 @@ class Conference:
         papers, author_of = self.authorship.flat, self.authorship.row_of()
         unknown = (papers < 0) | (papers >= n)
         _raise_first(
-            (self.authorship.sizes == 0, lambda a: "author with an empty paper list"),
-            (
-                _mask(author_of[unknown], self.n_authors),
-                lambda a: "authorship references an unknown paper id",
-            ),
-            (
-                _mask(author_of[_repeats(author_of, papers)], self.n_authors),
-                lambda a: "author holds a duplicated paper",
-            ),
+            (np.flatnonzero(self.authorship.sizes == 0), lambda a: "author with an empty paper list"),
+            (author_of[unknown], lambda a: "authorship references an unknown paper id"),
+            (author_of[_repeats(author_of, papers)], lambda a: "author holds a duplicated paper"),
         )
-        _raise_first((np.bincount(papers, minlength=n) == 0, lambda p: f"paper {p} has no author"))
+        unheld = np.flatnonzero(np.bincount(papers, minlength=n) == 0)
+        _raise_first((unheld, lambda p: f"paper {p} has no author"))
 
-        slot_reviewers, slot_papers = self.slot_reviewers, self.slot_papers
-        unknown = (slot_papers < 0) | (slot_papers >= n)
+        reviewer_of, papers = self.slot_reviewers, self.slot_papers
+        unknown = (papers < 0) | (papers >= n)
         _raise_first(
-            (
-                _mask(slot_reviewers[_repeats(slot_reviewers, slot_papers)], self.n_reviewers),
-                lambda r: f"reviewer {r} holds the same paper twice",
-            ),
-            (
-                _mask(slot_reviewers[unknown], self.n_reviewers),
-                lambda r: f"reviewer {r} references an unknown paper id",
-            ),
+            (reviewer_of[_repeats(reviewer_of, papers)], lambda r: f"reviewer {r} holds the same paper twice"),
+            (reviewer_of[unknown], lambda r: f"reviewer {r} references an unknown paper id"),
         )
-        _raise_first((np.bincount(slot_papers, minlength=n) == 0, lambda p: f"paper {p} has no reviewer"))
+        unheld = np.flatnonzero(np.bincount(papers, minlength=n) == 0)
+        _raise_first((unheld, lambda p: f"paper {p} has no reviewer"))
 
     def _paper_reviewers(self) -> Ragged:
         """Per paper, the reviewers holding it in increasing order (the reverse assignment)."""
@@ -491,35 +481,33 @@ def _repeats(owner: np.ndarray, values: np.ndarray) -> np.ndarray:
     return order[1:][(o[1:] == o[:-1]) & (v[1:] == v[:-1])]
 
 
-def _mask(indices: np.ndarray, n: int) -> np.ndarray:
-    mask = np.zeros(n, dtype=bool)
-    mask[indices] = True
-    return mask
-
-
 def _raise_first(*checks) -> None:
-    """Raise for the lowest index failing any (mask, message) check.
+    """Raise for the lowest index named by any (failing indices, message) check.
 
-    Checks come in precedence order; the first one failing at that index
+    Checks come in precedence order; the first one naming that index
     builds the message from the index.
     """
-    failing = np.logical_or.reduce([mask for mask, _ in checks])
-    if failing.any():
-        i = int(np.argmax(failing))
-        message = next(message for mask, message in checks if mask[i])
-        raise GenerationError(message(i))
+    failing = [(indices.min(), k) for k, (indices, _) in enumerate(checks) if len(indices)]
+    if failing:
+        i, k = min(failing)
+        raise GenerationError(checks[k][1](int(i)))
 
 
 def _reconciled_author_loads(
-    n_papers: int, total_authorships: int, dist: DiscreteDistribution, rng: np.random.Generator
+    n_papers: int, multiplicities: np.ndarray, dist: DiscreteDistribution, rng: np.random.Generator
 ) -> np.ndarray:
-    """Per-paper author counts summing exactly to the authorship total."""
+    """Per-paper author counts summing exactly to the authors' multiplicities.
+
+    Sampled counts are capped at the number of authors, the most a paper can
+    have; each round moves a count by one, so the cap also bounds the rounds.
+    """
+    total_authorships = int(multiplicities.sum())
     if total_authorships < n_papers:
         raise GenerationError(
             f"only {total_authorships} authorships for {n_papers} papers "
             f"(deficit {n_papers - total_authorships}); some papers would have no author"
         )
-    loads = dist.sample(rng, n_papers)
+    loads = np.minimum(dist.sample(rng, n_papers), len(multiplicities))
     diff = total_authorships - int(loads.sum())
     if diff > 0:
         bump = rng.integers(0, n_papers, size=diff)
@@ -555,7 +543,7 @@ def _deal_authorship(
     result is that of scanning every author in turn, bit for bit.
     """
     n_authors = len(multiplicities)
-    loads = _reconciled_author_loads(n_papers, int(multiplicities.sum()), dist, rng)
+    loads = _reconciled_author_loads(n_papers, multiplicities, dist, rng)
     deal_order = np.lexsort((np.arange(n_authors), -multiplicities))
     window_of = np.empty(n_authors, dtype=np.int64)
     window_of[deal_order] = np.arange(n_authors)

@@ -13,9 +13,9 @@ from .errors import ConfigurationError, config_float, config_from_json, config_i
 class DiscreteDistribution:
     """Probability distribution on a finite set of positive integers.
 
-    ``values`` must be strictly increasing positive integers; ``probs`` must
-    be non-negative finite numbers that sum to 1 (within 1e-9, renormalised
-    exactly on use). Both are stored as tuples, of ints and of floats.
+    ``values`` must be strictly increasing integers in [1, 2**31 - 1], and
+    ``probs`` non-negative finite numbers that sum to 1 (within 1e-9,
+    renormalised exactly on use). Both are stored as tuples, of ints and of floats.
     """
 
     values: tuple[int, ...]
@@ -33,6 +33,9 @@ class DiscreteDistribution:
             raise ConfigurationError("values and probs must have equal length")
         if any(v < 1 for v in self.values):
             raise ConfigurationError(f"support must be positive integers, got {self.values}")
+        # sums of up to 2**32 such values fit in int64, so no sampled total overflows
+        if any(v > 2**31 - 1 for v in self.values):
+            raise ConfigurationError(f"support values must be <= 2**31 - 1, got {self.values}")
         if any(b <= a for a, b in zip(self.values, self.values[1:])):
             raise ConfigurationError(f"support must be strictly increasing, got {self.values}")
         if any(p < 0 for p in self.probs):

@@ -67,20 +67,16 @@ def calibrate_reviewer(
 class OwnerPartition:
     """Disjoint paper ownership by prolific authors.
 
-    Row k of ``owners`` holds the papers of author ``authors[k]``, ordered
-    by descending true quality (``build_owner_partition`` keeps only rows of
-    >= 2 papers). ``owners`` is a ``Ragged`` or a list of rows; owned papers
-    must be integer ids, no paper may be owned twice, and there must be one
-    row per author (ValueError otherwise).
+    Each row of ``owners`` holds one author's papers, ordered by descending
+    true quality (``build_owner_partition`` keeps only rows of >= 2 papers).
+    ``owners`` is a ``Ragged`` or a list of rows; owned papers must be
+    integer ids, and no paper may be owned twice (ValueError otherwise).
     """
 
-    authors: np.ndarray
     owners: Ragged
 
     def __post_init__(self):
         object.__setattr__(self, "owners", Ragged.of(self.owners))
-        if len(self.authors) != len(self.owners):
-            raise ValueError(f"{len(self.authors)} authors for {len(self.owners)} owner rows")
         owned = np.sort(self.owners.flat)
         repeated = owned[1:][owned[1:] == owned[:-1]]
         if repeated.size:
@@ -107,7 +103,6 @@ def build_owner_partition(conf: Conference) -> OwnerPartition:
     # memoryviews give Python ints without copying the whole authorship into lists
     flat, ptr = memoryview(conf.authorship.flat), memoryview(conf.authorship.ptr)
     claimed = bytearray(conf.n_papers)
-    kept: list[int] = []
     owned: list[int] = []
     counts: list[int] = []
     for a in order[: np.count_nonzero(sizes >= 2)].tolist():
@@ -116,13 +111,12 @@ def build_owner_partition(conf: Conference) -> OwnerPartition:
             continue
         for p in mine:
             claimed[p] = True
-        kept.append(a)
         owned += mine
         counts.append(len(mine))
     papers = np.array(owned, dtype=np.int64)
-    owner = np.repeat(np.arange(len(kept)), counts)
+    owner = np.repeat(np.arange(len(counts)), counts)
     papers = papers[np.lexsort((papers, -conf.true_scores[papers], owner))]
-    return OwnerPartition(np.array(kept, dtype=np.int64), Ragged(papers, np.cumsum([0, *counts])))
+    return OwnerPartition(Ragged(papers, np.cumsum([0, *counts])))
 
 
 def calibrate_author(

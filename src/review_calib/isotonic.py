@@ -259,18 +259,8 @@ def isotonic_project_indexed(scores: np.ndarray, order: np.ndarray, blend: float
     n = len(scores)
     if not 0.0 <= blend <= 1.0:
         raise ValueError(f"blend must lie in [0, 1], got {blend}")
-    # a 1-d integer array of length n with values in [0, n), each exactly once
-    if not (
-        order.ndim == 1
-        and order.dtype.kind in "iu"
-        and len(order) == n
-        and (
-            n == 0
-            or 0 <= order.min()
-            and order.max() < n
-            and (np.bincount(order.astype(np.intp), minlength=n) == 1).all()
-        )
-    ):
+    # a permutation of range(n): a 1-d integer array that sorts to it
+    if not (order.ndim == 1 and order.dtype.kind in "iu" and np.array_equal(np.sort(order), np.arange(n))):
         raise ValueError("order is not a permutation of the score indices")
     fitted = np.empty_like(scores)
     fitted[order] = isotonic_fit(scores[order])

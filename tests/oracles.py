@@ -542,12 +542,12 @@ def validate_owner_partition(partition: OwnerPartition) -> None:
     Owners are checked in order, so the message names the first owner at fault.
     """
     seen: set[int] = set()
-    for author, papers in zip(partition.authors, partition.owners):
+    for k, papers in enumerate(partition.owners):
         ids = set(int(p) for p in papers)
         if len(ids) != len(papers) or len(ids) < 2:
-            raise ValueError(f"owner {author} must own >= 2 distinct papers")
+            raise ValueError(f"owner row {k} must own >= 2 distinct papers")
         if ids & seen:
-            raise ValueError(f"owner {author} overlaps a previous owner")
+            raise ValueError(f"owner row {k} overlaps a previous owner")
         seen |= ids
 
 
@@ -718,7 +718,7 @@ def deal_authorship_reference(n_papers, multiplicities, dist, rng, events=None):
     """
     events = Counter() if events is None else events
     n_authors = len(multiplicities)
-    loads = _reconciled_author_loads(n_papers, int(multiplicities.sum()), dist, rng)
+    loads = _reconciled_author_loads(n_papers, multiplicities, dist, rng)
     deal_order = np.lexsort((np.arange(n_authors), -multiplicities))
     for _ in range(_MATCHING_RETRIES):
         deck = np.repeat(np.arange(n_papers, dtype=np.int64), loads)
@@ -862,7 +862,7 @@ def build_owner_partition_reference(conf):
     order = np.lexsort((np.arange(conf.n_authors), -multiplicities))
     theta = conf.true_scores
     claimed = np.zeros(conf.n_papers, dtype=bool)
-    authors, rows = [], []
+    rows = []
     for a in order:
         if multiplicities[a] < 2:
             break
@@ -871,9 +871,8 @@ def build_owner_partition_reference(conf):
         if len(mine) < 2:
             continue
         claimed[mine] = True
-        authors.append(int(a))
         rows.append(mine[np.lexsort((mine, -theta[mine]))])
-    return OwnerPartition(np.array(authors, dtype=np.int64), rows)
+    return OwnerPartition(rows)
 
 
 def results_table_from_json(obj: dict) -> ResultsTable:

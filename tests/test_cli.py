@@ -158,6 +158,8 @@ _BAD_CONFIGS = {
     "distribution-missing-probs": {"gen": {"reviewer_capacity_dist": {"values": [2]}}},
     "distribution-not-an-object": {"gen": {"reviewer_capacity_dist": [2]}},
     "cases-repeated": {"cases": ["Base", "base", "BASE"]},
+    # each 512-draw capacity chunk sums to 0 in int64, and the reviewer pool loop never ends
+    "dist-capacity-2**62": {"gen": {"reviewer_capacity_dist": {"values": [2**62], "probs": [1.0]}}},
     "slack-infinite": {"gen": {"capacity_slack": float("inf")}},
     # the capacity target overflows to inf, and the reviewer pool loop never ends
     "slack-huge": {"gen": {"capacity_slack": 1e308}},
@@ -212,7 +214,11 @@ def test_malformed_config_value_is_config_error(case, tmp_path, monkeypatch, cap
 
 @pytest.mark.parametrize(
     "case",
-    [c for c in sorted(_BAD_CONFIGS) if c.startswith(("threshold-", "first-count-", "score-scale-", "slack-"))],
+    [
+        c
+        for c in sorted(_BAD_CONFIGS)
+        if c.startswith(("threshold-", "first-count-", "score-scale-", "slack-", "dist-"))
+    ],
 )
 def test_unmeetable_config_is_refused_before_generation(case, tmp_path, monkeypatch, capsys):
     def generate(*args):

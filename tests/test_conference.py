@@ -52,6 +52,7 @@ from review_calib.conference import (
     _deal_authorship,
     _match_slots,
     _minimize_bounded,
+    _reconciled_author_loads,
     fit_multiplicity_distribution,
     sample_author_multiplicities,
 )
@@ -577,6 +578,16 @@ def test_dealing_matches_reference_on_each_branch(branch, dealt_windows):
         assert new[0] == _DEALING_EXHAUSTED
     else:
         assert not isinstance(new[0], str)
+
+
+def test_sampled_author_loads_are_capped_at_the_author_count():
+    # uncapped, each reconciliation round lowered every load by one: 10**9 would take ~22 hours
+    rng, want = np.random.default_rng(3), np.random.default_rng(3)
+    dist = DiscreteDistribution.point_mass(10**4)
+    loads = _reconciled_author_loads(3, np.array([3, 3, 3]), dist, rng)
+    assert loads.tolist() == [3, 3, 3]
+    dist.sample(want, 3)  # the capped loads already sum to 9, so no drop is drawn
+    assert rng.bit_generator.state == want.bit_generator.state
 
 
 @st.composite

@@ -30,6 +30,9 @@ def test_sampling_respects_support_and_is_deterministic():
         ((1.5,), (1.0,)),
         ([1, 2], (0.5, 0.5)),
         ((1, 2), None),
+        ((2**31,), (1.0,)),
+        ((2**63,), (1.0,)),
+        ((1e30,), (1.0,)),
     ],
 )
 def test_invalid_specs_rejected(values, probs):

@@ -123,9 +123,8 @@ def test_blend_is_affine_path():
 def test_single_author_owns_both_papers():
     conf = conference_from_lists([1.0, 2.0], [[0, 1]], [[0, 1]])
     owners = build_owner_partition(conf)
-    assert owners.authors.tolist() == [0]
     # ordered by descending true score
-    assert owners.owners[0].tolist() == [1, 0]
+    assert [row.tolist() for row in owners.owners] == [[1, 0]]
     validate_owner_partition(owners)
 
 
@@ -138,14 +137,13 @@ def test_greedy_overlap_resolution_drops_starved_author():
         [[0, 1, 2, 3]],
     )
     owners = build_owner_partition(conf)
-    assert owners.authors.tolist() == [0]
-    assert owners.owners[0].tolist() == [0, 1, 2]
+    assert [row.tolist() for row in owners.owners] == [[0, 1, 2]]
 
 
 def test_all_single_paper_authors_yield_empty_partition():
     conf = conference_from_lists([1.0, 2.0], [[0], [1]], [[0, 1]])
     owners = build_owner_partition(conf)
-    assert owners.authors.tolist() == [] and len(owners.owners) == 0
+    assert len(owners.owners) == 0
 
 
 def test_tie_break_prefers_smaller_author_id():
@@ -155,7 +153,8 @@ def test_tie_break_prefers_smaller_author_id():
         [[0, 1, 2]],
     )
     owners = build_owner_partition(conf)
-    assert owners.authors.tolist() == [0]  # author 1 left with only paper 2
+    # author 0 claims papers 0 and 1; author 1 is left with only paper 2
+    assert [row.tolist() for row in owners.owners] == [[0, 1]]
 
 
 @pytest.mark.parametrize(
@@ -165,30 +164,23 @@ def test_tie_break_prefers_smaller_author_id():
 )
 def test_hand_built_owner_rows_must_be_integer_ids(rows):
     with pytest.raises(ValueError, match="integer ids"):
-        OwnerPartition(np.arange(len(rows)), rows)
-
-
-def test_owner_partition_needs_one_author_per_row():
-    with pytest.raises(ValueError, match="2 authors for 1 owner rows"):
-        OwnerPartition(np.array([0, 1]), [np.array([0, 1])])
-    with pytest.raises(ValueError, match="0 authors for 1 owner rows"):
-        OwnerPartition(np.empty(0, dtype=np.int64), Ragged.of([[0, 1]]))
+        OwnerPartition(rows)
 
 
 @pytest.mark.parametrize("rows", [[[0, 1], [1, 2]], [[0, 0]]], ids=["across-rows", "within-a-row"])
 def test_owner_partition_refuses_a_paper_owned_twice(rows):
     # accepted, [[0, 1], [1, 2]] projected [1., 2., 3.] to [1.5, 2.5, 2.5]: paper 0 below paper 1
     with pytest.raises(ValueError, match="owned twice"):
-        OwnerPartition(np.arange(len(rows)), rows)
+        OwnerPartition(rows)
 
 
 def test_owner_partition_keeps_its_ragged_and_pickles():
     conf = conference_from_lists([1.0, 2.0, 3.0], [[0, 1], [2]], [[0, 1, 2]])
     built = build_owner_partition(conf)
     assert isinstance(built.owners, Ragged)
-    assert OwnerPartition(built.authors, built.owners).owners is built.owners
+    assert OwnerPartition(built.owners).owners is built.owners
     # a hand-built list of rows becomes the same layout
-    by_hand = OwnerPartition(np.array([0]), [[1, 0]])
+    by_hand = OwnerPartition([[1, 0]])
     assert by_hand.owners.flat.tobytes() == built.owners.flat.tobytes()
     assert by_hand.owners.ptr.tobytes() == built.owners.ptr.tobytes()
     clone = pickle.loads(pickle.dumps(built))
@@ -197,7 +189,6 @@ def test_owner_partition_keeps_its_ragged_and_pickles():
 
 def _assert_same_owners(got, want):
     # same owners in the same order, each with the same int64 bytes
-    assert got.authors.tolist() == want.authors.tolist()
     assert len(got.owners) == len(want.owners)
     for mine, papers in zip(got.owners, want.owners):
         assert mine.dtype == papers.dtype == np.int64
@@ -253,7 +244,7 @@ def test_violating_pair_pools():
 def test_author_projection_rejects_owned_ids_outside_the_scores(bad):
     # a -1 once wrapped round to paper 2 and pooled it: the result read [2., 2., 2.]
     with pytest.raises(ValueError, match="outside"):
-        calibrate_author([1.0, 2.0, 3.0], OwnerPartition(np.array([0]), [[0, bad]]))
+        calibrate_author([1.0, 2.0, 3.0], OwnerPartition([[0, bad]]))
 
 
 def test_unowned_papers_untouched_and_sums_preserved():
@@ -294,7 +285,7 @@ def _author_instances(draw):
         values = st.floats(-10, 10, allow_nan=False)
     scores = np.asarray(draw(st.lists(values, min_size=n, max_size=n)), dtype=float)
     papers = np.asarray(draw(st.permutations(range(n))), dtype=np.int64)
-    authors, rows = [], []
+    rows = []
     lo = 0
     while n - lo >= 2:
         size = draw(st.integers(2, min(8, n - lo)))
@@ -307,10 +298,9 @@ def _author_instances(draw):
             scores[group] = np.sort(scores[group])[::-1]
         elif shape == "reversed":
             scores[group] = np.sort(scores[group])
-        authors.append(draw(st.integers(0, 10**6).filter(lambda a: a not in authors)))
         rows.append(group)
     blend = draw(st.one_of(st.sampled_from((0.0, 0.5, 1.0)), st.floats(0.0, 1.0)))
-    return scores, OwnerPartition(np.array(authors, dtype=np.int64), rows), blend
+    return scores, OwnerPartition(rows), blend
 
 
 @settings(max_examples=400, deadline=None, database=None)
@@ -343,7 +333,7 @@ def test_author_projection_matches_per_owner_reference_on_generated_conference(c
 
 
 def test_empty_partition_returns_a_copy():
-    owners = OwnerPartition(np.empty(0, dtype=np.int64), [])
+    owners = OwnerPartition([])
     assert owners.n_owned == 0
     for scores in (np.array([3.0, -0.0, 1.5]), [3.0, -0.0, 1.5]):
         out = calibrate_author(scores, owners)
@@ -358,7 +348,7 @@ def test_empty_partition_reduces_to_reviewer_calibration():
     rng = np.random.default_rng(9)
     avg = rng.normal(5, 1, 10)
     rankings = [rng.choice(10, size=3, replace=False) for _ in range(6)]
-    owners = OwnerPartition(np.empty(0, dtype=np.int64), [])
+    owners = OwnerPartition([])
     combined = calibrate_combined(avg, rankings, owners, blend=0.5)
     assert np.array_equal(combined, calibrate_reviewer(avg, rankings, 0.5))
 
@@ -393,7 +383,7 @@ _OVERFLOWING_POOL = np.array([1e308, 1.7e308])
 
 def test_author_projection_raises_fsum_overflow_on_finite_scores():
     with pytest.raises(OverflowError, match="intermediate overflow in fsum"):
-        calibrate_author(_OVERFLOWING_POOL, OwnerPartition(np.array([0]), [[0, 1]]))
+        calibrate_author(_OVERFLOWING_POOL, OwnerPartition([[0, 1]]))
 
 
 def test_reviewer_calibration_raises_fsum_overflow_on_finite_scores():
@@ -416,7 +406,7 @@ def test_calibrations_refuse_scores_that_are_not_a_vector(name):
     scores = _NOT_VECTORS[name]
     shape = re.escape(f"1-d vector, got shape {scores.shape}")
     with pytest.raises(ValueError, match=shape):
-        calibrate_author(scores, OwnerPartition(np.array([0]), [[0, 1]]))
+        calibrate_author(scores, OwnerPartition([[0, 1]]))
     with pytest.raises(ValueError, match=shape):
         calibrate_reviewer(scores, [np.array([0, 1])])
 
@@ -427,7 +417,7 @@ def test_calibrations_refuse_scores_that_are_not_a_vector(name):
 def test_calibrations_reject_non_finite_scores():
     avg = np.array([3.0, np.nan, 1.0])
     rankings = [np.array([0, 1]), np.array([1, 2])]
-    owners = OwnerPartition(np.array([0]), [np.array([0, 2])])
+    owners = OwnerPartition([np.array([0, 2])])
     with pytest.raises(ValueError, match="finite"):
         calibrate_reviewer(avg, rankings)
     with pytest.raises(ValueError, match="finite"):

@@ -197,6 +197,7 @@ def test_project_indexed_rejects_bad_blend_and_order():
         pytest.param(np.array([0.0, 1.0, 2.0]), id="float-dtype"),
         pytest.param(np.array([True, False, True]), id="bool-dtype"),
         pytest.param(np.array(["0", "1", "2"]), id="string-dtype"),
+        pytest.param(np.array([0, 1, 2**64 - 1], dtype=np.uint64), id="uint64-past-int64"),
     ],
 )
 def test_project_indexed_rejects_non_permutation(order):

@@ -78,3 +78,13 @@ def test_the_package_imports_only_the_standard_library_and_numpy():
                 continue
             for module in modules:
                 assert module.split(".")[0] in allowed, f"{path.name}:{node.lineno}: {module}"
+
+
+def test_every_source_file_parses_at_the_declared_python_floor():
+    # tomllib arrived in Python 3.11, so the floor is read with a regex
+    pyproject = (ROOT / "pyproject.toml").read_text(encoding="utf-8")
+    floor = tuple(map(int, re.search(r'^requires-python = ">=(\d+)\.(\d+)"$', pyproject, re.M).groups()))
+    paths = sorted([*(ROOT / "src").rglob("*.py"), *(ROOT / "tests").rglob("*.py")])
+    assert len(paths) > 10
+    for path in paths:
+        ast.parse(path.read_text(encoding="utf-8"), filename=str(path), feature_version=floor)
