@@ -277,33 +277,46 @@ def sample_author_multiplicities(config: GenConfig, rng: np.random.Generator) ->
     return np.minimum(draws, config.n_papers)
 
 
+def _ids(row) -> np.ndarray:
+    """``row`` as int64 if it is a 1-d run of integers (an empty one of any dtype); else ValueError."""
+    row = np.asarray(row)
+    if row.ndim != 1 or (row.size and row.dtype.kind not in "iu"):
+        raise ValueError(f"rows must be integer ids, got a {row.ndim}-d row of {row.dtype}")
+    return row.astype(np.int64, copy=False)
+
+
 @dataclass(frozen=True, eq=False)
 class Ragged(Sequence):
     """Rows of ids stored flat, CSR style: row i is ``flat[ptr[i]:ptr[i + 1]]``.
 
-    ``flat`` and ``ptr`` are int64 arrays; indexing and iteration give
-    views of ``flat``.
+    Checked once, when built: ``flat`` must be a 1-d run of integer ids (an
+    empty one of any dtype), ``ptr`` a 1-d integer array that starts at 0,
+    never decreases and ends at ``len(flat)``; else ValueError. Both are
+    stored as int64; indexing and iteration give views of ``flat``.
     """
 
     flat: np.ndarray
     ptr: np.ndarray
 
+    def __post_init__(self):
+        flat, ptr = _ids(self.flat), np.asarray(self.ptr)
+        csr = ptr.ndim == 1 and ptr.dtype.kind in "iu" and len(ptr) > 0
+        if not csr or ptr[0] != 0 or ptr[-1] != len(flat) or np.any(ptr[1:] < ptr[:-1]):
+            raise ValueError(f"ptr is not a CSR pointer over {len(flat)} ids")
+        object.__setattr__(self, "flat", flat)
+        object.__setattr__(self, "ptr", ptr.astype(np.int64, copy=False))
+
     @classmethod
     def of(cls, rows) -> "Ragged":
-        """``rows`` flattened; a Ragged is returned as it is.
+        """``rows`` flattened; a Ragged, already checked when it was built, is returned as it is.
 
         Raises ValueError, rather than converting, unless every row is a 1-d
         run of integers; an empty row may have any dtype.
         """
         if isinstance(rows, Ragged):
             return rows
-        arrays = [np.asarray(row) for row in rows]
-        for row in arrays:
-            if row.ndim != 1 or (row.size and row.dtype.kind not in "iu"):
-                raise ValueError(f"rows must be integer ids, got a {row.ndim}-d row of {row.dtype}")
-        sizes = np.fromiter(map(len, arrays), dtype=np.int64, count=len(arrays))
-        flat = [np.empty(0, dtype=np.int64), *(row.astype(np.int64, copy=False) for row in arrays)]
-        return cls(np.concatenate(flat), np.concatenate(([0], np.cumsum(sizes))))
+        arrays = [_ids(row) for row in rows]
+        return cls(np.concatenate([np.empty(0, dtype=np.int64), *arrays]), np.cumsum([0, *map(len, arrays)]))
 
     def __len__(self) -> int:
         return len(self.ptr) - 1
@@ -349,10 +362,10 @@ class Conference:
     A conference is checked once, when it is built (unpickling does not
     re-check), and GenerationError names the first failure: true scores
     must be finite numbers, ``authorship`` and ``slot_papers`` integer ids,
-    ``reviewer_ptr`` a CSR pointer over the slots; then :meth:`validate`
-    checks that each author holds one or more distinct known papers, no
-    reviewer holds a paper twice or an unknown one, and every paper has an
-    author and a reviewer.
+    ``reviewer_ptr`` a CSR pointer over the slots (the ``Ragged`` rule);
+    then :meth:`validate` checks that each author holds one or more
+    distinct known papers, no reviewer holds a paper twice or an unknown
+    one, and every paper has an author and a reviewer.
 
     Derived data (``slot_reviewers`` and the cached ``_bundle_plan``) is
     not refreshed, so the arrays must not be mutated after construction.
@@ -379,14 +392,11 @@ class Conference:
         self.authorship = _rows(self.authorship, "authorship")
         self.slot_papers = _rows([self.slot_papers], "slot_papers").flat
         try:
-            ptr = np.asarray(self.reviewer_ptr)
-            csr = ptr.ndim == 1 and ptr.dtype.kind in "iu" and len(ptr) > 0 and ptr[0] == 0
-        except ValueError:  # a ragged nesting
-            csr = False
-        if not csr or ptr[-1] != self.n_slots or np.any(ptr[1:] < ptr[:-1]):
-            raise GenerationError("reviewer_ptr is not a CSR pointer over slot_papers")
-        ptr = self.reviewer_ptr = ptr.astype(np.int64, copy=False)
-        self.slot_reviewers = Ragged(self.slot_papers, ptr).row_of()
+            slots = Ragged(self.slot_papers, self.reviewer_ptr)
+        except ValueError:  # numpy raises one, too, for a ragged nesting
+            raise GenerationError("reviewer_ptr is not a CSR pointer over slot_papers") from None
+        self.reviewer_ptr = slots.ptr
+        self.slot_reviewers = slots.row_of()
         self.validate()
 
     @functools.cached_property

@@ -69,8 +69,8 @@ class OwnerPartition:
 
     Each row of ``owners`` holds one author's papers, ordered by descending
     true quality (``build_owner_partition`` keeps only rows of >= 2 papers).
-    ``owners`` is a ``Ragged`` or a list of rows; owned papers must be
-    integer ids, and no paper may be owned twice (ValueError otherwise).
+    ``owners`` is a ``Ragged`` (checked when built) or a list of rows of
+    integer ids; ValueError otherwise, or if a paper is owned twice.
     """
 
     owners: Ragged

@@ -18,10 +18,10 @@ from .conference import Ragged
 class TierDecomposition:
     """Ordered partition of papers from best tier to worst.
 
-    ``tiers`` holds one row of paper ids per tier, best first. A list of
-    rows is flattened into a ``Ragged`` on construction; a tier that is not
-    a 1-d run of integer ids raises ValueError (an empty tier may have any
-    dtype).
+    ``tiers`` holds one row of paper ids per tier, best first: a ``Ragged``,
+    whose layout was checked when it was built, or a list of rows, which is
+    flattened into one. Either way, a tier that is not a 1-d run of integer
+    ids raises ValueError (an empty tier may have any dtype).
     """
 
     tiers: Ragged
@@ -42,8 +42,8 @@ def hierarchical_tiers(rankings: Sequence[np.ndarray], all_papers: range) -> Tie
     ranking remains: each ranking's adjacent pairs give the same tiers as
     all its pairs, and a loss counter drops by one as each winner leaves.
 
-    ``rankings`` is a ``Ragged`` or a list of rows, each most preferred
-    first. ``all_papers`` must be ``range(n)``, the conference's paper ids.
+    ``rankings`` is a ``Ragged`` (checked when built) or a list of rows, each
+    most preferred first. ``all_papers`` must be ``range(n)``, the paper ids.
     A ranking that is not integer ids, names a paper outside
     ``all_papers`` or repeats a paper raises ValueError.
     """

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ConfigurationError
+from .errors import ConfigurationError, config_int
 
 PURPOSE_CONFERENCE = 0
 PURPOSE_SCORES = 1
@@ -25,14 +25,14 @@ PURPOSE_SCORES = 1
 MAX_SEED = 2**64 - 1
 
 
-def check_master_seed(seed: int) -> None:
-    if not isinstance(seed, (int, np.integer)) or isinstance(seed, bool):
-        raise ConfigurationError(f"master seed must be an integer, got {seed!r}")
-    if not 0 <= seed <= MAX_SEED:
+def check_master_seed(seed: int) -> int:
+    """``seed`` as an int; ConfigurationError unless it is an integral number in [0, 2**64 - 1]."""
+    if not 0 <= (seed := config_int(seed, "master seed")) <= MAX_SEED:
         raise ConfigurationError(f"master seed must fit in 64 bits, got {seed}")
+    return seed
 
 
 def stream(master_seed: int, purpose: int, *indices: int) -> np.random.Generator:
     """Generator for the stream addressed by (purpose, *indices)."""
-    check_master_seed(master_seed)
-    return np.random.default_rng(np.random.SeedSequence(master_seed, spawn_key=(purpose, *indices)))
+    seed = check_master_seed(master_seed)
+    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(purpose, *indices)))

@@ -237,6 +237,18 @@ def test_python_built_experiment_config_stores_typed_values():
     assert type(config.master_seed) is int and config.master_seed == 7
 
 
+def test_master_seed_has_one_integer_rule():
+    # stream types its seed as ExperimentConfig does: an integral float is the same seed
+    assert stream(7.0, PURPOSE_CONFERENCE).integers(2**32, size=4).tolist() == (
+        stream(7, PURPOSE_CONFERENCE).integers(2**32, size=4).tolist()
+    )
+    for seed in ("7", True, 2.5, None):
+        with pytest.raises(ConfigurationError, match="master seed must be an integer"):
+            stream(seed, PURPOSE_CONFERENCE)
+    with pytest.raises(ConfigurationError, match="master seed must fit in 64 bits"):
+        stream(-1, PURPOSE_CONFERENCE)
+
+
 _DEFAULT_CONFIG_JSON = (
     '{"gen": {"n_papers": 6538, "n_authors": 18535, "author_multiplicity_targets": '
     '[[2, 4505], [5, 508], [10, 74], [15, 26]], "authors_per_paper_dist": '

@@ -5,7 +5,7 @@ from dataclasses import fields
 
 import pytest
 
-from review_calib import ExperimentConfig, GenConfig, GenerationError, bench, scaled_config
+from review_calib import ExperimentConfig, GenConfig, GenerationError, bench, run_experiment, scaled_config
 from review_calib.cli import EXIT_CONFIG, EXIT_GENERATION, EXIT_IO, EXIT_OK, build_parser, main
 
 
@@ -36,6 +36,14 @@ def test_successful_run_writes_csv(config_path, tmp_path, monkeypatch):
     lines = out.read_text().splitlines()
     assert lines[0] == "case,method,mean_rmse,sd_rmse"
     assert len(lines) == 5
+
+
+def test_run_without_config_uses_the_default_config(tmp_path, monkeypatch):
+    # the README's own command line: no --config, so the flags override ExperimentConfig()
+    monkeypatch.delenv("REVIEW_CALIB_SEED", raising=False)
+    out = tmp_path / "results.csv"
+    assert main(["--cases", "Base", "--reps", "1", "--format", "csv", "--out", str(out)]) == EXIT_OK
+    assert out.read_text() == run_experiment(ExperimentConfig(cases=("Base",), repetitions=1)).to_csv()
 
 
 def test_stdout_table_by_default(config_path, capsys, monkeypatch):

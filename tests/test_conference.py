@@ -109,6 +109,9 @@ def test_infeasible_targets_rejected():
         GenConfig(author_multiplicity_targets=((5, 100), (2, 200)), n_authors=1000)
     with pytest.raises(ConfigurationError, match="threshold"):
         GenConfig(author_multiplicity_targets=((1, 100),), n_authors=1000)
+    for count in (-1, 1001):
+        with pytest.raises(ConfigurationError, match=re.escape(f"target count {count} outside [0, 1000]")):
+            GenConfig(author_multiplicity_targets=((2, count),), n_authors=1000)
 
 
 @pytest.mark.parametrize("n_authors", [10, 1000])
@@ -383,6 +386,10 @@ def test_genconfig_json_round_trip():
 def test_genconfig_validation():
     with pytest.raises(ConfigurationError):
         GenConfig(n_papers=0)
+    with pytest.raises(ConfigurationError, match="n_authors must be >= 1"):
+        GenConfig(n_authors=0)
+    with pytest.raises(ConfigurationError, match="n_reviewers must be >= 1"):
+        GenConfig(n_reviewers=0)
     with pytest.raises(ConfigurationError):
         GenConfig(true_score_sd=0.0)
     for slack in (0.9, float("inf"), float("nan"), 1e308):
@@ -1005,6 +1012,36 @@ def test_ragged_of_lists_arrays_and_empty_rows():
     empty = Ragged.of([])
     assert len(empty) == 0 and list(empty) == [] and empty.ptr.tolist() == [0]
     assert empty.row_of().tolist() == [] and empty.sizes.tolist() == []
+
+
+@pytest.mark.parametrize(
+    "flat, ptr",
+    [
+        pytest.param(np.array([0.0, 1.0]), [0, 2], id="float-flat"),
+        pytest.param(np.array([[0, 1]]), [0, 2], id="2-d-flat"),
+        pytest.param([0, 1], [1, 2], id="ptr-not-from-0"),
+        pytest.param([0, 1], [0, 1], id="ptr-short-of-flat"),
+        pytest.param([0, 1], [0, 3], id="ptr-past-flat"),
+        pytest.param([0, 1], [0, 5], id="ptr-far-past-flat"),
+        pytest.param([0, 1], [0, 2, 1, 2], id="decreasing-ptr"),
+        pytest.param([0, 1], [[0, 2]], id="2-d-ptr"),
+        pytest.param([0, 1], [0.0, 2.0], id="float-ptr"),
+        pytest.param([0, 1], [], id="empty-ptr"),
+    ],
+)
+def test_ragged_refuses_malformed_layout(flat, ptr):
+    # checked when built, so no row reader sees a clipped row or a dropped id
+    with pytest.raises(ValueError):
+        Ragged(flat, ptr)
+
+
+def test_ragged_stores_int64_and_of_keeps_a_ragged():
+    for dtype in (np.int32, np.uint32):
+        ragged = Ragged(np.array([4, 2, 9], dtype=dtype), np.array([0, 2, 3], dtype=dtype))
+        assert ragged.flat.dtype == ragged.ptr.dtype == np.int64
+        assert [row.tolist() for row in ragged] == [[4, 2], [9]]
+        assert Ragged.of(ragged) is ragged
+    assert Ragged(np.array([], dtype=float), [0, 0]).flat.dtype == np.int64
 
 
 def test_ragged_indexing():

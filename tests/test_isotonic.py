@@ -54,6 +54,10 @@ def test_empty_input_gives_empty_output():
 def test_non_positive_weight_rejected():
     with pytest.raises(ValueError, match="weights"):
         isotonic_fit(np.array([1.0, 2.0]), np.array([1.0, 0.0]))
+    with pytest.raises(ValueError, match="weights shape"):
+        isotonic_fit(np.array([1.0, 2.0]), np.array([1.0, 1.0, 1.0]))
+    with pytest.raises(ValueError, match="values must be 1-d"):
+        isotonic_fit(np.ones((2, 2)))
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
