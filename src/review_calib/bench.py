@@ -57,8 +57,7 @@ class ExperimentConfig:
         object.__setattr__(self, "repetitions", config_int(self.repetitions, "repetitions"))
         object.__setattr__(self, "blend", config_float(self.blend, "blend"))
         if self.master_seed is not None:
-            object.__setattr__(self, "master_seed", config_int(self.master_seed, "master_seed"))
-            check_master_seed(self.master_seed)
+            object.__setattr__(self, "master_seed", check_master_seed(self.master_seed))
         if self.repetitions < 1:
             raise ConfigurationError(f"repetitions must be >= 1, got {self.repetitions}")
         if not isinstance(self.cases, tuple) or not all(isinstance(c, str) for c in self.cases):

@@ -278,19 +278,22 @@ def sample_author_multiplicities(config: GenConfig, rng: np.random.Generator) ->
 
 
 def _ids(row) -> np.ndarray:
-    """``row`` as int64 if it is a 1-d run of integers (an empty one of any dtype); else ValueError."""
+    """``row`` as int64 if a 1-d run of integers below 2**63 (an empty one of any dtype); else ValueError."""
     row = np.asarray(row)
     if row.ndim != 1 or (row.size and row.dtype.kind not in "iu"):
         raise ValueError(f"rows must be integer ids, got a {row.ndim}-d row of {row.dtype}")
-    return row.astype(np.int64, copy=False)
+    ids = row.astype(np.int64, copy=False)
+    if row.dtype.kind == "u" and (ids < 0).any():
+        raise ValueError(f"rows must be integer ids below 2**63, got {row.max()}")
+    return ids
 
 
 @dataclass(frozen=True, eq=False)
 class Ragged(Sequence):
     """Rows of ids stored flat, CSR style: row i is ``flat[ptr[i]:ptr[i + 1]]``.
 
-    Checked once, when built: ``flat`` must be a 1-d run of integer ids (an
-    empty one of any dtype), ``ptr`` a 1-d integer array that starts at 0,
+    Checked once, when built: ``flat`` must be a 1-d run of integer ids below
+    2**63 (an empty one of any dtype), ``ptr`` a 1-d integer array starting at 0 that
     never decreases and ends at ``len(flat)``; else ValueError. Both are
     stored as int64; indexing and iteration give views of ``flat``.
     """

@@ -8,6 +8,8 @@ holds tightly even for inputs thousands of entries long.
 The scalar loop keeps the stack's top block in locals and the blocks below
 it in lists. ``isotonic_fit`` runs it over one input; one call also fits
 many disjoint segments of a flat input, the author projection's owners.
+Past the last descent (an entry whose merge test against the next holds)
+the first push ends the walk: nothing after it would merge again.
 ``project_rows_non_increasing`` advances the same stack over many short
 rows at once (reviewer bundles), column-major at flat index ``depth * rows
 + row``; its pooled blocks of three or more are summed by TwoSum cascades
@@ -38,9 +40,15 @@ def _pava_non_decreasing(
     Pooled block values are recomputed with compensated summation so
     sum(w*x) == sum(w*y) stays tight (a unit-weight block's weight is its
     length) and written once per block; a block of one keeps its input.
+    With an entry alone on top, the next one's merge test is the descent test
+    at it, so a segment's walk ends at its first push past the flat input's
+    last descent, where every later entry would be pushed alone.
     """
     yl = y.tolist()
-    wl, wyl = ([1.0] * len(yl), yl) if w is None else (w.tolist(), (w * y).tolist())
+    wl, wyl = ([1.0] * len(yl), yl) if w is None else (w.tolist(), (wy := w * y).tolist())
+    with np.errstate(over="ignore"):  # the merge test of each entry, alone on top, against the next
+        descents = y[:-1] > y[1:] if w is None else wy[:-1] * w[1:] > wy[1:] * w[:-1]
+    last = int(np.flatnonzero(descents)[-1]) if descents.any() else -1
     los, lengths, values = [], [], []
     for seg_lo, seg_hi in segments:
         if seg_hi - seg_lo < 2:
@@ -53,6 +61,9 @@ def _pava_non_decreasing(
                 tw, twy = tw + xw, twy + xwy
                 while ws and wys[-1] * tw > twy * ws[-1]:
                     tw, twy, ts = tw + ws.pop(), twy + wys.pop(), ss.pop()
+            elif i > last:
+                seg_hi = i
+                break
             else:
                 ss.append(ts)
                 ws.append(tw)

@@ -92,7 +92,8 @@ def _raw_values(
     conf: Conference, bias: np.ndarray, noise_sd: np.ndarray, rng: np.random.Generator
 ) -> np.ndarray:
     loc = conf.true_scores[conf.slot_papers] + bias[conf.slot_reviewers]
-    return rng.normal(loc, noise_sd[conf.slot_reviewers])
+    # rng.normal(loc, sd) is loc + sd * standard_normal, draw by draw, in the same draw order
+    return loc + noise_sd[conf.slot_reviewers] * rng.standard_normal(len(loc))
 
 
 def _sample_pl_rows(weights: np.ndarray, total: np.ndarray, uniforms: np.ndarray) -> np.ndarray:

@@ -223,6 +223,9 @@ def test_config_stores_canonical_case_names():
         pytest.param("cases", ("Base", 5), "cases must be a tuple of names", id="cases-non-string"),
         pytest.param("cases", "Base", "cases must be a tuple of names", id="cases-string"),
         pytest.param("gen", {"n_papers": 5}, "gen must be a GenConfig", id="gen-dict"),
+        # the wording stream uses: one rule types the master seed
+        pytest.param("master_seed", "7", "master seed must be an integer", id="master-seed-string"),
+        pytest.param("master_seed", -1, "master seed must fit in 64 bits", id="master-seed-negative"),
     ],
 )
 def test_python_built_experiment_config_is_typed(field, value, message):

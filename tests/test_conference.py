@@ -1027,6 +1027,9 @@ def test_ragged_of_lists_arrays_and_empty_rows():
         pytest.param([0, 1], [[0, 2]], id="2-d-ptr"),
         pytest.param([0, 1], [0.0, 2.0], id="float-ptr"),
         pytest.param([0, 1], [], id="empty-ptr"),
+        # as int64 these would wrap to the negative ids -1 and -2**63
+        pytest.param(np.array([2**64 - 1, 0], dtype=np.uint64), [0, 2], id="uint64-flat-past-int64"),
+        pytest.param(np.array([0, 2**63], dtype=np.uint64), [0, 2], id="uint64-flat-at-2**63"),
     ],
 )
 def test_ragged_refuses_malformed_layout(flat, ptr):
@@ -1036,11 +1039,12 @@ def test_ragged_refuses_malformed_layout(flat, ptr):
 
 
 def test_ragged_stores_int64_and_of_keeps_a_ragged():
-    for dtype in (np.int32, np.uint32):
+    for dtype in (np.int32, np.uint32, np.uint64):
         ragged = Ragged(np.array([4, 2, 9], dtype=dtype), np.array([0, 2, 3], dtype=dtype))
         assert ragged.flat.dtype == ragged.ptr.dtype == np.int64
         assert [row.tolist() for row in ragged] == [[4, 2], [9]]
         assert Ragged.of(ragged) is ragged
+    assert Ragged(np.array([2**63 - 1], dtype=np.uint64), [0, 1]).flat.tolist() == [2**63 - 1]
     assert Ragged(np.array([], dtype=float), [0, 0]).flat.dtype == np.int64
 
 
@@ -1059,8 +1063,9 @@ def test_ragged_indexing():
 
 
 @pytest.mark.parametrize(
-    "rows", [[[0.5]], [[1.0, 2.0]], [["1"]], [[False]], [[[1, 2]]], [3], [[2**70]]],
-    ids=["fractional", "integral-float", "string", "bool", "2-d-row", "scalar-row", "beyond-int64"],
+    "rows",
+    [[[0.5]], [[1.0, 2.0]], [["1"]], [[False]], [[[1, 2]]], [3], [[2**70]], [[0], np.array([1, 2**64 - 1], dtype=np.uint64)]],
+    ids=["fractional", "integral-float", "string", "bool", "2-d-row", "scalar-row", "beyond-int64", "uint64-past-int64"],
 )
 def test_ragged_refuses_non_integer_rows(rows):
     with pytest.raises(ValueError, match="rows must be integer ids"):

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import isotonic_qp_oracle, pava_reference
@@ -295,6 +295,47 @@ def _kernel_inputs(draw):
 @given(_kernel_inputs())
 def test_kernel_matches_reference_loop_property(instance):
     # the same bytes, or the same error
+    y, w, segments = instance
+    got = _outcome(lambda: _pava_non_decreasing(y, w, segments).tobytes())
+    assert got == _outcome(lambda: pava_reference(y, w, segments).tobytes())
+
+
+@st.composite
+def _descent_bounded_inputs(draw):
+    """A random head, then a long non-decreasing tail; unit or positive weights; one or several segments.
+
+    The tail may hold copies of the head's last entry (a tie at the last
+    descent where they sort first) and shares the head's small integers, so
+    the head's pooled top block often absorbs part of it.
+    """
+    head = draw(st.lists(_KERNEL_VALUES, max_size=10))
+    tail = draw(st.lists(_KERNEL_VALUES, max_size=60))
+    if head and draw(st.booleans()):
+        tail += [head[-1]] * draw(st.integers(1, 4))
+    y = head + sorted(tail)
+    n = len(y)
+    weights = st.one_of(st.integers(1, 4).map(float), st.floats(0.0, 1e308, exclude_min=True))
+    w = draw(st.one_of(st.none(), st.lists(weights, min_size=n, max_size=n)))
+    if draw(st.booleans()):
+        segments = [(0, n)]
+    else:
+        cuts = sorted(draw(st.lists(st.integers(0, n), max_size=8)))
+        segments = [(lo, hi) for lo, hi in zip(cuts, cuts[1:]) if draw(st.booleans())]
+    return np.array(y, dtype=float), None if w is None else np.array(w, dtype=float), segments
+
+
+@settings(max_examples=600, deadline=None, database=None)
+@given(_descent_bounded_inputs())
+# a tie at the last descent (2 > 1, then 1, 1), whose pooled block absorbs part of the tail
+@example((np.array([0.0, 2.0, 1.0, 1.0, 1.0, 3.0, 4.0, 5.0]), None, [(0, 8)]))
+@example((np.array([3.0, 1.0, 2.0, 2.0, 5.0, 6.0, 7.0]), np.array([1.0, 2.0, 1.0, 3.0, 1.0, 1.0, 1.0]), [(0, 4), (4, 7)]))
+# a tie in y that the weighted test, rounded, calls a descent: (a * w1) * w2 > (a * w2) * w1
+@example((np.array([0.0, 32 / 7, 32 / 7]), np.array([1.0, 4 / 3, 7 / 3]), [(0, 3)]))
+# a finite pooled sum that overflows, below a tail the walk stops short of
+@example((np.array([1.7e308, 1.6e308, 1.65e308, 1.7e308, 1.7e308]), None, [(0, 5)]))
+@example((np.array([1.7e308, 1.6e308, 1.65e308, 1.7e308]), np.array([1.0, 1.0, 2.0, 1.0]), [(0, 2), (2, 4)]))
+def test_kernel_matches_reference_loop_past_the_last_descent_property(instance):
+    # the walk stops at its first push past the last descent; the same bytes, or the same error
     y, w, segments = instance
     got = _outcome(lambda: _pava_non_decreasing(y, w, segments).tobytes())
     assert got == _outcome(lambda: pava_reference(y, w, segments).tobytes())

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import copy
 import itertools
 import math
 
@@ -31,7 +32,8 @@ from review_calib import (
     scaled_config,
 )
 from review_calib.isotonic import _project_pairs, project_rows_non_increasing
-from review_calib.scoring import NoiseCase, _sample_pl_pairs, _sample_pl_rows
+from review_calib.scoring import NoiseCase, _draw_reviewer_params, _raw_values, _sample_pl_pairs, _sample_pl_rows
+from review_calib.seeding import PURPOSE_CONFERENCE, PURPOSE_SCORES, stream
 
 
 def _rng(seed=0):
@@ -113,6 +115,19 @@ def test_raw_scores_moments():
     values = raw_scores(conf, params, _rng(21))
     assert float(values.mean()) == pytest.approx(6.0, abs=0.02)
     assert float(values.std()) == pytest.approx(2.0, abs=0.02)
+
+
+@pytest.mark.parametrize("k, case", list(enumerate(NOISE_CASES.values())), ids=list(NOISE_CASES))
+def test_raw_values_equal_numpy_normal_draws_and_state(k, case):
+    # loc + sd * standard_normal is what rng.normal computes per draw, NoVariance's zero sd included
+    conf = gen_conference(GenConfig(), stream(42, PURPOSE_CONFERENCE))
+    rng = stream(42, PURPOSE_SCORES, k, 0)
+    bias, sd = _draw_reviewer_params(case, conf.n_reviewers, rng)
+    mirror = copy.deepcopy(rng)
+    got = _raw_values(conf, bias, sd, rng)
+    want = mirror.normal(conf.true_scores[conf.slot_papers] + bias[conf.slot_reviewers], sd[conf.slot_reviewers])
+    assert got.tobytes() == want.tobytes()
+    assert rng.bit_generator.state == mirror.bit_generator.state
 
 
 def test_raw_scores_param_length_checked(tiny_conf):
