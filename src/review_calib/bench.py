@@ -94,9 +94,9 @@ class ExperimentConfig:
 _COLUMNS = ("case", "method", "mean_rmse", "sd_rmse")
 
 
-@dataclass
+@dataclass(eq=False)
 class ResultsTable:
-    """Mean and standard deviation of RMSE per (case, method)."""
+    """Mean and standard deviation of RMSE per (case, method); a table equals only itself."""
 
     cases: tuple[str, ...]
     methods: tuple[str, ...]

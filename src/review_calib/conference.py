@@ -348,7 +348,7 @@ def _rows(rows, name: str) -> Ragged:
         raise GenerationError(f"{name}: {err}") from None
 
 
-@dataclass
+@dataclass(eq=False)
 class Conference:
     """A conference, generated or hand-built: quality scores, authorship, review assignment.
 
@@ -370,8 +370,10 @@ class Conference:
     distinct known papers, no reviewer holds a paper twice or an unknown
     one, and every paper has an author and a reviewer.
 
-    Derived data (``slot_reviewers`` and the cached ``_bundle_plan``) is
-    not refreshed, so the arrays must not be mutated after construction.
+    Derived data (``slot_reviewers``, and the bundle plan ``scoring``
+    keeps for each live conference) is not refreshed, so the arrays must
+    not be mutated after construction. A conference equals only itself,
+    and hashes by identity.
     """
 
     true_scores: np.ndarray
@@ -401,18 +403,6 @@ class Conference:
         self.reviewer_ptr = slots.ptr
         self.slot_reviewers = slots.row_of()
         self.validate()
-
-    @functools.cached_property
-    def _bundle_plan(self) -> tuple:
-        """``scoring._bundle_plan`` of this conference, built on first use."""
-        from .scoring import _bundle_plan  # here, not at the top: scoring imports conference
-        return _bundle_plan(self)
-
-    def __getstate__(self) -> dict:
-        # a pickle leaves the plan out: the copy rebuilds it on first use, read-only
-        state = self.__dict__.copy()
-        state.pop("_bundle_plan", None)
-        return state
 
     @property
     def n_papers(self) -> int:

@@ -129,11 +129,10 @@ def calibrate_author(
     without an owner pass through unchanged.
 
     All owners run as one flat pass over ``owners.owners.flat``, cut into
-    rows by ``owners.owners.ptr``. An owner whose scores never rise along
-    its order is already non-increasing, so the projection passes it
-    through untouched; every rising owner is a segment of a single PAVA
-    call. The result equals the per-owner projection bit for bit. Scores
-    that are not a 1-d vector, or an owned paper id outside
+    rows by ``owners.owners.ptr``: every owner is a segment of a single
+    PAVA call, which does not walk an owner whose scores never rise along
+    its order. The result equals the per-owner projection bit for bit.
+    Scores that are not a 1-d vector, or an owned paper id outside
     ``[0, len(scores))``, raise ValueError, and a pooled block of finite
     scores whose sum overflows raises fsum's OverflowError.
     """
@@ -148,13 +147,8 @@ def calibrate_author(
     if papers.size and (papers.min() < 0 or papers.max() >= len(out)):
         raise ValueError(f"an owner names a paper outside [0, {len(out)})")
     y = out[papers]
-    # the first entry of each strict rise, and its owner; a rise counts when
-    # the next entry has the same owner
-    rises = np.flatnonzero(y[1:] > y[:-1])
-    owner = np.searchsorted(ptr, rises, side="right") - 1
-    rising = np.flatnonzero(np.bincount(owner[ptr[owner + 1] > rises + 1], minlength=len(ptr) - 1))
-    # isotonic_fit's unit-weight non-increasing fit; the check above covers every owner
-    fitted = -_pava_non_decreasing(-y, None, zip(ptr[rising].tolist(), ptr[rising + 1].tolist()))
+    # isotonic_fit's unit-weight non-increasing fit, one segment per owner; the checks above cover all
+    fitted = -_pava_non_decreasing(-y, None, np.column_stack((ptr[:-1], ptr[1:])))
     out[papers] = blend * fitted + (1.0 - blend) * y
     return out
 

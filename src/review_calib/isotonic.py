@@ -8,8 +8,10 @@ holds tightly even for inputs thousands of entries long.
 The scalar loop keeps the stack's top block in locals and the blocks below
 it in lists. ``isotonic_fit`` runs it over one input; one call also fits
 many disjoint segments of a flat input, the author projection's owners.
-Past the last descent (an entry whose merge test against the next holds)
-the first push ends the walk: nothing after it would merge again.
+A descent is an entry whose merge test against the next holds. Each
+segment's walk ends at its first push past that segment's own last
+descent, since nothing after it would merge again, and a segment without
+a descent is not walked at all: it is already monotone.
 ``project_rows_non_increasing`` advances the same stack over many short
 rows at once (reviewer bundles), column-major at flat index ``depth * rows
 + row``; its pooled blocks of three or more are summed by TwoSum cascades
@@ -19,7 +21,6 @@ where certified to equal ``math.fsum``, and by fsum otherwise.
 from __future__ import annotations
 
 import math
-from typing import Iterable
 
 import numpy as np
 
@@ -28,31 +29,31 @@ NON_DECREASING = "non-decreasing"
 _DIRECTIONS = (NON_INCREASING, NON_DECREASING)
 
 
-def _pava_non_decreasing(
-    y: np.ndarray, w: np.ndarray | None, segments: Iterable[tuple[int, int]]
-) -> np.ndarray:
+def _pava_non_decreasing(y: np.ndarray, w: np.ndarray | None, segments) -> np.ndarray:
     """Stack PAVA; merges adjacent blocks while their means strictly violate.
 
-    Each ``(lo, hi)`` pair in ``segments`` is a slice ``[lo, hi)`` fitted on
-    its own, with a fresh stack; entries outside every segment keep their
-    input value. ``w is None`` means unit weights. The top block's start,
-    weight and weighted sum are locals, the blocks below it three lists.
-    Pooled block values are recomputed with compensated summation so
-    sum(w*x) == sum(w*y) stays tight (a unit-weight block's weight is its
-    length) and written once per block; a block of one keeps its input.
-    With an entry alone on top, the next one's merge test is the descent test
-    at it, so a segment's walk ends at its first push past the flat input's
-    last descent, where every later entry would be pushed alone.
+    Each row ``(lo, hi)`` of ``segments``, a ``(k, 2)`` array-like, is a
+    slice ``[lo, hi)`` fitted on its own, with a fresh stack; entries
+    outside every segment keep their input value. ``w is None`` means unit
+    weights. The top block's start, weight and weighted sum are locals, the
+    blocks below it three lists. Pooled block values are recomputed with
+    compensated summation so sum(w*x) == sum(w*y) stays tight (a
+    unit-weight block's weight is its length) and written once per block; a
+    block of one keeps its input. With an entry alone on top, the next one's
+    merge test is the descent test at it, so a segment's walk ends at its
+    first push past its last descent ``j`` (``lo <= j < hi - 1``), where
+    every later entry would be pushed alone; a segment without one is skipped.
     """
     yl = y.tolist()
     wl, wyl = ([1.0] * len(yl), yl) if w is None else (w.tolist(), (wy := w * y).tolist())
     with np.errstate(over="ignore"):  # the merge test of each entry, alone on top, against the next
-        descents = y[:-1] > y[1:] if w is None else wy[:-1] * w[1:] > wy[1:] * w[:-1]
-    last = int(np.flatnonzero(descents)[-1]) if descents.any() else -1
+        descents = np.flatnonzero(y[:-1] > y[1:] if w is None else wy[:-1] * w[1:] > wy[1:] * w[:-1])
+    bounds = np.asarray(segments, dtype=np.int64).reshape(-1, 2)
+    # a segment's descents are descents[before:upto], those at lo <= j < hi - 1
+    before, upto = np.searchsorted(descents, bounds[:, 0]), np.searchsorted(descents, bounds[:, 1] - 1)
+    walked = np.flatnonzero(upto > before)
     los, lengths, values = [], [], []
-    for seg_lo, seg_hi in segments:
-        if seg_hi - seg_lo < 2:
-            continue
+    for seg_lo, seg_hi, last in zip(*bounds[walked].T.tolist(), descents[upto[walked] - 1].tolist()):
         ss, ws, wys = [], [], []
         ts, tw, twy = seg_lo, wl[seg_lo], wyl[seg_lo]
         for i in range(seg_lo + 1, seg_hi):
@@ -262,10 +263,13 @@ def isotonic_project_indexed(scores: np.ndarray, order: np.ndarray, blend: float
 
     ``order`` lists indices from best to worst; the projection forces
     scores[order[0]] >= scores[order[1]] >= ... . The result is
-    blend * fitted + (1 - blend) * scores. A pooled block of finite scores
-    whose sum overflows raises fsum's OverflowError.
+    blend * fitted + (1 - blend) * scores. Scores that are not a 1-d vector
+    raise ValueError, and a pooled block of finite scores whose sum
+    overflows raises fsum's OverflowError.
     """
     scores = np.asarray(scores, dtype=float)
+    if scores.ndim != 1:
+        raise ValueError(f"scores must be a 1-d vector, got shape {scores.shape}")
     order = np.asarray(order)
     n = len(scores)
     if not 0.0 <= blend <= 1.0:

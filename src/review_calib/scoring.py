@@ -9,13 +9,14 @@ so the final scores respect the sampled ranking.
 Steps 2 and 3 run batched: reviewers are grouped by bundle size and each
 group is ranked and adjusted with whole-array operations. What does not
 depend on the draws (the size groups, their slots and the Plackett-Luce
-weights) is computed once per conference, on first use; a cell only draws
-and gathers. Bundles of two papers, the default, take a closed form of the
-sampler's single choice and of the projection's single merge test; larger
-bundles go through row kernels that work column-major, paper q of reviewer
-r at flat index ``q * reviewers + r``, with exact block sums certified
-equal to ``math.fsum`` (see ``isotonic``). The batch consumes the same
-uniforms in the same order, and performs the same floating-point
+weights) is computed once per conference, on first use, and kept here
+while the conference lives; its pickles and copies build their own. A cell
+only draws and gathers. Bundles of two papers, the default, take a closed
+form of the sampler's single choice and of the projection's single merge
+test; larger bundles go through row kernels that work column-major, paper
+q of reviewer r at flat index ``q * reviewers + r``, with exact block sums
+certified equal to ``math.fsum`` (see ``isotonic``). The batch consumes
+the same uniforms in the same order, and performs the same floating-point
 operations, as a sequential-choice sampler followed by the scalar isotonic
 projection run reviewer by reviewer, so its output is bit-identical to that
 loop.
@@ -28,6 +29,7 @@ Gamma draw (``noise_sd`` is its square root).
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -154,8 +156,12 @@ def _sample_pl_pairs(weights: np.ndarray, total: np.ndarray, uniforms: np.ndarra
     return np.column_stack((second_first, ~second_first)).astype(np.int64)
 
 
+_PLANS: weakref.WeakKeyDictionary[Conference, tuple[int, list[tuple]]] = weakref.WeakKeyDictionary()
+"""Each live conference's bundle plan; an entry goes when its conference is collected."""
+
+
 def _bundle_plan(conf: Conference) -> tuple[int, list[tuple]]:
-    """The draw-independent part of one score simulation; ``Conference._bundle_plan`` caches it.
+    """The draw-independent part of one score simulation, built on first use and kept in ``_PLANS``.
 
     Returns the number of uniforms a ranking pass draws (s - 1 per bundle
     of s papers, reviewer after reviewer) and, per bundle size s >= 2,
@@ -168,6 +174,8 @@ def _bundle_plan(conf: Conference) -> tuple[int, list[tuple]]:
     ``sample`` and ``project`` are the size's kernels: the closed forms
     for s = 2, the row kernels otherwise.
     """
+    if (plan := _PLANS.get(conf)) is not None:
+        return plan
     ptr = conf.reviewer_ptr
     sizes = np.diff(ptr)
     draw_ptr = np.concatenate(([0], np.cumsum(np.maximum(sizes - 1, 0))))
@@ -190,7 +198,8 @@ def _bundle_plan(conf: Conference) -> tuple[int, list[tuple]]:
             groups.append((*arrays, _sample_pl_pairs, _project_pairs))
         else:
             groups.append((*arrays, _sample_pl_rows, project_rows_non_increasing))
-    return int(draw_ptr[-1]), groups
+    # two threads may build at once; setdefault keeps the first plan stored
+    return _PLANS.setdefault(conf, (int(draw_ptr[-1]), groups))
 
 
 def generate_final_scores(
@@ -209,7 +218,7 @@ def generate_final_scores(
     """
     params_rng, scores_rng, ranking_rng = rng.spawn(3)
     bias, noise_sd = _draw_reviewer_params(case, conf.n_reviewers, params_rng)
-    n_draws, groups = conf._bundle_plan
+    n_draws, groups = _bundle_plan(conf)
     raw = _raw_values(conf, bias, noise_sd, scores_rng)
     uniforms = ranking_rng.random(n_draws)
     # a bundle of one paper is its own ranking and keeps its raw score

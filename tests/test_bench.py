@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import copy
 import json
 import sys
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
@@ -39,6 +40,15 @@ def small_experiment():
 @pytest.fixture(scope="module")
 def small_table(small_experiment):
     return run_experiment(small_experiment)
+
+
+def test_tables_and_conferences_compare_by_identity(small_table, tiny_conf):
+    # both hold arrays: a field-by-field == would ask numpy for one truth value and raise
+    for obj in (small_table, tiny_conf):
+        clone = copy.deepcopy(obj)
+        assert obj == obj and clone == clone
+        assert clone != obj and not clone == obj
+        assert len({obj, clone, obj}) == 2
 
 
 def test_table_shape_and_methods(small_table):

@@ -57,6 +57,7 @@ from review_calib.conference import (
     sample_author_multiplicities,
 )
 from review_calib.estimators import build_owner_partition
+from review_calib.scoring import _bundle_plan
 from review_calib.seeding import PURPOSE_CONFERENCE, stream
 
 
@@ -1186,7 +1187,7 @@ def test_pickle_leaves_the_bundle_plan_out():
     final = generate_final_scores(conf, NOISE_CASES["Base"], _rng(5))[0]
     clone = pickle.loads(pickle.dumps(conf))
     assert len(pickle.dumps(conf)) == unbuilt
-    assert all(not a.flags.writeable for group in clone._bundle_plan[1] for a in group[:4])
+    assert all(not a.flags.writeable for group in _bundle_plan(clone)[1] for a in group[:4])
     again = generate_final_scores(clone, NOISE_CASES["Base"], _rng(5))[0]
     assert again.tobytes() == final.tobytes()
 

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -210,6 +211,13 @@ def test_project_indexed_rejects_non_permutation(order):
         isotonic_project_indexed(scores, order, blend=0.5)
 
 
+@pytest.mark.parametrize("scores", [np.float64(2.0), [[1.0, 3.0, 2.0]]], ids=["0-d", "2-d"])
+def test_project_indexed_refuses_scores_that_are_not_a_vector(scores):
+    message = f"scores must be a 1-d vector, got shape {np.shape(scores)}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        isotonic_project_indexed(scores, np.array([0]), blend=0.5)
+
+
 def test_project_indexed_raises_fsum_overflow_on_finite_scores():
     with pytest.raises(OverflowError, match="intermediate overflow in fsum"):
         isotonic_project_indexed(np.array([1e308, 1.7e308]), np.array([0, 1]), 0.5)
@@ -336,6 +344,48 @@ def _descent_bounded_inputs(draw):
 @example((np.array([1.7e308, 1.6e308, 1.65e308, 1.7e308]), np.array([1.0, 1.0, 2.0, 1.0]), [(0, 2), (2, 4)]))
 def test_kernel_matches_reference_loop_past_the_last_descent_property(instance):
     # the walk stops at its first push past the last descent; the same bytes, or the same error
+    y, w, segments = instance
+    got = _outcome(lambda: _pava_non_decreasing(y, w, segments).tobytes())
+    assert got == _outcome(lambda: pava_reference(y, w, segments).tobytes())
+
+
+@st.composite
+def _segmentwise_descent_bounded_inputs(draw):
+    """Segments, each a random head and then a sorted tail, with gaps between; unit or positive weights.
+
+    A segment may be empty, one entry long or without any descent (an
+    empty head); a gap is a random run outside every segment, so a descent
+    between two segments, or in a gap, must not extend a segment's walk.
+    """
+    y, segments = [], []
+    for _ in range(draw(st.integers(0, 6))):
+        y += draw(st.lists(_KERNEL_VALUES, max_size=4))  # the gap before the segment
+        head = draw(st.lists(_KERNEL_VALUES, max_size=6))
+        tail = draw(st.lists(_KERNEL_VALUES, max_size=12))
+        if head and draw(st.booleans()):
+            tail += [head[-1]] * draw(st.integers(1, 3))
+        segments.append((len(y), len(y) + len(head) + len(tail)))
+        y += head + sorted(tail)
+    y += draw(st.lists(_KERNEL_VALUES, max_size=4))
+    n = len(y)
+    weights = st.one_of(st.integers(1, 4).map(float), st.floats(0.0, 1e308, exclude_min=True))
+    w = draw(st.one_of(st.none(), st.lists(weights, min_size=n, max_size=n)))
+    return np.array(y, dtype=float), None if w is None else np.array(w, dtype=float), segments
+
+
+@settings(max_examples=600, deadline=None, database=None)
+@given(_segmentwise_descent_bounded_inputs())
+# a descent in the gap after a sorted segment, and one between two sorted segments
+@example((np.array([1.0, 2.0, 3.0, 0.0, 5.0, 4.0, 6.0]), None, [(0, 3), (4, 5), (5, 7)]))
+# an empty, a one-entry and a descent-free segment around one with a pooled head
+@example((
+    np.array([2.0, 0.0, 3.0, 1.0, 1.0, 2.0, 9.0]),
+    np.array([1.0, 2.0, 1.0, 1.0, 3.0, 1.0, 1.0]),
+    [(0, 0), (0, 1), (1, 3), (3, 6), (6, 7)],
+))
+def test_kernel_matches_reference_loop_past_each_segments_last_descent_property(instance):
+    # each segment's walk stops at its first push past its own last descent;
+    # the same bytes, or the same error
     y, w, segments = instance
     got = _outcome(lambda: _pava_non_decreasing(y, w, segments).tobytes())
     assert got == _outcome(lambda: pava_reference(y, w, segments).tobytes())

@@ -80,6 +80,32 @@ def test_the_package_imports_only_the_standard_library_and_numpy():
                 assert module.split(".")[0] in allowed, f"{path.name}:{node.lineno}: {module}"
 
 
+def test_the_submodules_import_one_another_without_a_cycle():
+    # every ``from .x import`` statement, at module level or inside a function, read from the source
+    package = ROOT / "src" / "review_calib"
+    modules = {path.stem for path in package.glob("*.py")} - {"__init__", "__main__"}
+    imports = {
+        module: {
+            node.module
+            for node in ast.walk(ast.parse((package / f"{module}.py").read_text(encoding="utf-8")))
+            if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module in modules
+        }
+        for module in modules
+    }
+    assert imports["bench"] and imports["estimators"]  # the reader sees the package's imports
+    done: set[str] = set()
+
+    def visit(module: str, path: tuple[str, ...]) -> None:
+        assert module not in path, f"import cycle: {' -> '.join((*path[path.index(module) :], module))}"
+        if module not in done:
+            for imported in sorted(imports[module]):
+                visit(imported, (*path, module))
+            done.add(module)
+
+    for module in sorted(modules):
+        visit(module, ())
+
+
 def test_every_source_file_parses_at_the_declared_python_floor():
     # tomllib arrived in Python 3.11, so the floor is read with a regex
     pyproject = (ROOT / "pyproject.toml").read_text(encoding="utf-8")

@@ -1,8 +1,11 @@
 from __future__ import annotations
 
 import copy
+import gc
 import itertools
 import math
+import pickle
+import weakref
 
 import numpy as np
 import pytest
@@ -32,7 +35,15 @@ from review_calib import (
     scaled_config,
 )
 from review_calib.isotonic import _project_pairs, project_rows_non_increasing
-from review_calib.scoring import NoiseCase, _draw_reviewer_params, _raw_values, _sample_pl_pairs, _sample_pl_rows
+from review_calib.scoring import (
+    _PLANS,
+    NoiseCase,
+    _bundle_plan,
+    _draw_reviewer_params,
+    _raw_values,
+    _sample_pl_pairs,
+    _sample_pl_rows,
+)
 from review_calib.seeding import PURPOSE_CONFERENCE, PURPOSE_SCORES, stream
 
 
@@ -515,7 +526,7 @@ def test_batched_simulation_matches_reference_on_generated_conference(capacity):
     gen = scaled_config(GenConfig(reviewer_capacity_dist=_CAPACITIES[capacity]), 150)
     conf = gen_conference(gen)
     if capacity == "1-8":
-        assert {3, 4, 5, 6, 7, 8} <= {g[0].shape[1] for g in conf._bundle_plan[1]}
+        assert {3, 4, 5, 6, 7, 8} <= {g[0].shape[1] for g in _bundle_plan(conf)[1]}
     for case in NOISE_CASES.values():
         _assert_matches_reference(conf, case, 73)
 
@@ -525,18 +536,18 @@ def test_bundle_plan_is_per_conference_and_built_on_first_use():
     spread = _mixed_bundle_conference(_THETAS["spread"])
     tied = _mixed_bundle_conference(_THETAS["tied"])
     assert np.array_equal(spread.slot_papers, tied.slot_papers)
-    assert "_bundle_plan" not in vars(spread)
+    assert spread not in _PLANS
     for case in NOISE_CASES.values():
         for conf in (spread, tied, spread):
             _assert_matches_reference(conf, case, 89)
-    assert spread._bundle_plan is spread._bundle_plan
-    assert spread._bundle_plan is not tied._bundle_plan
+    assert _bundle_plan(spread) is _bundle_plan(spread)
+    assert _bundle_plan(spread) is not _bundle_plan(tied)
 
 
 def test_bundle_plan_arrays_are_read_only():
     # a kernel that wrote into the cached plan would corrupt every later cell of the conference
     conf = gen_conference(scaled_config(GenConfig(reviewer_capacity_dist=_CAPACITIES["1-8"]), 150))
-    _n_draws, groups = conf._bundle_plan
+    _n_draws, groups = _bundle_plan(conf)
     assert [g[0].shape[1] for g in groups] == list(range(2, 9))
     for slots, draws, weights, total, _sample, _project in groups:
         for array in (slots, draws, weights, total):
@@ -545,6 +556,44 @@ def test_bundle_plan_arrays_are_read_only():
                 array[0] = array[0]
     for case in NOISE_CASES.values():
         _assert_matches_reference(conf, case, 97)
+
+
+def test_a_live_conference_keeps_one_plan():
+    conf = _mixed_bundle_conference(_THETAS["spread"])
+    plan = _bundle_plan(conf)
+    for case in NOISE_CASES.values():
+        generate_final_scores(conf, case, np.random.default_rng(3))
+    assert _bundle_plan(conf) is plan and _PLANS[conf] is plan
+
+
+def test_a_collected_conference_leaves_the_plan_cache():
+    conf = _mixed_bundle_conference(_THETAS["spread"])
+    generate_final_scores(conf, NOISE_CASES["Base"], np.random.default_rng(3))
+    # arrays, unlike the plan's tuples, take weak references: each is freed once its entry goes
+    conf_ref = weakref.ref(conf)
+    array_refs = [weakref.ref(a) for group in _PLANS[conf][1] for a in group[:4]]
+    assert array_refs
+    del conf
+    gc.collect()
+    assert conf_ref() is None
+    assert all(ref() is None for ref in array_refs)
+
+
+@pytest.mark.parametrize(
+    "clone", [lambda c: pickle.loads(pickle.dumps(c)), copy.deepcopy], ids=["unpickled", "deep-copied"]
+)
+def test_a_copied_conference_builds_its_own_read_only_plan(clone):
+    conf = _mixed_bundle_conference(_THETAS["spread"])
+    final = generate_final_scores(conf, NOISE_CASES["Base"], np.random.default_rng(3))[0]
+    twin = clone(conf)
+    assert twin not in _PLANS
+    again = generate_final_scores(twin, NOISE_CASES["Base"], np.random.default_rng(3))[0]
+    assert again.tobytes() == final.tobytes()
+    plan = _bundle_plan(twin)
+    assert _PLANS[twin] is plan and plan is not _bundle_plan(conf)
+    for mine, theirs in zip(plan[1], _bundle_plan(conf)[1]):
+        for a, b in zip(mine[:4], theirs[:4]):
+            assert not a.flags.writeable and not np.shares_memory(a, b)
 
 
 @pytest.mark.parametrize(
