@@ -12,10 +12,11 @@ A descent is an entry whose merge test against the next holds. Each
 segment's walk ends at its first push past that segment's own last
 descent, since nothing after it would merge again, and a segment without
 a descent is not walked at all: it is already monotone.
-``project_rows_non_increasing`` advances the same stack over many short
-rows at once (reviewer bundles), column-major at flat index ``depth * rows
-+ row``; its pooled blocks of three or more are summed by TwoSum cascades
-where certified to equal ``math.fsum``, and by fsum otherwise.
+``project_rows_non_increasing`` advances the same stack over one band of
+short rows at once (reviewer bundles, longest first), column-major at flat
+index ``depth * rows + row``, each column only on the rows that reach it;
+its pooled blocks of three or more are summed by TwoSum cascades where
+certified to equal ``math.fsum``, and by fsum otherwise.
 """
 
 from __future__ import annotations
@@ -123,53 +124,61 @@ def _fsum_columns(x: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     return t
 
 
-def raise_on_overflow(y: np.ndarray, out: np.ndarray) -> None:
+def raise_on_overflow(y: np.ndarray, out: np.ndarray, pad: np.ndarray | bool = False) -> None:
     """Raise fsum's OverflowError if a row of ``y`` is finite and its projection ``out`` is not.
 
-    A pooled block of two is its running sum halved, which overflows to
-    infinity where the scalar kernel's fsum raises. Rows holding a
-    non-finite input are not checked.
+    Row r is column r, without the entries where ``pad`` holds. A pooled
+    block of two is its running sum halved, which overflows to infinity
+    where the scalar kernel's fsum raises. Rows holding a non-finite input
+    are not checked.
     """
     if not np.isfinite(out).all():
-        if (np.isfinite(y).all(axis=1) & ~np.isfinite(out).all(axis=1)).any():
+        finite_in = (np.isfinite(y) | pad).all(axis=0)
+        if (finite_in & ~(np.isfinite(out) | pad).all(axis=0)).any():
             raise OverflowError("intermediate overflow in fsum")
 
 
-def project_rows_non_increasing(y: np.ndarray) -> np.ndarray:
-    """Unit-weight projection of every row of ``y`` onto non-increasing vectors.
+def project_rows_non_increasing(y: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Unit-weight projection of every row of one band onto non-increasing vectors.
 
-    A row-batched copy of the scalar kernel on one segment: the same stack,
-    merge test and running sums, advanced one column at a time for all
-    rows, so each row matches the scalar kernel bit for bit. A new entry
-    merges into its row's top block or is pushed above it, and only rows
-    whose top block just grew test the block below again. A pooled block of
-    two is its running sum halved (what fsum of two values gives); longer
-    blocks take fsum's value from ``_fsum_columns``. A finite row whose
-    pooled sum overflows raises OverflowError, as the scalar kernel does.
+    A band is column-major: row r's entry i is ``y[i, r]``, and ``counts[i]``
+    is the number of rows longer than i, the first ``counts[i]`` since rows
+    come longest first; every row holds at least one entry. A row-batched
+    copy of the scalar kernel on one segment: the same stack, merge test
+    and running sums, advanced one column at a time for the rows that
+    reach it, so each row matches the scalar kernel bit for bit. A new
+    entry merges into its row's top block or is pushed above it, and only
+    rows whose top block just grew test the block below again. A pooled
+    block of two is its running sum halved (what fsum of two values gives);
+    longer blocks take fsum's value from ``_fsum_columns``. Returns the
+    ``(S, m)`` fits; past a row's end they repeat its last value, whatever
+    the input holds there. A finite row whose pooled sum overflows
+    raises OverflowError, as the scalar kernel does.
     """
     z = -np.asarray(y, dtype=float)
-    m, s = z.shape
+    s, m = z.shape
     if s == 0:
         return z
-    zt = np.ascontiguousarray(z.T)
+    pad = np.arange(m) >= counts[:, None]
+    counts = counts.tolist()
     # the stacks, column-major: block b of row r at flat index b * m + r
     starts = np.zeros(s * m, dtype=np.int64)
     wsum = np.ones(s * m)
     wysum = np.zeros(s * m)
-    wysum[:m] = zt[0]
+    wysum[:m] = z[0]
     rows = np.arange(m)
     top = rows.copy()  # the flat index of each row's top block
     for i in range(1, s):
-        zi = zt[i]
-        wt, wyt = wsum[top], wysum[top]
+        zi, c = z[i, : counts[i]], counts[i]
+        wt, wyt = wsum[top[:c]], wysum[top[:c]]
         # the scalar test wysum[top] * 1.0 > z[i] * wsum[top], for the new entry's weight of 1.0
         merged = wyt > zi * wt
-        # push onto every row; above a merging row's top the slot stays dead
-        above = top + m
+        # push onto every row that reaches column i; above a merging row's top the slot stays dead
+        above = top[:c] + m
         starts[above] = i
         wsum[above] = 1.0
         wysum[above] = zi
-        top = np.where(merged, top, above)
+        top[:c] = np.where(merged, top[:c], above)
         r = np.flatnonzero(merged)
         t = top[r]
         wsum[t] = wt[r] + 1.0
@@ -182,32 +191,36 @@ def project_rows_non_increasing(y: np.ndarray) -> np.ndarray:
             wsum[t] = ws_p[merge] + ws_t[merge]
             wysum[t] = wy_p[merge] + wy_t[merge]
             top[r] = t
-    live = np.arange(s * m).reshape(s, m) <= top
+    live = np.arange(s)[:, None] <= top // m
+    value = wysum
+    value /= wsum  # each block's mean; its running sum is not read again
+    # blocks of three or more, row by row, as the scalar kernel visits them;
+    # with unit weights a live block's wsum is its length, exactly
+    long = np.flatnonzero(live.ravel() & (wsum >= 3.0))
+    if len(long):
+        long = long[np.argsort(long % m, kind="stable")]
+        r = long % m
+        lengths = wsum[long].astype(np.int64)
+        j = np.arange(lengths.max())[:, None]
+        cols = np.minimum(starts[long] + j, s - 1)
+        x = np.where(j < lengths, z.ravel()[cols * m + r], 0.0)
+        value[long] = _fsum_columns(x, lengths) / lengths
+    # block ids by a running add down the columns: a block's first column moves its row up by m;
+    # a pad starts no block, so it keeps its row's last one. Built after the block sums, whose
+    # freed buffers they reuse: a fresh page costs a fault once the heap top has been trimmed.
     blocks = np.flatnonzero(live)
-    # block ids by a running add down the columns: a block's first column moves its row up by m
     block = np.zeros((s, m), dtype=np.int64)
     block.ravel()[starts[blocks] * m + blocks % m] = m
     block[0] = rows
     for i in range(1, s):
         block[i] += block[i - 1]
-    value = wysum / wsum
-    # blocks of three or more, row by row, as the scalar kernel visits them;
-    # with unit weights a live block's wsum is its length, exactly
-    r, b = np.nonzero((live & (wsum >= 3.0).reshape(s, m)).T)
-    if len(r):
-        long = b * m + r
-        lengths = wsum[long].astype(np.int64)
-        j = np.arange(lengths.max())[:, None]
-        cols = np.minimum(starts[long] + j, s - 1)
-        x = np.where(j < lengths, zt.ravel()[cols * m + r], 0.0)
-        value[long] = _fsum_columns(x, lengths) / lengths
-    out = -value[block].T
-    raise_on_overflow(z, out)
+    out = -value[block]
+    raise_on_overflow(z, out, pad)
     return out
 
 
 def _project_pairs(y: np.ndarray) -> np.ndarray:
-    """``project_rows_non_increasing`` on two-column rows, in closed form.
+    """``project_rows_non_increasing`` on two-entry rows, in closed form, with one array row per bundle.
 
     With ``z = -y`` the stack merges the two entries iff ``z0 > z1`` and
     then holds ``(z0 + z1) / 2.0``; an unmerged entry is ``-(-y)``, which
@@ -217,7 +230,7 @@ def _project_pairs(y: np.ndarray) -> np.ndarray:
     pooled = np.flatnonzero(z[:, 0] > z[:, 1])
     out = y.copy()
     out[pooled] = -((z[pooled, 0] + z[pooled, 1]) / 2.0)[:, None]
-    raise_on_overflow(y, out)
+    raise_on_overflow(y.T, out.T)
     return out
 
 

@@ -6,20 +6,22 @@ Gaussian raw scores around true quality plus a reviewer-specific bias,
 qualities, and (3) a least-squares isotonic adjustment of the raw scores
 so the final scores respect the sampled ranking.
 
-Steps 2 and 3 run batched: reviewers are grouped by bundle size and each
-group is ranked and adjusted with whole-array operations. What does not
-depend on the draws (the size groups, their slots and the Plackett-Luce
-weights) is computed once per conference, on first use, and kept here
-while the conference lives; its pickles and copies build their own. A cell
-only draws and gathers. Bundles of two papers, the default, take a closed
-form of the sampler's single choice and of the projection's single merge
-test; larger bundles go through row kernels that work column-major, paper
-q of reviewer r at flat index ``q * reviewers + r``, with exact block sums
-certified equal to ``math.fsum`` (see ``isotonic``). The batch consumes
-the same uniforms in the same order, and performs the same floating-point
-operations, as a sequential-choice sampler followed by the scalar isotonic
-projection run reviewer by reviewer, so its output is bit-identical to that
-loop.
+Steps 2 and 3 run batched. What does not depend on the draws (the
+batches, their slots and the Plackett-Luce weights) is computed once per
+conference, on first use, and kept here while the conference lives; its
+pickles and copies build their own. A cell only draws and gathers.
+Bundles of two papers, the default, form one batch and take a closed form
+of the sampler's single choice and of the projection's single merge test.
+Larger bundles are sorted by size, longest first, and cut into a few size
+bands, none longer than twice its shortest bundle. Each band is one
+sampler call and one projection call on column-major arrays, paper q of
+reviewer r at flat index ``q * reviewers + r``, padded past each bundle's
+end with entries that are never picked and never pooled; pooled blocks
+take exact sums certified equal to ``math.fsum`` (see ``isotonic``). The
+batches consume the same uniforms in the same order, and perform the same
+floating-point operations, as a sequential-choice sampler followed by the
+scalar isotonic projection run reviewer by reviewer, so their output is
+bit-identical to that loop.
 
 A reviewer's bias shifts every score they give by the same amount, so it
 never changes their internal ranking; the per-reviewer noise variance is a
@@ -98,54 +100,64 @@ def _raw_values(
     return loc + noise_sd[conf.slot_reviewers] * rng.standard_normal(len(loc))
 
 
-def _sample_pl_rows(weights: np.ndarray, total: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
-    """The scalar sequential-choice sampler run on every row of ``weights`` at once.
+def _sample_pl_rows(
+    weights: np.ndarray, total: np.ndarray, uniforms: np.ndarray, counts: np.ndarray
+) -> np.ndarray:
+    """The scalar sequential-choice sampler run on every row of one band at once.
 
-    The scalar sampler (``sample_pl_ranking`` in ``tests/oracles.py``) picks
-    by a cumulative scan of the remaining weights against one
-    ``rng.random() * total`` per position; ``uniforms[:, k]`` is the k-th
-    uniform it would draw for the row. ``weights`` and ``total`` are the
-    sampler's (see ``_bundle_plan``); the running total is the
-    same left-to-right sum less each pick. The scan runs column-major, paper
-    q of row r at flat index ``q * m + r``, over the weights with every
-    ranked paper's weight set to 0.0: adding 0.0 leaves each compared
-    partial sum unchanged, so the returned permutations are the scalar
-    sampler's.
+    A band is column-major: row r's paper q is ``weights[q, r]``, and the
+    weights are 0.0 past each row's end. ``counts[i]`` is the number of rows
+    longer than i; rows come longest first, so those are the first
+    ``counts[i]``. The scalar sampler (``sample_pl_ranking`` in
+    ``tests/oracles.py``) picks by a cumulative scan of the remaining
+    weights against one ``rng.random() * total`` per position;
+    ``uniforms[k, r]`` is the k-th uniform it would draw for row r, and
+    ``total`` is the sampler's left-to-right sum of the row's weights (see
+    ``_bundle_plan``); the running total is that sum less each pick. Step k
+    runs on the rows longer than k + 1, over the weights with every ranked
+    paper's weight set to 0.0: adding 0.0 leaves each compared partial sum
+    unchanged, and a pad is never remaining, so it is never picked. Returns
+    the ``(S, m)`` permutations; past a row's end they repeat its last pick.
     """
-    m, s = weights.shape
-    weight = weights.T.copy()
-    left = weight.copy()
-    remaining = np.ones((s, m), dtype=bool)
+    s, m = weights.shape
+    remaining = np.arange(m) < counts[:, None]
+    counts = counts.tolist() + [0]
+    left = weights.copy()
+    total = total.copy()
     rows = np.arange(m)
     acc = np.empty((s, m))
     seen = np.empty((s, m), dtype=bool)
     perm = np.empty((s, m), dtype=np.int64)
     for k in range(s - 1):
-        u = uniforms[:, k] * total
-        acc[0] = left[0]
+        c = counts[k + 1]
+        u = uniforms[k, :c] * total[:c]
+        acc[0, :c] = left[0, :c]
         for q in range(1, s):
-            np.add(acc[q - 1], left[q], out=acc[q])
-        hit = (u <= acc) & remaining
-        # the first hit of each row is the number of leading columns without one
-        seen[0] = hit[0]
+            np.add(acc[q - 1, :c], left[q, :c], out=acc[q, :c])
+        hit = (u <= acc[:, :c]) & remaining[:, :c]
+        # the first hit of each row is the number of leading papers without one
+        seen[0, :c] = hit[0]
         for q in range(1, s):
-            np.logical_or(seen[q - 1], hit[q], out=seen[q])
-        pick = s - seen.sum(axis=0)
+            np.logical_or(seen[q - 1, :c], hit[q], out=seen[q, :c])
+        pick = s - seen[:, :c].sum(axis=0)
         unpicked = np.flatnonzero(pick == s)
         if len(unpicked):
             # no cumulative weight reached u: take the last paper still unranked
             pick[unpicked] = s - 1 - np.argmax(remaining[::-1, unpicked], axis=0)
-        perm[k] = pick
-        flat = pick * m + rows
+        perm[k, :c] = pick
+        flat = pick * m + rows[:c]
         remaining.ravel()[flat] = False
         left.ravel()[flat] = 0.0
-        total = total - weight.ravel()[flat]
-    perm[s - 1] = np.argmax(remaining, axis=0)
-    return perm.T
+        total[:c] -= weights.ravel()[flat]
+    # each row's one unranked paper, at its last position and on every pad after it
+    last = np.argmax(remaining, axis=0)
+    for k in range(s):
+        perm[k, counts[k + 1] :] = last[counts[k + 1] :]
+    return perm
 
 
 def _sample_pl_pairs(weights: np.ndarray, total: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
-    """``_sample_pl_rows`` on two-column rows, in closed form.
+    """``_sample_pl_rows`` on two-paper rows, in closed form, with one array row per reviewer.
 
     The scan's one step picks the first paper iff ``u * total <= w0``;
     otherwise, whether the second weight reaches ``u`` or not, it picks
@@ -156,50 +168,78 @@ def _sample_pl_pairs(weights: np.ndarray, total: np.ndarray, uniforms: np.ndarra
     return np.column_stack((second_first, ~second_first)).astype(np.int64)
 
 
-_PLANS: weakref.WeakKeyDictionary[Conference, tuple[int, list[tuple]]] = weakref.WeakKeyDictionary()
+_PLANS: weakref.WeakKeyDictionary[Conference, tuple] = weakref.WeakKeyDictionary()
 """Each live conference's bundle plan; an entry goes when its conference is collected."""
 
 
-def _bundle_plan(conf: Conference) -> tuple[int, list[tuple]]:
+def _exp_weights(theta: np.ndarray, axis: int) -> np.ndarray:
+    """The Plackett-Luce weights exp(theta - max along ``axis``), by ``math.exp``."""
+    shifted = theta - theta.max(axis=axis, keepdims=True)
+    # math.exp, not np.exp, which may differ in the last bit
+    weights = np.fromiter(map(math.exp, memoryview(shifted.ravel())), dtype=float)
+    return weights.reshape(shifted.shape)
+
+
+def _bundle_plan(conf: Conference) -> tuple[int, tuple | None, tuple[tuple, ...]]:
     """The draw-independent part of one score simulation, built on first use and kept in ``_PLANS``.
 
-    Returns the number of uniforms a ranking pass draws (s - 1 per bundle
-    of s papers, reviewer after reviewer) and, per bundle size s >= 2,
-    smallest first, ``(slots, draws, weights, total, sample, project)``.
-    Row i is one reviewer: ``slots[i]`` are their s review slots in
-    conference order, ``draws[i]`` the positions of their s - 1 uniforms
-    in the pass's draws, ``weights[i]`` their papers' Plackett-Luce
-    weights exp(theta - row max), by ``math.exp``, and ``total[i]`` the
-    left-to-right sum of those weights. The four arrays are read-only.
-    ``sample`` and ``project`` are the size's kernels: the closed forms
-    for s = 2, the row kernels otherwise.
+    Returns ``(n_draws, pairs, bands)``. ``n_draws`` is the number of
+    uniforms a ranking pass draws: s - 1 per bundle of s papers, reviewer
+    after reviewer. ``pairs`` is ``(slots, draws, weights, total)`` for the
+    bundles of two papers, one row per reviewer (None if there are none):
+    their two review slots in conference order, the position of their one
+    uniform in the pass's draws, their papers' weights exp(theta - row max)
+    by ``math.exp``, and the left-to-right sum of those weights.
+
+    ``bands`` holds the bundles of three or more papers, sorted by size,
+    longest first, ties by reviewer id, and cut greedily from the longest:
+    a band takes each next-shorter size while its longest bundle is at most
+    twice that size, so its padding never exceeds its real entries. A band
+    is ``(slots, draws, weights, total, counts)``, column-major like its
+    kernels: ``slots[i, r]`` and ``weights[i, r]`` are reviewer r's i-th
+    slot and weight (``(S, m)``, S the band's longest bundle),
+    ``draws[k, r]`` the position of their k-th uniform (``S - 1`` rows),
+    ``total[r]`` the sum of their weights, and ``counts[i]`` the number of
+    reviewers with more than i papers. Past a reviewer's last paper,
+    ``slots`` and ``draws`` repeat their last entry and ``weights`` are
+    0.0. Every array is read-only.
     """
     if (plan := _PLANS.get(conf)) is not None:
         return plan
     ptr = conf.reviewer_ptr
     sizes = np.diff(ptr)
     draw_ptr = np.concatenate(([0], np.cumsum(np.maximum(sizes - 1, 0))))
-    groups = []
-    for s in np.unique(sizes[sizes >= 2]).tolist():
-        group = np.flatnonzero(sizes == s)
-        slots = ptr[group][:, None] + np.arange(s)
-        theta = conf.true_scores[conf.slot_papers[slots]]
-        shifted = theta - theta.max(axis=1, keepdims=True)
-        # math.exp, not np.exp, which may differ in the last bit
-        weights = np.fromiter(map(math.exp, memoryview(shifted.ravel())), dtype=float)
-        weights = weights.reshape(shifted.shape)
-        total = weights[:, 0].copy()
-        for q in range(1, s):
-            total += weights[:, q]
-        arrays = (slots, draw_ptr[group][:, None] + np.arange(s - 1), weights, total)
-        for array in arrays:
-            array.flags.writeable = False
-        if s == 2:
-            groups.append((*arrays, _sample_pl_pairs, _project_pairs))
-        else:
-            groups.append((*arrays, _sample_pl_rows, project_rows_non_increasing))
+    theta_of = conf.true_scores[conf.slot_papers]
+    arrays, pairs, bands = [], None, []
+    if len(two := np.flatnonzero(sizes == 2)):
+        slots = ptr[two][:, None] + np.arange(2)
+        weights = _exp_weights(theta_of[slots], axis=1)
+        pairs = (slots, draw_ptr[two][:, None], weights, weights[:, 0] + weights[:, 1])
+        arrays += pairs
+    longest_first = np.flatnonzero(sizes >= 3)
+    longest_first = longest_first[np.argsort(-sizes[longest_first], kind="stable")]
+    falling = sizes[longest_first]
+    lo = 0
+    while lo < len(longest_first):
+        longest = int(falling[lo])
+        # the band ends before the first bundle shorter than half its longest
+        hi = np.searchsorted(-falling, -((longest + 1) // 2), side="right")
+        band, size = longest_first[lo:hi], falling[lo:hi]
+        depth = np.arange(longest)[:, None]
+        slots = ptr[band] + np.minimum(depth, size - 1)
+        weights = _exp_weights(theta_of[slots], axis=0)
+        weights[depth >= size] = 0.0
+        total = weights[0].copy()
+        for q in range(1, longest):
+            total += weights[q]
+        draws = draw_ptr[band] + np.minimum(depth[:-1], size - 2)
+        bands.append((slots, draws, weights, total, (size > depth).sum(axis=1)))
+        arrays += bands[-1]
+        lo = hi
+    for array in arrays:
+        array.flags.writeable = False
     # two threads may build at once; setdefault keeps the first plan stored
-    return _PLANS.setdefault(conf, (int(draw_ptr[-1]), groups))
+    return _PLANS.setdefault(conf, (int(draw_ptr[-1]), pairs, tuple(bands)))
 
 
 def generate_final_scores(
@@ -218,14 +258,20 @@ def generate_final_scores(
     """
     params_rng, scores_rng, ranking_rng = rng.spawn(3)
     bias, noise_sd = _draw_reviewer_params(case, conf.n_reviewers, params_rng)
-    n_draws, groups = _bundle_plan(conf)
+    n_draws, pairs, bands = _bundle_plan(conf)
     raw = _raw_values(conf, bias, noise_sd, scores_rng)
     uniforms = ranking_rng.random(n_draws)
     # a bundle of one paper is its own ranking and keeps its raw score
     ranked = conf.slot_papers.copy()
     final = raw.copy()
-    for slots, draws, weights, total, sample, project in groups:
-        ranked_slots = np.take_along_axis(slots, sample(weights, total, uniforms[draws]), axis=1)
+    if pairs is not None:
+        slots, draws, weights, total = pairs
+        ranked_slots = slots[:, :1] + _sample_pl_pairs(weights, total, uniforms[draws])
         ranked[slots] = conf.slot_papers[ranked_slots]
-        final[ranked_slots] = project(raw[ranked_slots])
+        final[ranked_slots] = _project_pairs(raw[ranked_slots])
+    # a pad repeats its row's last slot, ranked slot and fit, so it writes what that entry writes
+    for slots, draws, weights, total, counts in bands:
+        ranked_slots = slots[0] + _sample_pl_rows(weights, total, uniforms[draws], counts)
+        ranked[slots] = conf.slot_papers[ranked_slots]
+        final[ranked_slots] = project_rows_non_increasing(raw[ranked_slots], counts)
     return final, raw, Ragged(ranked, conf.reviewer_ptr)

@@ -24,7 +24,8 @@ properties of the tier decomposition and the owner partition.
 ``calibrate_combined`` composes the combined estimator the way
 ``bench._run_cell`` does inline, and ``tiers_to_json`` and
 ``results_table_from_json`` convert the tiers and the results table to and
-from the JSON forms only tests use.
+from the JSON forms only tests use. ``on_rows`` runs a band kernel on
+equal-length rows, and ``plan_arrays`` lists a bundle plan's arrays.
 
 The rank-centrality chain (loss-driven transitions whose stationary
 distribution orders the papers) is a cross-check of tier peeling, not a
@@ -484,6 +485,31 @@ def sample_pl_ranking(theta: np.ndarray, rng: np.random.Generator) -> np.ndarray
         total -= weights.pop(pos)
     out[-1] = indices[0]
     return out
+
+
+def on_rows(kernel, *args):
+    """Run a band kernel of ``scoring`` or ``isotonic`` on equal-length rows, as one band.
+
+    Each 2-d argument is row-major, one row per bundle, and goes in as a
+    read-only column-major copy, so a kernel that wrote into its input
+    would raise; 1-d arguments go in as they are. The band's column counts
+    (every row reaches every column) go last, and the result comes back
+    row-major.
+    """
+    band = []
+    for a in args:
+        if np.ndim(a) == 2:
+            a = np.array(np.transpose(a), order="C")
+            a.flags.writeable = False
+        band.append(a)
+    m, s = np.shape(args[0])
+    return kernel(*band, np.full(s, m, dtype=np.int64)).T
+
+
+def plan_arrays(plan) -> list[np.ndarray]:
+    """Every array of a bundle plan ``(n_draws, pairs, bands)``."""
+    _n_draws, pairs, bands = plan
+    return [a for group in ((pairs,) if pairs is not None else ()) + bands for a in group]
 
 
 def generate_final_scores_reference(conf, case, rng):

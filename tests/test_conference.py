@@ -28,6 +28,7 @@ from oracles import (
     deal_authorship_reference,
     fit_multiplicity_distribution_reference,
     match_slots_reference,
+    plan_arrays,
     reverse_assignment_reference,
     validate_conference_reference,
     validate_owner_partition,
@@ -1187,7 +1188,7 @@ def test_pickle_leaves_the_bundle_plan_out():
     final = generate_final_scores(conf, NOISE_CASES["Base"], _rng(5))[0]
     clone = pickle.loads(pickle.dumps(conf))
     assert len(pickle.dumps(conf)) == unbuilt
-    assert all(not a.flags.writeable for group in _bundle_plan(clone)[1] for a in group[:4])
+    assert all(not a.flags.writeable for a in plan_arrays(_bundle_plan(clone)))
     again = generate_final_scores(clone, NOISE_CASES["Base"], _rng(5))[0]
     assert again.tobytes() == final.tobytes()
 

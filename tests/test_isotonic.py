@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import isotonic_qp_oracle, pava_reference
+from oracles import isotonic_qp_oracle, on_rows, pava_reference
 from review_calib import (
     NOISE_CASES,
     DiscreteDistribution,
@@ -425,7 +425,7 @@ def test_row_kernel_matches_scalar_fit_bitwise():
     rng = np.random.default_rng(29)
     for s in range(9):
         rows = np.vstack([rng.integers(0, 4, (40, s)), rng.normal(5, 2, (40, s))])
-        got = project_rows_non_increasing(rows)
+        got = on_rows(project_rows_non_increasing, rows)
         for row, fitted in zip(rows, got):
             want = isotonic_fit(row, direction=NON_INCREASING)
             assert fitted.tobytes() == want.tobytes()
@@ -451,7 +451,7 @@ def test_row_kernel_matches_scalar_fit_property(rows):
     y = np.array(rows, dtype=float).reshape(len(rows), -1)
     want = [_outcome(lambda: isotonic_fit(row, direction=NON_INCREASING).tobytes()) for row in y]
     errors = [w for w in want if isinstance(w, tuple)]
-    got = _outcome(lambda: [fitted.tobytes() for fitted in project_rows_non_increasing(y)])
+    got = _outcome(lambda: [fitted.tobytes() for fitted in on_rows(project_rows_non_increasing, y)])
     assert got == (errors[0] if errors else want)
 
 

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import copy
+import functools
 import gc
 import itertools
 import math
@@ -17,6 +18,8 @@ from oracles import (
     conference_from_lists,
     gen_reviewer_params,
     generate_final_scores_reference,
+    on_rows,
+    plan_arrays,
     pl_prob_direct,
     pl_ranking_prob,
     raw_scores,
@@ -34,7 +37,8 @@ from review_calib import (
     get_noise_case,
     scaled_config,
 )
-from review_calib.isotonic import _project_pairs, project_rows_non_increasing
+from review_calib import scoring
+from review_calib.isotonic import NON_INCREASING, _project_pairs, isotonic_fit, project_rows_non_increasing
 from review_calib.scoring import (
     _PLANS,
     NoiseCase,
@@ -228,11 +232,11 @@ def test_sampler_frequencies_match_probabilities(theta, seed):
 
 def test_projection_identity_when_consistent():
     raw = np.array([[5.0, 3.0, 1.0]])
-    assert np.array_equal(project_rows_non_increasing(raw), raw)
+    assert np.array_equal(on_rows(project_rows_non_increasing, raw), raw)
 
 
 def test_projection_pools_violating_pair():
-    out = project_rows_non_increasing(np.array([[1.0, 3.0]]))
+    out = on_rows(project_rows_non_increasing, np.array([[1.0, 3.0]]))
     assert np.allclose(out, [[2.0, 2.0]], atol=1e-12)
 
 
@@ -243,7 +247,7 @@ def test_projection_preserves_sum():
         raw = rng.normal(5, 2, n)
         perm = rng.permutation(n)
         out = np.empty(n)
-        out[perm] = project_rows_non_increasing(raw[perm][None, :])[0]
+        out[perm] = on_rows(project_rows_non_increasing, raw[perm][None, :])[0]
         assert out.sum() == pytest.approx(raw.sum(), rel=1e-12)
         assert np.all(np.diff(out[perm]) <= 1e-12)
 
@@ -280,7 +284,7 @@ def test_pair_sampler_matches_general_sampler_on_edge_draws(draw):
     uniforms = np.array([[u]])
     closed = _sample_pl_pairs(weights, total, uniforms)
     assert closed.dtype == np.int64
-    assert closed.tobytes() == _sample_pl_rows(weights, total, uniforms).tobytes()
+    assert closed.tobytes() == on_rows(_sample_pl_rows, weights, total, uniforms).tobytes()
 
 
 @settings(max_examples=200, deadline=None, database=None)
@@ -297,7 +301,7 @@ def test_pair_sampler_matches_general_sampler_property(rows):
     total = weights[:, 0] + weights[:, 1]
     uniforms = np.array([[u] for _, _, u in rows])
     closed = _sample_pl_pairs(weights, total, uniforms)
-    assert closed.tobytes() == _sample_pl_rows(weights, total, uniforms).tobytes()
+    assert closed.tobytes() == on_rows(_sample_pl_rows, weights, total, uniforms).tobytes()
 
 
 class _ScriptedDraws:
@@ -327,18 +331,19 @@ def test_row_sampler_matches_scalar_sampler_on_edge_draws(draw):
     weights = np.array([[math.exp(v - theta.max()) for v in theta]])
     total = np.array([sum(weights[0].tolist())])  # the left-to-right sum, as the plan has it
     want = sample_pl_ranking(theta, _ScriptedDraws(uniforms))
-    assert _sample_pl_rows(weights, total, np.array([uniforms]))[0].tolist() == want.tolist()
+    assert on_rows(_sample_pl_rows, weights, total, np.array([uniforms]))[0].tolist() == want.tolist()
 
 
 @pytest.mark.parametrize("m", [1, 5])
 def test_row_sampler_leaves_its_inputs_alone(m):
-    # a one-row group's transpose is contiguous: the sampler must still copy it
+    # the band inputs are read-only, as the plan's are: a sampler that wrote into one would raise
     rng = _rng(97)
     weights = np.exp(-rng.random((m, 4)))
     total = weights.sum(axis=1)
     uniforms = rng.random((m, 3))
     before = [a.copy() for a in (weights, total, uniforms)]
-    perm = _sample_pl_rows(weights, total, uniforms)
+    total.flags.writeable = False
+    perm = on_rows(_sample_pl_rows, weights, total, uniforms)
     assert all(a.tobytes() == b.tobytes() for a, b in zip((weights, total, uniforms), before))
     assert np.array_equal(np.sort(perm, axis=1), np.tile(np.arange(4), (m, 1)))
 
@@ -358,14 +363,21 @@ _PAIR_SCORES = [
 ]
 
 
+_projection_on_rows = functools.partial(on_rows, project_rows_non_increasing)
+
+
 def test_pair_projection_matches_general_projection_on_edge_rows():
     y = np.array(_PAIR_SCORES)
     with np.errstate(over="ignore", invalid="ignore"):
-        assert _project_pairs(y).tobytes() == project_rows_non_increasing(y).tobytes()
+        assert _project_pairs(y).tobytes() == _projection_on_rows(y).tobytes()
     assert _project_pairs(y[:0]).shape == (0, 2)
 
 
-@pytest.mark.parametrize("project", [_project_pairs, project_rows_non_increasing])
+@pytest.mark.parametrize(
+    "project",
+    [_project_pairs, _projection_on_rows],
+    ids=["_project_pairs", "project_rows_non_increasing"],
+)
 def test_pair_projection_raises_where_a_finite_pooled_sum_overflows(project):
     # the scalar kernel's fsum raises for this pair; a row holding an infinity is not checked
     y = np.array([[1.0, 3.0], [1e308, 1.7e308]])
@@ -391,7 +403,65 @@ def _projection_outcome(project, y):
 @given(st.lists(st.tuples(_PAIR_FLOATS, _PAIR_FLOATS), min_size=1, max_size=20))
 def test_pair_projection_matches_general_projection_property(rows):
     y = np.array(rows, dtype=float)
-    assert _projection_outcome(_project_pairs, y) == _projection_outcome(project_rows_non_increasing, y)
+    assert _projection_outcome(_project_pairs, y) == _projection_outcome(_projection_on_rows, y)
+
+
+# --- bands of rows of different lengths: the entries past a row's end never count
+
+
+def _ragged_band(rows, pad):
+    """Rows, longest first, as one column-major band padded with ``pad``, and its column counts."""
+    s = len(rows[0])
+    band = np.array([list(row) + [pad] * (s - len(row)) for row in rows], dtype=float).T.copy()
+    band.flags.writeable = False
+    return band, np.array([sum(len(row) > i for row in rows) for i in range(s)])
+
+
+_PADS = [0.0, 1.7e308, math.inf, math.nan]
+
+
+@pytest.mark.parametrize("pad", _PADS)
+def test_band_projection_fits_each_row_alone(pad):
+    # integer-valued rows make ties and long pooled blocks; lengths 4-8 make one band
+    rng = _rng(101)
+    lengths = sorted(rng.integers(4, 9, 40).tolist(), reverse=True)
+    rows = [rng.integers(0, 4, k).astype(float) if r % 2 else rng.normal(5, 2, k) for r, k in enumerate(lengths)]
+    got = project_rows_non_increasing(*_ragged_band(rows, pad))
+    for r, row in enumerate(rows):
+        want = isotonic_fit(row, direction=NON_INCREASING)
+        assert got[: len(row), r].tobytes() == want.tobytes()
+        assert (got[len(row) :, r] == want[-1]).all()
+
+
+def test_band_sampler_ranks_each_row_alone():
+    rng = _rng(103)
+    lengths = sorted(rng.integers(3, 7, 40).tolist(), reverse=True)
+    thetas = [rng.normal(0, 1, k) if r % 2 else rng.integers(0, 2, k).astype(float) for r, k in enumerate(lengths)]
+    draws = [rng.random(k - 1) for k in lengths]
+    weights, counts = _ragged_band([[math.exp(v - theta.max()) for v in theta] for theta in thetas], 0.0)
+    uniforms, _ = _ragged_band(draws, 0.5)
+    total = np.array([sum(weights[:, r].tolist()) for r in range(len(lengths))])
+    perm = _sample_pl_rows(weights, total, uniforms, counts)
+    for r, theta in enumerate(thetas):
+        want = sample_pl_ranking(theta, _ScriptedDraws(draws[r].tolist()))
+        assert perm[: len(theta), r].tolist() == want.tolist()
+        assert (perm[len(theta) :, r] == want[-1]).all()
+
+
+@pytest.mark.parametrize("pad", _PADS)
+def test_band_projection_overflow_counts_only_real_entries(pad):
+    # a shorter finite row whose pooled sum overflows raises, as a pooled pair (its halved
+    # running sum) or a pooled block of three (fsum), whatever its pads hold
+    fits = [4.0, 1.0, 3.0, 2.0]
+    for overflows in ([1e308, 1.7e308], [1e308, 1.5e308, 1.7e308]):
+        band, counts = _ragged_band([fits, overflows], pad)
+        with np.errstate(over="ignore"), pytest.raises(OverflowError, match="intermediate overflow in fsum"):
+            project_rows_non_increasing(band, counts)
+    # pads beside huge entries are never pooled with them
+    rows = [fits, [1.7e308, 1.7e308, 1e308], [1.7e308, -1.7e308]]
+    got = project_rows_non_increasing(*_ragged_band(rows, pad))
+    for r, row in enumerate(rows):
+        assert got[: len(row), r].tobytes() == isotonic_fit(row, direction=NON_INCREASING).tobytes()
 
 
 # --- full generation
@@ -481,11 +551,11 @@ def test_batched_simulation_matches_reference_bitwise(case, theta):
 
 @st.composite
 def _hand_built_conferences(draw):
-    """Up to 12 papers with spread or tied qualities, and up to 10 bundles of 0-8 of them."""
-    n = draw(st.integers(1, 12))
+    """Up to 24 papers with spread or tied qualities, and up to 10 bundles of 0-20 of them."""
+    n = draw(st.integers(1, 24))
     quality = st.one_of(st.floats(0.0, 10.0), st.sampled_from([4.0, 5.0]))
     theta = draw(st.lists(quality, min_size=n, max_size=n))
-    bundle = st.lists(st.integers(0, n - 1), unique=True, max_size=min(n, 8))
+    bundle = st.lists(st.integers(0, n - 1), unique=True, max_size=min(n, 20))
     assignment = draw(st.lists(bundle, max_size=10))
     # a valid conference gives every paper a reviewer; a one-paper bundle draws no ranking uniform
     reviewed = {p for papers in assignment for p in papers}
@@ -526,7 +596,7 @@ def test_batched_simulation_matches_reference_on_generated_conference(capacity):
     gen = scaled_config(GenConfig(reviewer_capacity_dist=_CAPACITIES[capacity]), 150)
     conf = gen_conference(gen)
     if capacity == "1-8":
-        assert {3, 4, 5, 6, 7, 8} <= {g[0].shape[1] for g in _bundle_plan(conf)[1]}
+        assert {3, 4, 5, 6, 7, 8} <= set(np.diff(conf.reviewer_ptr).tolist())
     for case in NOISE_CASES.values():
         _assert_matches_reference(conf, case, 73)
 
@@ -547,13 +617,15 @@ def test_bundle_plan_is_per_conference_and_built_on_first_use():
 def test_bundle_plan_arrays_are_read_only():
     # a kernel that wrote into the cached plan would corrupt every later cell of the conference
     conf = gen_conference(scaled_config(GenConfig(reviewer_capacity_dist=_CAPACITIES["1-8"]), 150))
-    _n_draws, groups = _bundle_plan(conf)
-    assert [g[0].shape[1] for g in groups] == list(range(2, 9))
-    for slots, draws, weights, total, _sample, _project in groups:
-        for array in (slots, draws, weights, total):
-            assert not array.flags.writeable
-            with pytest.raises(ValueError, match="read-only"):
-                array[0] = array[0]
+    plan = _bundle_plan(conf)
+    _n_draws, pairs, bands = plan
+    # sizes 4-8 share a band, size 3 has its own, and pairs keep their group
+    assert pairs[0].shape[1] == 2 and [len(band[0]) for band in bands] == [8, 3]
+    assert len(plan_arrays(plan)) == 4 + 5 * len(bands)
+    for array in plan_arrays(plan):
+        assert not array.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = array[0]
     for case in NOISE_CASES.values():
         _assert_matches_reference(conf, case, 97)
 
@@ -571,7 +643,7 @@ def test_a_collected_conference_leaves_the_plan_cache():
     generate_final_scores(conf, NOISE_CASES["Base"], np.random.default_rng(3))
     # arrays, unlike the plan's tuples, take weak references: each is freed once its entry goes
     conf_ref = weakref.ref(conf)
-    array_refs = [weakref.ref(a) for group in _PLANS[conf][1] for a in group[:4]]
+    array_refs = [weakref.ref(a) for a in plan_arrays(_PLANS[conf])]
     assert array_refs
     del conf
     gc.collect()
@@ -591,9 +663,72 @@ def test_a_copied_conference_builds_its_own_read_only_plan(clone):
     assert again.tobytes() == final.tobytes()
     plan = _bundle_plan(twin)
     assert _PLANS[twin] is plan and plan is not _bundle_plan(conf)
-    for mine, theirs in zip(plan[1], _bundle_plan(conf)[1]):
-        for a, b in zip(mine[:4], theirs[:4]):
-            assert not a.flags.writeable and not np.shares_memory(a, b)
+    mine, theirs = plan_arrays(plan), plan_arrays(_bundle_plan(conf))
+    assert len(mine) == len(theirs)
+    for a, b in zip(mine, theirs):
+        assert not a.flags.writeable and not np.shares_memory(a, b)
+
+
+def _long_bundle_conference():
+    """Two bundles each of 3, 4, 7, 8, 17 and 40 of 48 papers: bands of 40, of 17, of 4-8 and of 3."""
+    rng = _rng(5)
+    theta = np.concatenate([np.linspace(3.0, 7.0, 24), np.repeat([4.0, 5.0, 6.5], 8)])
+    assignment = [np.sort(rng.choice(48, size=size, replace=False)) for size in (3, 4, 7, 8, 17, 40) * 2]
+    reviewed = set(np.concatenate(assignment).tolist())
+    assignment += [[p] for p in range(48) if p not in reviewed]
+    return conference_from_lists(theta, [np.arange(48)], assignment)
+
+
+def _band_sizes(plan):
+    """The bundle sizes in each band of a plan."""
+    sizes = []
+    for _slots, _draws, _weights, _total, counts in plan[2]:
+        lengths = (np.arange(counts[0]) < counts[:, None]).sum(axis=0)
+        sizes.append(sorted(set(lengths.tolist())))
+    return sizes
+
+
+@pytest.mark.parametrize("case", list(NOISE_CASES))
+def test_several_bands_match_reference_bitwise(case):
+    conf = _long_bundle_conference()
+    assert _bundle_plan(conf)[1] is None and _band_sizes(_bundle_plan(conf)) == [[40], [17], [4, 7, 8], [3]]
+    for seed in range(3):
+        _assert_matches_reference(conf, NOISE_CASES[case], seed)
+
+
+@pytest.mark.parametrize("capacity,bands", [(6, [[3, 4, 5, 6]]), (8, [[4, 5, 6, 7, 8], [3]])])
+def test_a_cell_makes_one_sampler_and_one_projection_call_per_band(capacity, bands, monkeypatch):
+    conf = gen_conference(GenConfig(reviewer_capacity_dist=DiscreteDistribution.point_mass(capacity)))
+    assert _band_sizes(_bundle_plan(conf)) == bands
+    calls = []
+    for name in ("_sample_pl_rows", "project_rows_non_increasing"):
+        kernel = getattr(scoring, name)
+        monkeypatch.setattr(scoring, name, lambda *args, _k=kernel, _n=name: calls.append(_n) or _k(*args))
+    generate_final_scores(conf, NOISE_CASES["Base"], _rng(7))
+    assert calls == ["_sample_pl_rows", "project_rows_non_increasing"] * len(bands)
+
+
+def _assert_padding_within_real_entries(plan):
+    for slots, draws, weights, total, counts in plan[2]:
+        real = int(counts.sum())
+        assert weights.size - real <= real
+        # longest first, and no row shorter than half the band
+        assert (np.diff(counts) <= 0).all() and 2 * np.count_nonzero(counts == counts[0]) >= len(counts)
+        assert slots.shape == weights.shape == (len(counts), counts[0]) and total.shape == (counts[0],)
+        assert draws.shape == (len(counts) - 1, counts[0])
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(_hand_built_conferences())
+def test_band_padding_never_exceeds_real_entries(conf):
+    _assert_padding_within_real_entries(_bundle_plan(conf))
+
+
+def test_band_padding_never_exceeds_real_entries_on_fixed_conferences():
+    confs = [_long_bundle_conference(), _mixed_bundle_conference(_THETAS["spread"])]
+    confs += [gen_conference(scaled_config(GenConfig(reviewer_capacity_dist=d), 150)) for d in _CAPACITIES.values()]
+    for conf in confs:
+        _assert_padding_within_real_entries(_bundle_plan(conf))
 
 
 @pytest.mark.parametrize(
